@@ -10,7 +10,6 @@ and strong envy-freeness can be jointly unattainable.
 """
 
 from fairplay import fixtures
-from fairplay._scan import backend_name
 from fairplay.model import (
     Assignment,
     EnvyPair,
@@ -82,7 +81,6 @@ __all__ = [
     "TieBreakPolicy",
     "ValidationError",
     "WitnessReport",
-    "backend_name",
     "brute_force_fair",
     "build_table2",
     "build_witness",

@@ -270,6 +270,16 @@ def _parse_bounds(text: str) -> tuple[int, int]:
     return n, m
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be >= 1")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fairplay",
@@ -312,10 +322,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=(4, 4),
         help="max players,days for the group-size-2 search (default 4,4)",
     )
-    sp.add_argument("--budget", type=int, help="enumeration cap per instance")
+    sp.add_argument(
+        "--budget", type=_positive_int, help="enumeration cap per instance"
+    )
     sp.add_argument(
         "--per-size-cap",
-        type=int,
+        type=_positive_int,
         default=2_000_000,
         help="skip search sizes whose candidate pool exceeds this (coverage "
         "becomes partial and the run inconclusive)",
@@ -325,9 +337,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("enumerate", help="count or stream efficient assignments")
     sp.add_argument("--input", required=True, help="availability CSV")
     sp.add_argument("--group-size", type=int, required=True)
-    sp.add_argument("--limit", type=int, default=10, help="stream at most N")
+    sp.add_argument(
+        "--limit", type=_positive_int, default=10, help="stream at most N"
+    )
     sp.add_argument("--format", choices=("count", "stream"), default="count")
-    sp.add_argument("--budget", type=int, help="enumeration cap")
+    sp.add_argument("--budget", type=_positive_int, help="enumeration cap")
     sp.set_defaults(func=cmd_enumerate)
 
     return parser

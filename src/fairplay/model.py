@@ -370,11 +370,6 @@ def g_vector(x: Assignment) -> GVector:
     return GVector(tuple(sum(1 for d in games if d >= t) for t in range(1, m + 1)))
 
 
-def g_vector_of_games(games: Sequence[int], m: int) -> GVector:
-    """G-vector straight from a games-per-player vector."""
-    return GVector(tuple(sum(1 for d in games if d >= t) for t in range(1, m + 1)))
-
-
 def compare_fairness(u: GVector, v: GVector) -> FairnessOrder:
     """Strict lexicographic comparison of fairness profiles; shorter vectors
     are treated as zero-padded."""

@@ -28,14 +28,22 @@ def random_problem(rng: random.Random, max_n=8, max_m=4, g_choices=(2, 3, 4)):
     return make_problem(rows, g)
 
 
-def all_feasible_assignments(p: Problem):
+def all_feasible_assignments(p: Problem, full_games_only=False):
     """Every assignment satisfying availability and the day-total rule,
-    including partial and empty ones.  Exponential; tiny instances only."""
+    including partial and empty ones.  Exponential; tiny instances only.
+
+    With ``full_games_only`` each day seats the most players it can, which
+    leaves exactly the efficient assignments, in odometer order (day 0
+    slowest, each day's subsets in lexicographic order)."""
+    g = p.group_size
     per_day = []
     for k in range(p.m):
         players = [i for i in range(p.n) if p.avail[i][k]]
+        sizes = range(0, len(players) + 1, g)
+        if full_games_only:
+            sizes = [len(players) // g * g]
         options = []
-        for size in range(0, len(players) + 1, p.group_size):
+        for size in sizes:
             options.extend(combinations(players, size))
         per_day.append(options)
     for chosen in product(*per_day):

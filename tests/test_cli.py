@@ -240,6 +240,32 @@ def test_verify_bad_bounds_exit_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--group-size", "4", "--budget", "-1"],
+        ["verify", "--group-size", "4", "--budget", "0"],
+        ["verify", "--group-size", "4", "--budget", "many"],
+        ["verify", "--group-size", "2", "--per-size-cap", "0"],
+        ["enumerate", "--input", T2, "--group-size", "4", "--budget", "-3"],
+        ["enumerate", "--input", T2, "--group-size", "4",
+         "--format", "stream", "--limit", "-1"],
+    ],
+    ids=[
+        "verify-budget-negative",
+        "verify-budget-zero",
+        "verify-budget-not-int",
+        "verify-per-size-cap-zero",
+        "enumerate-budget-negative",
+        "enumerate-limit-negative",
+    ],
+)
+def test_count_flags_below_one_exit_2(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 # --------------------------------------------------------------------------- #
 # enumerate
 # --------------------------------------------------------------------------- #

@@ -1,0 +1,112 @@
+"""The scan kernel against the independent enumerator in conftest: best and
+first envy-free leaves in odometer order, minimum envy, budget truncation
+and the empty-input returns."""
+
+import random
+
+import pytest
+
+from conftest import all_feasible_assignments, random_problem
+from fairplay import fixtures
+from fairplay._scan import scan_fair, scan_first_ef, scan_verify
+from fairplay.impossibility import build_witness
+from fairplay.model import envy_report, g_vector, reduce_problem
+from fairplay.oracle import _assignment_from_choice, _combo_lists
+
+FULL = 10**7
+
+
+def _instances(rng):
+    red, _ = reduce_problem(fixtures.table1())
+    fixed = [red, fixtures.table2(), build_witness(3)]
+    randoms = []
+    while len(randoms) < 12:
+        p = random_problem(rng, max_n=6, max_m=3)
+        r, _ = reduce_problem(p)
+        if not r.is_empty:
+            randoms.append(r)
+    return fixed + randoms
+
+
+class Reference:
+    """One instance with its efficient assignments in odometer order, each
+    scored by the model's own g-vector and envy audit."""
+
+    def __init__(self, p):
+        self.p = p
+        self.avail = p.availability_counts()
+        self.leaves = list(all_feasible_assignments(p, full_games_only=True))
+        self.profiles = [g_vector(x).counts for x in self.leaves]
+        self.envy = [len(envy_report(x, p).pairs) for x in self.leaves]
+        self.first_ef = self.envy.index(0) if 0 in self.envy else None
+
+
+@pytest.fixture(scope="module")
+def references():
+    return [Reference(p) for p in _instances(random.Random(20260808))]
+
+
+def test_scan_fair_finds_first_best_leaf(references):
+    for ref in references:
+        combos = _combo_lists(ref.p, FULL)
+        scanned, complete, best_g, choice, index = scan_fair(combos, ref.p.n, FULL)
+        best = max(ref.profiles)
+        assert (scanned, complete, best_g) == (len(ref.leaves), True, best)
+        assert index == ref.profiles.index(best)
+        assert _assignment_from_choice(ref.p, combos, choice) == ref.leaves[index]
+
+
+def test_scan_first_ef_finds_first_envy_free_leaf(references):
+    for ref in references:
+        combos = _combo_lists(ref.p, FULL)
+        scanned, conclusive, choice, index = scan_first_ef(
+            combos, ref.p.n, ref.avail, FULL
+        )
+        assert conclusive
+        if ref.first_ef is None:
+            assert (scanned, choice, index) == (len(ref.leaves), None, -1)
+        else:
+            assert (scanned, index) == (ref.first_ef + 1, ref.first_ef)
+            assert _assignment_from_choice(ref.p, combos, choice) == ref.leaves[index]
+
+
+def test_scan_verify_minimum_envy(references):
+    for ref in references:
+        combos = _combo_lists(ref.p, FULL)
+        scanned, conclusive, ef_found, choice, min_envy = scan_verify(
+            combos, ref.p.n, ref.avail, FULL, stop_on_ef=False
+        )
+        assert (scanned, conclusive) == (len(ref.leaves), True)
+        assert (ef_found, min_envy) == (ref.first_ef is not None, min(ref.envy))
+        if ef_found:
+            leaf = _assignment_from_choice(ref.p, combos, choice)
+            assert leaf == ref.leaves[ref.first_ef]
+        assert scan_verify(combos, ref.p.n, ref.avail, FULL)[1:] == (
+            conclusive, ef_found, choice, min_envy
+        )
+
+
+@pytest.mark.parametrize("budget", [1, 7, 1000])
+def test_budget_truncation(references, budget):
+    ref = references[1]
+    assert ref.p == fixtures.table2()
+    n, avail = ref.p.n, ref.avail
+    combos = _combo_lists(ref.p, budget + 1)
+    seen = ref.profiles[:budget]
+
+    scanned, complete, best_g, _, index = scan_fair(combos, n, budget)
+    assert (scanned, complete, best_g) == (budget, False, max(seen))
+    assert index == seen.index(max(seen))
+    assert scan_first_ef(combos, n, avail, budget) == (budget, False, None, -1)
+    assert scan_verify(combos, n, avail, budget) == (
+        budget, False, False, None, min(ref.envy[:budget])
+    )
+
+
+def test_empty_inputs():
+    assert scan_fair([], 0, 10) == (0, True, None, None, -1)
+    assert scan_fair([[]], 3, 10) == (0, True, None, None, -1)
+    assert scan_first_ef([], 0, (), 10) == (0, True, None, -1)
+    assert scan_first_ef([[]], 3, (1, 1, 1), 10) == (0, True, None, -1)
+    assert scan_verify([], 0, (), 10) == (0, True, False, None, -1)
+    assert scan_verify([[]], 3, (1, 1, 1), 10) == (0, True, False, None, -1)
