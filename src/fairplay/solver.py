@@ -1,12 +1,15 @@
 """Exact fair solver: lexicographically maximal fairness profiles.
 
-The optimum profile is computed stage by stage with exact integer min-cost
-flows (see ``_flow``); no enumeration is involved, which keeps this module an
-independent route from the brute-force oracle.  Tie-breaking then picks one
-assignment among the profile-optimal ones:
+The optimum profile comes from one exact integer min-cost flow whose
+weights encode the whole lexicographic order (see ``_flow``); no
+enumeration is involved, which keeps this module an independent route from
+the brute-force oracle.  Tie-breaking then picks one assignment among the
+profile-optimal ones:
 
 * ``lex``: the matrix that is smallest in row-major binary order, found by
-  fixing cells one at a time against a flow achievability test;
+  deciding cells one at a time in the optimal flow's residual network: a
+  used cell is dropped exactly when the flow can be rerouted off it round a
+  zero-reduced-cost cycle, so no cell needs a fresh solve;
 * ``random``: uniform over all profile-optimal assignments, drawn by
   reservoir sampling over a pruned exhaustive walk (deterministic for a
   fixed seed).
@@ -61,7 +64,11 @@ class TieBreakPolicy:
 
 @dataclass(frozen=True)
 class StageInfo:
-    """One threshold of the staged optimization."""
+    """One threshold t of the optimal profile: ``optimal_count`` is G_t.
+
+    The whole profile is settled by a single flow solve, so every entry
+    carries that solve's ``augmentations`` and ``relaxations``.
+    """
 
     threshold: int
     optimal_count: int
@@ -111,17 +118,12 @@ def solve_fair(p: Problem, tie_break: TieBreakPolicy | None = None) -> SolveRepo
         return SolveReport(empty, g_vector(empty) if p.n else GVector(()), 0, ())
 
     quotas = _quotas(reduced)
-    stages = []
-    best: Optional[_flow.FlowResult] = None
-    for t in range(1, reduced.m + 1):
-        result = _flow.solve_stage(reduced.avail, quotas, t)
-        if best is not None:
-            assert result.gvector[: t - 1] == best.gvector[: t - 1]
-        best = result
-        stages.append(
-            StageInfo(t, result.gvector[t - 1], result.augmentations, result.relaxations)
-        )
+    best = _flow.solve_stage(reduced.avail, quotas)
     target = best.gvector
+    stages = tuple(
+        StageInfo(t, target[t - 1], best.augmentations, best.relaxations)
+        for t in range(1, reduced.m + 1)
+    )
 
     if tie_break.mode == "lex":
         inner = _realize_lex_min(reduced, quotas, target, best)
@@ -133,7 +135,7 @@ def solve_fair(p: Problem, tie_break: TieBreakPolicy | None = None) -> SolveRepo
         assignment=assignment,
         g_vector=g_vector(assignment),
         total_games=assignment.total_slots() // p.group_size,
-        stages=tuple(stages),
+        stages=stages,
     )
 
 
@@ -145,15 +147,18 @@ def _realize_lex_min(
 ) -> Assignment:
     """Row-major smallest matrix among those attaining the target profile.
 
-    Walk the available cells in row-major order, preferring 0; a cell is
-    forced to 1 exactly when excluding it makes the target unachievable.
-    Cheap day counters settle forced/impossible cells without a flow solve.
+    Walk the available cells in row-major order, preferring 0, in the
+    residual network of ``current`` (an optimal flow, edited in place).  A
+    used cell is dropped exactly when the flow can be rerouted off it at
+    unchanged cost; each decided cell is then fixed or forbidden in the
+    network, so later reroutes keep it.  Cheap day counters settle
+    forced/impossible cells without a search.
     """
     n, m = reduced.n, reduced.m
-    forced: set[tuple[int, int]] = set()
-    forbidden: set[tuple[int, int]] = set()
+    flow = current.residual
     forced_per_day = [0] * m
-    undecided_per_day = [sum(reduced.avail[i][k] for i in range(n)) for k in range(m)]
+    undecided_per_day = list(reduced.day_counts())
+    matrix = [[0] * m for _ in range(n)]
 
     for i in range(n):
         for k in range(m):
@@ -161,33 +166,18 @@ def _realize_lex_min(
                 continue
             undecided_per_day[k] -= 1
             if forced_per_day[k] == quotas[k]:
-                forbidden.add((i, k))  # quota already met, cell cannot be used
-                continue
-            if forced_per_day[k] + undecided_per_day[k] < quotas[k]:
-                # every remaining cell of this day is needed
-                forced.add((i, k))
-                forced_per_day[k] += 1
-                continue
-            if (i, k) not in current.used_cells:
-                forbidden.add((i, k))  # current optimum already avoids it
-                continue
-            trial = _flow.solve_stage(
-                reduced.avail,
-                quotas,
-                m,
-                frozenset(forced),
-                frozenset(forbidden | {(i, k)}),
-            )
-            if trial.feasible and trial.gvector == target:
-                forbidden.add((i, k))
-                current = trial
+                use = False  # quota already met, cell cannot be used
+            elif forced_per_day[k] + undecided_per_day[k] < quotas[k]:
+                use = True  # every remaining cell of this day is needed
             else:
-                forced.add((i, k))
+                use = flow.uses((i, k)) and not flow.reroute((i, k))
+            if use:
+                flow.fix((i, k))
+                matrix[i][k] = 1
                 forced_per_day[k] += 1
+            else:
+                flow.forbid((i, k))
 
-    matrix = [[0] * m for _ in range(n)]
-    for (i, k) in forced:
-        matrix[i][k] = 1
     out = Assignment(tuple(tuple(row) for row in matrix))
     assert out.day_totals() == tuple(quotas)
     assert g_vector(out).counts == target

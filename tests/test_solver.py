@@ -1,10 +1,13 @@
 """Fair solver: exactness against the brute-force oracle, tie-break
-semantics, determinism, and the staged report."""
+semantics, determinism, the staged report, and the single flow solve."""
+
+import hashlib
+import random
 
 import pytest
 
 from conftest import all_feasible_assignments, make_problem, random_problem
-from fairplay import fixtures
+from fairplay import _flow, fixtures
 from fairplay.model import (
     g_vector,
     is_efficient,
@@ -148,15 +151,20 @@ def _row_major(x):
     return tuple(c for row in x.matrix for c in row)
 
 
-def test_lex_tie_break_is_row_major_minimum_over_optima():
-    t2 = fixtures.table2()
-    opt = brute_force_fair(t2)[0].counts
+@pytest.mark.parametrize(
+    "make",
+    [fixtures.table2, lambda: reduce_problem(fixtures.table1())[0]],
+    ids=["table2", "table1-reduced"],
+)
+def test_lex_tie_break_is_row_major_minimum_over_optima(make):
+    p = make()
+    opt = brute_force_fair(p)[0].counts
     best = min(
         _row_major(a)
-        for a in enumerate_efficient(t2)
+        for a in enumerate_efficient(p)
         if g_vector(a).counts == opt
     )
-    assert _row_major(solve_fair(t2, TieBreakPolicy.lex()).assignment) == best
+    assert _row_major(solve_fair(p, TieBreakPolicy.lex()).assignment) == best
 
 
 def test_lex_tie_break_is_row_major_minimum_on_randoms(rng):
@@ -175,6 +183,37 @@ def test_lex_tie_break_is_row_major_minimum_on_randoms(rng):
         got = solve_fair(red, TieBreakPolicy.lex()).assignment
         assert _row_major(got) == best
         checked += 1
+
+
+def _club(seed, n, m):
+    """Seeded g = 4 club sheet; the density rotates over 0.4, 0.55, 0.7."""
+    rng = random.Random(seed)
+    density = (0.4, 0.55, 0.7)[seed % 3]
+    rows = [[1 if rng.random() < density else 0 for _ in range(m)] for _ in range(n)]
+    return make_problem(rows, g=4)
+
+
+# SHA-256 of each lex matrix, one row of 0/1 digits per line, as computed by
+# the per-threshold, re-solve-per-cell solver this one replaced.
+_PINNED_LEX = [
+    (1, 30, 5, "a90d6946de2d3b66686ebb48af713601502b3364c2e17b95516223059d226592"),
+    (2, 45, 6, "dcce5e8fd7c5e419936c6d2ac8ac8232f195b7838c75f2c5a76df895a58b0734"),
+    (3, 60, 7, "8eb8426f9f0b52fd3780fb3bc6159d9d59b3d9929897c22bea1364f35a40022e"),
+    (4, 75, 5, "e7e144f331ff93ba2f0b795e9b005a14c3d1724be7cf9097d2b9110c6a580174"),
+    (5, 90, 6, "5e9ab6683fb663c64d3ab57ae8cd83164e8742b09a7e780387deb5ba5a7083e6"),
+    (6, 105, 7, "f2fc258f66ef6506ed7d529cee5cb3633d5179c72ac0e5d218264d23951302a4"),
+    (7, 120, 6, "4e3bcd6a7cc17b588a37e4a1bf50d85483a9debcb1d0cf58b92653cce2dd9949"),
+    (8, 120, 7, "303257d3a269cc0d9a83e207cbe81a522da266f19481ab3f3c7a8d8cd3eec8d4"),
+]
+
+
+@pytest.mark.parametrize(
+    "seed,n,m,digest", _PINNED_LEX, ids=[f"{n}x{m}-seed{s}" for s, n, m, _ in _PINNED_LEX]
+)
+def test_lex_tie_break_is_pinned_on_club_sized_instances(seed, n, m, digest):
+    x = solve_fair(_club(seed, n, m), TieBreakPolicy.lex()).assignment
+    text = "\n".join("".join(map(str, row)) for row in x.matrix)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_random_tie_break_is_deterministic_per_seed():
@@ -225,3 +264,24 @@ def test_stage_optima_are_monotone_reachable(rng):
         for s in report.stages:
             achieved = sum(1 for d in games if d >= s.threshold)
             assert achieved == s.optimal_count
+
+
+@pytest.mark.parametrize(
+    "policy", [TieBreakPolicy.lex(), TieBreakPolicy.seeded(5)], ids=["lex", "random"]
+)
+def test_solve_fair_runs_one_flow_solve(monkeypatch, policy):
+    """The whole profile and either tie-break come from a single flow solve;
+    an instance that reduces to nothing needs none."""
+    calls = []
+    solve_stage = _flow.solve_stage
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve_stage(*args, **kwargs)
+
+    monkeypatch.setattr(_flow, "solve_stage", counted)
+    solve_fair(fixtures.table2(), policy)
+    assert len(calls) == 1
+    calls.clear()
+    solve_fair(make_problem([[0, 0, 0]] * 4, g=4), policy)
+    assert calls == []
