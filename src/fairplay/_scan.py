@@ -9,11 +9,91 @@ statistic over the leaves and stops early once the leaf budget runs out.
 Per-leaf state is maintained incrementally: a games-per-player vector and a
 histogram of it, so fairness digits G_t come out of the histogram in O(1)
 per threshold.
+
+Orbit memo.  Every statistic a scan folds (the fairness profile, strong
+envy-freeness, the number of envy pairs) depends only on the games vector,
+and players with the same availability row and the same availability count
+are interchangeable.  When the budget covers every leaf, each day's list is
+the complete family of same-size subsets of that day's players (as
+``oracle._combo_lists`` builds it), so a permutation of such players maps
+the subtree below one node onto the subtree below another node of the same
+depth.  At depths 1..m-2 the walk therefore records the games vector of
+each node whose subtree it has scanned in full, sorted within classes of
+interchangeable players, and skips a later node with the same record,
+adding the skipped subtree's leaf count to ``scanned``.  This is exact:
+every fold changes only on a leaf strictly better than all before it (a
+larger profile, the first envy-free leaf, fewer envy pairs), and a skipped
+subtree holds exactly the values of one scanned in full earlier, so it
+holds no such leaf.  Leaf indices, first-EF and first-best choices and
+``min_envy`` are those of the plain walk; only the time differs.  A budget
+below the leaf count turns the memo off: the scan must stop after exactly
+``budget`` leaves, and its lists may be truncated, which breaks the
+symmetry.
 """
 
 from __future__ import annotations
 
+import math
+from operator import add, sub
+
 _NO_LEAVES = -1
+
+# A memo key packs games counts as bytes, and games at depth d are at most d.
+_KEY_DEPTH_LIMIT = 256
+
+
+class _OrbitMemo:
+    """Fully scanned subtrees, one set per depth, keyed by the games vector
+    sorted within classes of interchangeable players.
+
+    A class is the players with the same row, read off as the days whose
+    subsets mention them, and the same availability count (``avail``, or
+    None where the statistic ignores it).  The class map is built at the
+    first key, after the first subtree finishes, so a scan that stops inside
+    its first subtree never pays for it.
+    """
+
+    def __init__(self, combos, n, budget, avail=None):
+        m = len(combos)
+        covers_all = math.prod(map(len, combos)) <= budget
+        self.depths = range(1, min(m - 1, _KEY_DEPTH_LIMIT)) if covers_all else range(0)
+        self.seen = {}  # depth -> keys of the fully scanned subtrees there
+        self._combos, self._n, self._avail = combos, n, avail
+        self._pending = {}
+        self._offset = self._sorted_offset = None
+
+    def _key(self, games):
+        if self._offset is None:
+            rows = [[] for _ in range(self._n)]
+            for k, day in enumerate(self._combos):
+                for i in set().union(*day):
+                    rows[i].append(k)
+            avail = self._avail or (None,) * self._n
+            classes = {}
+            self._offset = [
+                classes.setdefault((tuple(row), a), len(classes)) * _KEY_DEPTH_LIMIT
+                for row, a in zip(rows, avail)
+            ]
+            self._sorted_offset = sorted(self._offset)
+        # sorting games + class offset sorts within each class; subtracting
+        # the sorted offsets leaves the games counts class by class
+        ranked = sorted(map(add, games, self._offset))
+        return bytes(map(sub, ranked, self._sorted_offset))
+
+    def covered(self, day, games):
+        """True when this node's subtree mirrors one already scanned at its
+        depth; call it only for a depth in ``seen``."""
+        key = self._pending[day] = self._key(games)
+        return key in self.seen[day]
+
+    def finish(self, day, games):
+        """Record this node's subtree as fully scanned."""
+        key = self._pending.pop(day, None)
+        self.seen.setdefault(day, set()).add(self._key(games) if key is None else key)
+
+    def leaves(self, day):
+        """Leaf count of the subtree below a node at depth ``day``."""
+        return math.prod(map(len, self._combos[day:]))
 
 
 def _prep_envy_order(n, avail):
@@ -79,6 +159,8 @@ def scan_fair(combos, n, budget):
     best_index = _NO_LEAVES
     choice = [0] * m
     state = {"scanned": 0, "truncated": False}
+    memo = _OrbitMemo(combos, n, budget)
+    memo_depths, memo_seen = memo.depths, memo.seen
 
     def dfs(day):
         if day == m:
@@ -101,6 +183,9 @@ def scan_fair(combos, n, budget):
                 best_choice = tuple(choice)
                 best_index = state["scanned"] - 1
             return False
+        if day in memo_seen and memo.covered(day, games):
+            state["scanned"] += memo.leaves(day)
+            return False
         for ci, combo in enumerate(combos[day]):
             choice[day] = ci
             for i in combo:
@@ -114,6 +199,8 @@ def scan_fair(combos, n, budget):
                 cnt[games[i]] += 1
             if stop:
                 return True
+        if day in memo_depths:
+            memo.finish(day, games)
         return False
 
     dfs(0)
@@ -140,6 +227,8 @@ def scan_first_ef(combos, n, avail, budget):
     games = [0] * n
     choice = [0] * m
     state = {"scanned": 0, "truncated": False, "found": None, "index": _NO_LEAVES}
+    memo = _OrbitMemo(combos, n, budget, avail)
+    memo_depths, memo_seen = memo.depths, memo.seen
 
     def dfs(day):
         if day == m:
@@ -152,6 +241,9 @@ def scan_first_ef(combos, n, avail, budget):
                 state["index"] = state["scanned"] - 1
                 return True
             return False
+        if day in memo_seen and memo.covered(day, games):
+            state["scanned"] += memo.leaves(day)
+            return False
         for ci, combo in enumerate(combos[day]):
             choice[day] = ci
             for i in combo:
@@ -161,6 +253,8 @@ def scan_first_ef(combos, n, avail, budget):
                 games[i] -= 1
             if stop:
                 return True
+        if day in memo_depths:
+            memo.finish(day, games)
         return False
 
     dfs(0)
@@ -189,6 +283,8 @@ def scan_verify(combos, n, avail, budget, stop_on_ef=True):
         "ef_choice": None,
         "min_envy": n * n + 1,
     }
+    memo = _OrbitMemo(combos, n, budget, avail)
+    memo_depths, memo_seen = memo.depths, memo.seen
 
     def dfs(day):
         if day == m:
@@ -205,6 +301,9 @@ def scan_verify(combos, n, avail, budget, stop_on_ef=True):
                     if stop_on_ef:
                         return True
             return False
+        if day in memo_seen and memo.covered(day, games):
+            state["scanned"] += memo.leaves(day)
+            return False
         for ci, combo in enumerate(combos[day]):
             choice[day] = ci
             for i in combo:
@@ -214,6 +313,8 @@ def scan_verify(combos, n, avail, budget, stop_on_ef=True):
                 games[i] -= 1
             if stop:
                 return True
+        if day in memo_depths:
+            memo.finish(day, games)
         return False
 
     dfs(0)

@@ -234,6 +234,14 @@ def test_verify_budget_inconclusive_exits_6(capsys):
     assert "inconclusive" in out
 
 
+def test_verify_flags_do_not_carry_over_to_the_next_call(capsys):
+    """``main`` reuses one parser, so each call must start from the defaults."""
+    code, out, _ = run(capsys, "verify", "--group-size", "4", "--budget", "100")
+    assert (code, "examined: 100" in out) == (6, True)
+    code, out, _ = run(capsys, "verify", "--group-size", "4")
+    assert (code, "examined: 42875" in out) == (0, True)
+
+
 def test_verify_bad_bounds_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--group-size", "2", "--bounds", "nope"])

@@ -68,6 +68,16 @@ def test_verify_table2_demonstrates_impossibility():
     assert report.min_envy_pairs >= 1
 
 
+def test_verify_witness6_demonstrates_impossibility():
+    """98,611,128 leaves: the orbit memo walks one 462 x 462 subtree and
+    skips the 461 that mirror it."""
+    report = verify_no_fair_ef(build_witness(6), EnumerationBudget(98_611_128))
+    assert report.efficient_count == report.scanned == 98_611_128
+    assert report.conclusive
+    assert not report.ef_found
+    assert report.min_envy_pairs == 12
+
+
 def test_verify_witness3_demonstrates_impossibility():
     report = verify_no_fair_ef(build_witness(3))
     assert report.efficient_count == 1_000

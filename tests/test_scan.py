@@ -1,13 +1,17 @@
 """The scan kernel against the independent enumerator in conftest: best and
-first envy-free leaves in odometer order, minimum envy, budget truncation
-and the empty-input returns."""
+first envy-free leaves in odometer order, minimum envy, budget truncation,
+the orbit memo's budget switch and the empty-input returns.
 
+Instances whose players share a few rows make the orbit memo skip subtrees,
+so every check below also holds the memo to the plain walk."""
+
+import math
 import random
 
 import pytest
 
-from conftest import all_feasible_assignments, random_problem
-from fairplay import fixtures
+from conftest import all_feasible_assignments, make_problem, random_problem
+from fairplay import _scan, fixtures
 from fairplay._scan import scan_fair, scan_first_ef, scan_verify
 from fairplay.impossibility import build_witness
 from fairplay.model import envy_report, g_vector, reduce_problem
@@ -25,7 +29,28 @@ def _instances(rng):
         r, _ = reduce_problem(p)
         if not r.is_empty:
             randoms.append(r)
-    return fixed + randoms
+    return fixed + randoms + _symmetric_instances(rng)
+
+
+def _symmetric_instances(rng):
+    """Instances of 4-5 days whose players repeat two or three rows.  Every
+    other one stays unreduced: a day with too few players for a game then
+    seats nobody, so players with equal rows as the scan sees them can
+    differ in availability count.  The first is made by hand that way:
+    p1-p3 share days 2 and 4, but p3 is also free on day 3, alone."""
+    out = [make_problem([(0, 1, 0, 1), (0, 1, 0, 1), (0, 1, 1, 1), (0, 0, 0, 1)], 2)]
+    while len(out) < 8:
+        m = rng.randint(4, 5)
+        rows = [tuple(rng.randint(0, 1) for _ in range(m)) for _ in range(rng.randint(2, 3))]
+        p = make_problem([rng.choice(rows) for _ in range(rng.randint(5, 9))], rng.choice((2, 3)))
+        if len(out) % 2 == 0:
+            p, _ = reduce_problem(p)
+        if p.m < 4:
+            continue
+        leaves = math.prod(len(day) for day in _combo_lists(p, FULL))
+        if 1 < leaves <= 20_000:
+            out.append(p)
+    return out
 
 
 class Reference:
@@ -101,6 +126,28 @@ def test_budget_truncation(references, budget):
     assert scan_verify(combos, n, avail, budget) == (
         budget, False, False, None, min(ref.envy[:budget])
     )
+
+
+@pytest.mark.parametrize("budget, complete", [(42_875, True), (42_874, False)])
+def test_memo_needs_a_budget_covering_every_leaf(references, monkeypatch, budget, complete):
+    """The memo skips subtrees only when the budget covers all 42,875 leaves
+    of table2; one leaf less walks and stops leaf by leaf."""
+    ref = references[1]
+    assert ref.p == fixtures.table2()
+    n, avail = ref.p.n, ref.avail
+    combos = _combo_lists(ref.p, budget + 1)
+    walked = []
+    count_envy_pairs = _scan._count_envy_pairs
+    monkeypatch.setattr(
+        _scan, "_count_envy_pairs", lambda *a: walked.append(1) or count_envy_pairs(*a)
+    )
+
+    scanned, conclusive, ef_found, _, min_envy = scan_verify(combos, n, avail, budget)
+    assert (scanned, conclusive, ef_found) == (budget, complete, False)
+    assert min_envy == min(ref.envy[:budget])
+    assert (len(walked) < budget) == complete
+    assert scan_fair(combos, n, budget)[:2] == (budget, complete)
+    assert scan_first_ef(combos, n, avail, budget)[:2] == (budget, complete)
 
 
 def test_empty_inputs():
