@@ -8,12 +8,20 @@ with at most one game while every forced player has two; that player envies
 all g of them.  For g = 2 that arithmetic fails (3g = 6 = 2(2g-1)), so this
 module ships a bounded exhaustive search instead of a construction and
 reports exactly what it covered.
+
+The search visits one matrix per class under row and column permutations:
+the canonical ones, grown a column at a time by orderly generation, so no
+class is made twice and no dedup set is kept.  A size is searched only when
+its candidate pool, an estimate counted over row multisets (C(2^m - 1 + n - 1,
+n) for n players and m days), is within the cap; the pool is only this gate,
+not what the search generates.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Optional
 
 from fairplay._scan import scan_verify
@@ -53,9 +61,11 @@ class WitnessReport:
 class SearchBounds:
     """Limits for the g=2 witness search.
 
-    Sizes whose candidate pool (row multisets when deduplicating, raw
-    matrices otherwise) exceeds ``per_size_cap`` are skipped and reported,
-    so a finished search states exactly what it covered.
+    Sizes whose candidate pool exceeds ``per_size_cap`` are skipped and
+    reported, so a finished search states exactly what it covered.  The pool
+    is an estimate that only gates the size: the count of row multisets when
+    deduplicating (the canonical matrices searched are far fewer), the count
+    of raw matrices otherwise.
     """
 
     max_players: int
@@ -147,6 +157,60 @@ def verify_no_fair_ef(p: Problem, budget: EnumerationBudget | None = None) -> Wi
 # Canonical forms and the g=2 search
 # --------------------------------------------------------------------------- #
 
+def _split(cells: tuple[int, ...], col: int) -> tuple[int, ...]:
+    """Refine an ordered partition of the rows (one bit mask per cell) by a
+    column: each cell's rows reading 0 come before its rows reading 1."""
+    out = []
+    for cell in cells:
+        zero, one = cell & ~col, cell & col
+        if zero:
+            out.append(zero)
+        if one:
+            out.append(one)
+    return tuple(out)
+
+
+def _least_order(columns: tuple[int, ...], n: int, abort_below_own: bool = False):
+    """The greedy behind :func:`canonical_form`, shared with
+    :func:`_is_canonical`: a column order whose reading is least, where
+    ``columns`` are bit masks over the n rows.
+
+    Branch and prune over column orders: per depth, keep exactly the prefixes
+    whose sorted reading (the rows' prefix values, ascending) is least.  A
+    prefix is held as its chosen columns and the ordered partition of the
+    rows into equal prefix values; prefixes with equal entries have identical
+    completions.  Every kept prefix has the same sorted reading, hence the
+    same cell sizes, so an extension's reading is fixed by the number of
+    rows reading 1 in each cell, and fewer 1s in the first cell that differs
+    reads lower.
+
+    With ``abort_below_own``, return None as soon as any prefix reads below
+    the columns' own order at its depth.
+    """
+    frontier = {(0, ((1 << n) - 1,)): ()}
+    own = ((1 << n) - 1,)
+    for depth in range(len(columns)):
+        best = None
+        if abort_below_own:
+            best = tuple([(cell & columns[depth]).bit_count() for cell in own])
+            own = _split(own, columns[depth])
+        entries: dict[tuple, tuple[int, ...]] = {}
+        for (used, cells), order in frontier.items():
+            for c, col in enumerate(columns):
+                if used >> c & 1:
+                    continue
+                key = tuple([(cell & col).bit_count() for cell in cells])
+                if best is None or key < best:
+                    if abort_below_own:
+                        return None
+                    best = key
+                    entries = {}
+                if key == best:
+                    entries[(used | 1 << c, _split(cells, col))] = order + (c,)
+        frontier = entries
+    return next(iter(frontier.values()))
+
+
 def canonical_form(matrix: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
     """Least representative of a binary matrix under row and column
     permutations: minimal column-major reading with rows sorted ascending.
@@ -161,57 +225,81 @@ def canonical_form(matrix: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...]
     m = len(matrix[0])
     if m == 0:
         return tuple(() for _ in range(n))
-
-    # frontier entries: (chosen column set, per-original-row prefix value);
-    # prefixes with equal column sets and values have identical completions
-    frontier: list[tuple[frozenset[int], tuple[int, ...]]] = [(frozenset(), (0,) * n)]
-    best_key = None
-    for _ in range(m):
-        best_key = None
-        best_entries: dict[tuple, None] = {}
-        for used, vals in frontier:
-            for c in range(m):
-                if c in used:
-                    continue
-                newvals = tuple(vals[i] * 2 + matrix[i][c] for i in range(n))
-                key = tuple(sorted(newvals))
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_entries = {(used | {c}, newvals): None}
-                elif key == best_key:
-                    best_entries.setdefault((used | {c}, newvals), None)
-        frontier = [entry for entry in best_entries]
-    width = m
-    return tuple(tuple((v >> (width - 1 - b)) & 1 for b in range(width)) for v in best_key)
+    order = _least_order(_column_masks(matrix), n)
+    return tuple(sorted(tuple(row[c] for c in order) for row in matrix))
 
 
-def _row_multisets(n: int, m: int):
-    """Non-decreasing tuples of n non-zero m-bit rows whose column sums can
-    still reach 2 everywhere (the g=2 irreducibility requirement)."""
-    maxrow = (1 << m) - 1
-    colcount = [0] * m
-    rows: list[int] = []
+def _column_masks(matrix) -> tuple[int, ...]:
+    """Each column of a 0/1 matrix as a bit mask over the rows (row i is
+    bit i)."""
+    return tuple(
+        sum(row[c] << i for i, row in enumerate(matrix)) for c in range(len(matrix[0]))
+    )
 
-    def rec(depth: int, lo: int):
-        left = n - depth
-        for k in range(m):
-            if 2 - colcount[k] > left:
-                return
-        if depth == n:
-            yield tuple(rows)
-            return
-        for r in range(lo, maxrow + 1):
-            for k in range(m):
-                if r >> k & 1:
-                    colcount[k] += 1
-            rows.append(r)
-            yield from rec(depth + 1, r)
-            rows.pop()
-            for k in range(m):
-                if r >> k & 1:
-                    colcount[k] -= 1
 
-    yield from rec(0, 1)
+def _is_canonical(columns: tuple[int, ...], n: int) -> bool:
+    """Whether the n-row matrix whose columns are ``columns`` (bit masks over
+    rows sorted ascending) equals its :func:`canonical_form`.
+
+    Runs the greedy against the matrix's own column order and stops at the
+    first prefix that reads lower.  The own order reads the matrix's own
+    prefixes, since the rows ascend, and survives while nothing reads lower,
+    so "no prefix reads lower" is exactly ``canonical_form(M) == M``.
+    """
+    return _least_order(columns, n, abort_below_own=True) is not None
+
+
+def _children(rows: tuple[int, ...], columns: tuple[int, ...]):
+    """The children of an n x k matrix given as a level entry of
+    :func:`_orderly_levels`: every n x (k+1) matrix with ascending rows that
+    adds a last column of weight >= 2, as a ``(rows, columns)`` pair too.
+
+    Within each block of equal rows the new bits run 0s then 1s, which keeps
+    the rows ascending and makes each child exactly once.
+    """
+    choices = []  # per block of equal rows: (mask of its new 1s, their count)
+    start = 0
+    for end in range(1, len(rows) + 1):
+        if end < len(rows) and rows[end] == rows[start]:
+            continue
+        size, start = end - start, end
+        choices.append([(((1 << t) - 1) << (end - t), t) for t in range(size + 1)])
+    for parts in product(*choices):
+        if sum(ones for _, ones in parts) >= 2:
+            col = sum(mask for mask, _ in parts)
+            yield (
+                tuple(2 * r + (col >> i & 1) for i, r in enumerate(rows)),
+                columns + (col,),
+            )
+
+
+def _orderly_levels(n: int):
+    """Yield, for k = 1, 2, ..., every canonical n x k matrix whose columns
+    all have weight >= 2 (rows may be zero), as ``(rows, columns)`` pairs:
+    ascending row ints (first column the most significant bit) and column
+    bit masks over those rows.
+
+    Orderly generation (Read 1978; McKay 1998): grow each canonical prefix
+    by one column and keep the canonical children.  It is exact because the
+    k-1 column prefix P of a canonical n x k matrix M is canonical.  Run the
+    greedy of :func:`_least_order` on both.  By induction on depth, the
+    prefixes it keeps on P are those it keeps on M that avoid M's last
+    column: P's extensions are among M's, so none reads below M's least
+    reading, and M's own column order, which reads that least reading since
+    M is canonical, is among them below depth k.  So P's least reading at
+    every depth is its own prefix, that is ``canonical_form(P) == P``.
+    Every canonical M thus arises as a child of a canonical P, and only
+    once; weight >= 2 is final once a column is added.
+    """
+    level = [((0,) * n, ())]
+    while True:
+        level = [
+            child
+            for parent in level
+            for child in _children(*parent)
+            if _is_canonical(child[1], n)
+        ]
+        yield level
 
 
 def _bits_to_matrix(rows: tuple[int, ...], m: int) -> tuple[tuple[int, ...], ...]:
@@ -246,12 +334,14 @@ def search_witness_g2(bounds: SearchBounds) -> G2SearchResult:
     """Bounded exhaustive hunt for a g=2 instance with no full-game strongly
     envy-free assignment.
 
-    Sizes are visited in (players, days) order; within a size, candidates in
-    a fixed lexicographic order, deduplicated up to row/column permutation
-    when requested.  The first witness (by this order) is returned with its
-    full report.  ``search_complete`` is True only when no size was skipped
-    and no instance was inconclusive, so a negative result states its exact
-    coverage.
+    Sizes are visited in (players, days) order.  Within a size, with
+    ``symmetry_dedup`` the candidates are the canonical forms of the size's
+    irreducible matrices, one per class under row and column permutations,
+    in ascending order of canonical form; without it, every irreducible
+    matrix in ascending order of its row-major reading.  The first witness
+    (by this order) is returned with its full report.  ``search_complete`` is
+    True only when no size was skipped and no instance was inconclusive, so a
+    negative result states its exact coverage.
     """
     examined = 0
     inconclusive = 0
@@ -259,18 +349,19 @@ def search_witness_g2(bounds: SearchBounds) -> G2SearchResult:
     skipped: list[tuple[int, int]] = []
 
     for n in range(2, bounds.max_players + 1):
+        levels = _orderly_levels(n)
         for m in range(1, bounds.max_days + 1):
             if bounds.symmetry_dedup:
                 pool = math.comb((1 << m) - 1 + n - 1, n)
             else:
                 pool = 1 << (n * m)
             if pool > bounds.per_size_cap:
-                skipped.append((n, m))
-                continue
+                # the pool grows with m, so every larger m is over the cap too
+                skipped.extend((n, k) for k in range(m, bounds.max_days + 1))
+                break
             searched.append((n, m))
-            seen: set = set()
             candidates = (
-                _candidates_dedup(n, m, seen)
+                _candidates_dedup(next(levels), m)
                 if bounds.symmetry_dedup
                 else _candidates_raw(n, m)
             )
@@ -302,16 +393,12 @@ def search_witness_g2(bounds: SearchBounds) -> G2SearchResult:
     )
 
 
-def _candidates_dedup(n: int, m: int, seen: set):
-    for rows in _row_multisets(n, m):
-        matrix = _bits_to_matrix(rows, m)
-        if not _is_irreducible_matrix(matrix, 2):
-            continue
-        canon = canonical_form(matrix)
-        if canon in seen:
-            continue
-        seen.add(canon)
-        yield canon
+def _candidates_dedup(level, m: int):
+    """The n x m matrices of an orderly level with no zero row, in ascending
+    order; rows ascend, so the first row is the least."""
+    for rows, _ in sorted(level):
+        if rows[0]:
+            yield _bits_to_matrix(rows, m)
 
 
 def _candidates_raw(n: int, m: int):

@@ -2,7 +2,7 @@
 bounded g=2 search."""
 
 import math
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
@@ -10,6 +10,11 @@ from conftest import make_problem
 from fairplay import fixtures
 from fairplay.impossibility import (
     SearchBounds,
+    _candidates_dedup,
+    _candidates_raw,
+    _column_masks,
+    _is_canonical,
+    _orderly_levels,
     build_table2,
     build_witness,
     canonical_form,
@@ -180,6 +185,43 @@ def test_canonical_form_distinguishes_nonisomorphic_matrices():
     assert canonical_form(a) == canonical_form(((0, 1), (1, 0)))
 
 
+def test_is_canonical_agrees_with_canonical_form(rng):
+    """The early-abort test against the full greedy, on row-sorted matrices
+    built with repeated rows and repeated columns, and on their canonical
+    forms."""
+    outcomes = set()
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        m = rng.randint(1, 5)
+        distinct = [
+            tuple(rng.randint(0, 1) for _ in range(m)) for _ in range(rng.randint(1, n))
+        ]
+        picks = [rng.randrange(m) for _ in range(m)]
+        rows = [rng.choice(distinct) for _ in range(n)]
+        matrix = tuple(tuple(row[c] for c in picks) for row in rows)
+        for mat in (tuple(sorted(matrix)), canonical_form(matrix)):
+            expected = canonical_form(mat) == mat
+            assert _is_canonical(_column_masks(mat), n) == expected, mat
+            outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+def test_prefix_of_a_canonical_matrix_is_canonical():
+    """The hereditary property orderly generation rests on, over every
+    canonical matrix up to 4 x 4 (canonical forms have ascending rows)."""
+    canonical = 0
+    for n in range(1, 5):
+        for m in range(1, 5):
+            all_rows = tuple(product((0, 1), repeat=m))
+            for rows in combinations_with_replacement(all_rows, n):
+                if canonical_form(rows) != rows:
+                    continue
+                canonical += 1
+                prefix = tuple(row[:-1] for row in rows)
+                assert canonical_form(prefix) == prefix, rows
+    assert canonical == 630
+
+
 # --------------------------------------------------------------------------- #
 # search_witness_g2
 # --------------------------------------------------------------------------- #
@@ -235,6 +277,36 @@ def test_g2_search_dedup_skips_oversized_pools():
     assert not result.search_complete
     assert result.sizes_skipped  # larger sizes exceed the candidate cap
     assert result.witness is None
+    over_cap = [
+        (n, m)
+        for n in range(2, 6)
+        for m in range(1, 6)
+        if math.comb(2**m - 1 + n - 1, n) > 1000
+    ]
+    assert list(result.sizes_skipped) == over_cap
+
+
+def _dedup_candidates(max_players, max_days):
+    for n in range(2, max_players + 1):
+        levels = _orderly_levels(n)
+        for m in range(1, max_days + 1):
+            yield n, m, list(_candidates_dedup(next(levels), m))
+
+
+def test_dedup_candidates_are_the_canonical_forms_of_raw_candidates():
+    """Two routes to the size classes: orderly generation, and
+    canonical_form over every irreducible matrix of the size."""
+    for n, m, candidates in _dedup_candidates(4, 4):
+        raw = {canonical_form(matrix) for matrix in _candidates_raw(n, m)}
+        assert set(candidates) == raw, (n, m)
+
+
+def test_dedup_candidates_ascend_within_a_size():
+    sizes = 0
+    for n, m, candidates in _dedup_candidates(6, 4):
+        assert all(a < b for a, b in zip(candidates, candidates[1:])), (n, m)
+        sizes += len(candidates) > 1
+    assert sizes > 10
 
 
 def test_g2_search_without_dedup_matches_on_tiny_bounds():
