@@ -29,8 +29,7 @@ from fairplay.model import Assignment, Problem, is_irreducible
 from fairplay.oracle import (
     EnumerationBudget,
     _assignment_from_choice,
-    _combo_lists,
-    count_efficient,
+    _efficient_lists,
 )
 
 _WITNESS_DAYS = ("Mon", "Tues", "Wed", "Thur", "Frid")
@@ -135,8 +134,7 @@ def verify_no_fair_ef(p: Problem, budget: EnumerationBudget | None = None) -> Wi
     if not is_irreducible(p):
         raise ValueError("verify_no_fair_ef requires an irreducible problem")
     budget = budget or EnumerationBudget()
-    total = count_efficient(p)
-    combos = _combo_lists(p, budget.max_assignments + 1)
+    combos, total = _efficient_lists(p, budget.max_assignments + 1)
     scanned, conclusive, ef_found, choice, min_envy = scan_verify(
         combos, p.n, p.availability_counts(), budget.max_assignments
     )

@@ -84,18 +84,16 @@ def count_efficient(p: Problem) -> int:
     """Exact number of distinct full-game assignments: the product over days
     of C(available, selected).  Arbitrary-precision, so never overflows."""
     _require_irreducible(p, "count_efficient")
-    if p.is_empty:
-        return 0
-    day_players, quotas = day_selections(p)
-    count = 1
-    for players, take in zip(day_players, quotas):
-        count *= math.comb(len(players), take)
-    return count
+    return _efficient_lists(p, 0)[1]
 
 
-def _combo_lists(p: Problem, max_leaves: int) -> list[list[tuple[int, ...]]]:
+def _efficient_lists(
+    p: Problem, max_leaves: int
+) -> tuple[list[list[tuple[int, ...]]], int]:
     """Materialize each day's subsets in lexicographic order, but only as many
-    as a scan of ``max_leaves`` leaves can ever touch."""
+    as a scan of ``max_leaves`` leaves can ever touch, and count the
+    full-game assignments (0 for an empty problem) from the same per-day
+    sizes."""
     day_players, quotas = day_selections(p)
     sizes = [math.comb(len(pl), take) for pl, take in zip(day_players, quotas)]
     total = math.prod(sizes)
@@ -106,7 +104,13 @@ def _combo_lists(p: Problem, max_leaves: int) -> list[list[tuple[int, ...]]]:
         suffix //= size
         needed = min(size, (leaves - 1) // suffix + 1) if leaves > 0 else 0
         lists.append(list(islice(combinations(players, take), needed)))
-    return lists
+    return lists, 0 if p.is_empty else total
+
+
+def _combo_lists(p: Problem, max_leaves: int) -> list[list[tuple[int, ...]]]:
+    """Each day's subsets, as many as a scan of ``max_leaves`` leaves can
+    ever touch."""
+    return _efficient_lists(p, max_leaves)[0]
 
 
 def _assignment_from_choice(
@@ -140,8 +144,7 @@ class EfficientEnumeration:
         if p.is_empty:
             return
         cap = self._budget.max_assignments
-        combos = _combo_lists(p, cap + 1)
-        total = count_efficient(p)
+        combos, total = _efficient_lists(p, cap + 1)
         choice = [0] * p.m
 
         def rec(day: int):

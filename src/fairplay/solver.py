@@ -10,9 +10,11 @@ profile-optimal ones:
   deciding cells one at a time in the optimal flow's residual network: a
   used cell is dropped exactly when the flow can be rerouted off it round a
   zero-reduced-cost cycle, so no cell needs a fresh solve;
-* ``random``: uniform over all profile-optimal assignments, drawn by
-  reservoir sampling over a pruned exhaustive walk (deterministic for a
-  fixed seed).
+* ``random``: uniform over all profile-optimal assignments and
+  deterministic for a fixed seed.  A memoized day-by-day DP counts the
+  optima, replaying a seeded reservoir sampler's calls on that count gives
+  the rank of the optimum it would keep, and unranking walks the days
+  straight to it, so the draw is the reservoir's without its full walk.
 
 Inputs need not be irreducible: the solver reduces internally and
 zero-extends the result, so removed players provably get no games.
@@ -21,8 +23,10 @@ zero-extends the result, so removed players provably get no games.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
+from operator import add
 from typing import Optional
 
 from fairplay import _flow
@@ -192,62 +196,108 @@ def _realize_random(
 ) -> Assignment:
     """Uniform draw over every assignment attaining the target profile.
 
-    Walks all full-game assignments day by day, pruning branches whose
-    optimistic profile already falls short, and reservoir-samples the
-    surviving leaves, so the draw is uniform and reproducible per seed.
+    The full-game assignments are taken in odometer order (day 0 slowest,
+    each day's subsets in lexicographic order).  A reservoir sampler over
+    the optimal ones in this order calls ``randrange(j)`` on
+    ``random.Random(seed)`` for the j-th of them and keeps it on 0, without
+    reading the assignment.  So with N optima it keeps number J, the last j
+    in 1..N whose call returns 0.  This draws the same J in three steps:
+    count N (``_Optima``), replay the N calls, and unrank J.  The draw is
+    uniform over the optima and identical to the reservoir's for every seed,
+    without walking the assignments one by one.
     """
-    n, m = reduced.n, reduced.m
+    optima = _Optima(reduced, quotas, target)
     rng = random.Random(seed)
-    day_players = [
-        tuple(i for i in range(n) if reduced.avail[i][k]) for k in range(m)
-    ]
-    day_combos = [
-        list(combinations(day_players[k], quotas[k])) for k in range(m)
-    ]
-    # suffix availability: games player i could still gain from day k onward
-    suffix = [[0] * (m + 1) for _ in range(n)]
-    for i in range(n):
+    rank = 0
+    for j in range(1, optima.count(0) + 1):
+        if rng.randrange(j) == 0:
+            rank = j
+    assert rank > 0
+    return optima.unrank(rank)
+
+
+class _Optima:
+    """Counts and unranks the profile-optimal full-game assignments.
+
+    ``count(day)`` is the number of optimal completions below the node at
+    depth ``day`` whose games so far are ``games``.  It is a memoized DP over
+    the days.  A node whose optimistic profile (every player also wins every
+    remaining available day) already falls short of the target counts 0.
+    Players with the same remaining row ``avail[i][day:]`` are
+    interchangeable below a node, because each day offers every subset of
+    its quota size, so nodes of one depth whose games vectors agree after
+    sorting within those classes have equal counts; that sorted vector is
+    the memo key.
+    """
+
+    def __init__(self, reduced: Problem, quotas: list[int], target: tuple[int, ...]):
+        n, m = reduced.n, reduced.m
+        self.n, self.m, self.target = n, m, target
+        self.day_combos = [
+            list(combinations([i for i in range(n) if reduced.avail[i][k]], quotas[k]))
+            for k in range(m)
+        ]
+        # suffix[k][i]: games player i could still gain from day k onward
+        suffix = [[0] * n]
         for k in range(m - 1, -1, -1):
-            suffix[i][k] = suffix[i][k + 1] + reduced.avail[i][k]
+            suffix.append([s + row[k] for s, row in zip(suffix[-1], reduced.avail)])
+        self.suffix = suffix[::-1]
+        # offsets[k][i] spaces player i's class at depth k (same row
+        # avail[i][k:]) past any games count, so sorting games + offsets
+        # sorts within classes
+        self.offsets = []
+        for k in range(m + 1):
+            classes: dict[tuple[int, ...], int] = {}
+            self.offsets.append(
+                [classes.setdefault(row[k:], len(classes)) * (m + 1) for row in reduced.avail]
+            )
+        self.memo: list[dict[tuple[int, ...], int]] = [{} for _ in range(m + 1)]
+        self.games = [0] * n
 
-    games = [0] * n
-    chosen: list[tuple[int, ...]] = [()] * m
-    kept: Optional[list[tuple[int, ...]]] = None
-    seen = 0
-
-    def optimistic_ok(day: int) -> bool:
-        ub = sorted((games[i] + suffix[i][day] for i in range(n)), reverse=True)
-        for t in range(1, m + 1):
-            gt = sum(1 for d in ub if d >= t)
-            want = target[t - 1]
-            if gt < want:
-                return False
-            if gt > want:
-                return True
+    def _optimistic_ok(self, day: int) -> bool:
+        # at day m this holds exactly when the games attain the target,
+        # which no assignment exceeds
+        ub = sorted(map(add, self.games, self.suffix[day]))
+        for t, want in enumerate(self.target, 1):
+            gt = self.n - bisect_left(ub, t)
+            if gt != want:
+                return gt > want
         return True
 
-    def dfs(day: int):
-        nonlocal kept, seen
-        if day == m:
-            gvec = tuple(sum(1 for d in games if d >= t) for t in range(1, m + 1))
-            if gvec == target:
-                seen += 1
-                if rng.randrange(seen) == 0:
-                    kept = list(chosen)
-            return
-        for combo in day_combos[day]:
-            for i in combo:
-                games[i] += 1
-            chosen[day] = combo
-            if optimistic_ok(day + 1):
-                dfs(day + 1)
-            for i in combo:
-                games[i] -= 1
+    def count(self, day: int) -> int:
+        games = self.games
+        key = tuple(sorted(map(add, games, self.offsets[day])))
+        found = self.memo[day].get(key)
+        if found is None:
+            found = 0
+            if self._optimistic_ok(day):
+                if day == self.m:
+                    found = 1
+                else:
+                    for combo in self.day_combos[day]:
+                        for i in combo:
+                            games[i] += 1
+                        found += self.count(day + 1)
+                        for i in combo:
+                            games[i] -= 1
+            self.memo[day][key] = found
+        return found
 
-    dfs(0)
-    assert kept is not None
-    matrix = [[0] * m for _ in range(n)]
-    for k in range(m):
-        for i in kept[k]:
-            matrix[i][k] = 1
-    return Assignment(tuple(tuple(row) for row in matrix))
+    def unrank(self, rank: int) -> Assignment:
+        """The ``rank``-th optimal assignment, counting from 1: walk the days
+        from the root, skipping each child whose count lies before it."""
+        games = self.games
+        matrix = [[0] * self.m for _ in range(self.n)]
+        for day, combos in enumerate(self.day_combos):
+            for combo in combos:
+                for i in combo:
+                    games[i] += 1
+                below = self.count(day + 1)
+                if rank <= below:
+                    break
+                rank -= below
+                for i in combo:
+                    games[i] -= 1
+            for i in combo:
+                matrix[i][day] = 1
+        return Assignment(tuple(tuple(row) for row in matrix))

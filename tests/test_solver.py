@@ -14,9 +14,21 @@ from fairplay.model import (
     is_feasible,
     max_total_games,
     reduce_problem,
+    zero_extend,
 )
-from fairplay.oracle import brute_force_fair, enumerate_efficient, EnumerationBudget
-from fairplay.solver import TieBreakPolicy, solve_efficient, solve_fair
+from fairplay.oracle import (
+    EnumerationBudget,
+    brute_force_fair,
+    count_efficient,
+    enumerate_efficient,
+)
+from fairplay.solver import (
+    TieBreakPolicy,
+    _Optima,
+    _quotas,
+    solve_efficient,
+    solve_fair,
+)
 
 
 def test_tie_break_policy_validation():
@@ -193,6 +205,12 @@ def _club(seed, n, m):
     return make_problem(rows, g=4)
 
 
+def _digest(x):
+    """SHA-256 of a matrix written as one row of 0/1 digits per line."""
+    text = "\n".join("".join(map(str, row)) for row in x.matrix)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 # SHA-256 of each lex matrix, one row of 0/1 digits per line, as computed by
 # the per-threshold, re-solve-per-cell solver this one replaced.
 _PINNED_LEX = [
@@ -212,8 +230,7 @@ _PINNED_LEX = [
 )
 def test_lex_tie_break_is_pinned_on_club_sized_instances(seed, n, m, digest):
     x = solve_fair(_club(seed, n, m), TieBreakPolicy.lex()).assignment
-    text = "\n".join("".join(map(str, row)) for row in x.matrix)
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert _digest(x) == digest
 
 
 def test_random_tie_break_is_deterministic_per_seed():
@@ -240,6 +257,79 @@ def test_random_tie_break_covers_distinct_optima():
         solve_fair(red, TieBreakPolicy.seeded(seed)).assignment for seed in range(8)
     }
     assert len(seen) > 1  # 8 draws over thousands of optima should differ
+
+
+_RANDOM_INSTANCES = {
+    "table1-reduced": lambda: reduce_problem(fixtures.table1())[0],
+    "table2": fixtures.table2,
+    "club-1-30x5": lambda: _club(1, 30, 5),
+    "club-4-30x5": lambda: _club(4, 30, 5),
+}
+
+# SHA-256 of each seeded random matrix (see _digest), as drawn by the
+# reservoir sampler over the full walk of every full-game assignment that
+# counting and unranking replaced: a script built each instance as in
+# _RANDOM_INSTANCES, ran solve_fair(p, TieBreakPolicy.seeded(seed)) with that
+# sampler and hashed the matrix.
+_PINNED_RANDOM = [
+    ("table1-reduced", 0, "15b70761be0bc63bcd0e2b6e4233ada70428dd0b7a5694b52edc766e5b21dd71"),
+    ("table1-reduced", 7, "c3757dfb3d0c9f224176459172c7e27ca98e62bc7a9edf928712e6bbfcc65965"),
+    ("table1-reduced", 99, "7f18397afe6000a7684b293f77b1eda81d5a3cf670384771ae828c4f70991d4a"),
+    ("table2", 0, "ca084430d66dc13fdaef4a6a101d67dbedd243b64aea7f5a1ec8ac617d514632"),
+    ("table2", 7, "bac1f57b1a67fd520202aca35061309f65823b4ecc13f46441f2720a6e78ee61"),
+    ("table2", 99, "1a4638adbe186f8c1737d6c3efe19077768081e82dd55286d32dc25a78065f9c"),
+    ("club-1-30x5", 0, "9f67656d6c4b9efdc997bde5c12da789a0d261f3222d74caad98f45bfce215c0"),
+    ("club-1-30x5", 7, "a441564267cd227ec0f7c3f6eb30f745bd00cd795cb873d343f5d3d9ee799042"),
+    ("club-1-30x5", 99, "70c367f94ba7a4f7083fbccb577bb435b0eb5f2335c2d3a634369dac7375988c"),
+    ("club-4-30x5", 0, "cf9daa956c26ddf317a5457d96e47ed1013819e5e1cdd288403af18ce1fece1e"),
+    ("club-4-30x5", 7, "457e8f5abea48ad3214990f7ee6f08e977d1aa1e39d05e35ef2637ed316c6da2"),
+    ("club-4-30x5", 99, "cd7fe1f71914acb99b9d5e426e00221497a16b07033c22cd5313124fbe83ecf4"),
+]
+
+
+@pytest.mark.parametrize(
+    "name,seed,digest", _PINNED_RANDOM, ids=[f"{name}-seed{s}" for name, s, _ in _PINNED_RANDOM]
+)
+def test_random_tie_break_is_pinned(name, seed, digest):
+    x = solve_fair(_RANDOM_INSTANCES[name](), TieBreakPolicy.seeded(seed)).assignment
+    assert _digest(x) == digest
+
+
+def _repeated_row_instances(rng, count):
+    """Small instances whose players repeat two or three rows, with at most
+    a few thousand full-game assignments.  Every other one is left
+    unreduced, so a player or day the reduction drops shows in the draw."""
+    out = []
+    while len(out) < count:
+        m = rng.randint(3, 5)
+        rows = [tuple(rng.randint(0, 1) for _ in range(m)) for _ in range(rng.randint(2, 3))]
+        p = make_problem([rng.choice(rows) for _ in range(rng.randint(4, 9))], rng.choice((2, 3)))
+        red, _ = reduce_problem(p)
+        if red.is_empty or not 1 < count_efficient(red) <= 5_000:
+            continue
+        out.append(red if len(out) % 2 else p)
+    return out
+
+
+def test_random_draw_is_a_reservoir_over_the_oracle_enumeration():
+    """Independent route for the random tie-break: the count of optima is the
+    number of the oracle's enumerated assignments with the optimal profile,
+    and the draw is the one a reservoir sampler over that enumeration keeps
+    with the same seeded generator."""
+    for p in _repeated_row_instances(random.Random(20261018), 30):
+        red, _ = reduce_problem(p)
+        leaves = [(g_vector(a).counts, a) for a in enumerate_efficient(red)]
+        opt = max(counts for counts, _ in leaves)
+        optima = [a for counts, a in leaves if counts == opt]
+        assert _Optima(red, _quotas(red), opt).count(0) == len(optima), p
+        for seed in (0, 1, 2):
+            rng = random.Random(seed)
+            kept = None
+            for seen, a in enumerate(optima, 1):
+                if rng.randrange(seen) == 0:
+                    kept = a
+            drawn = solve_fair(p, TieBreakPolicy.seeded(seed)).assignment
+            assert drawn == zero_extend(kept, p, red), (p, seed)
 
 
 # --------------------------------------------------------------------------- #
