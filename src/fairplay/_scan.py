@@ -6,25 +6,30 @@ day's subsets come in lexicographic order by player index.  A leaf's index
 is its position in that order, counting from 0.  Each scan folds one
 statistic over the leaves and stops early once the leaf budget runs out.
 
-Per-leaf state is maintained incrementally: a games-per-player vector and a
-histogram of it, so fairness digits G_t come out of the histogram in O(1)
-per threshold.
+One walk, :func:`_walk`, serves every scan.  It steps through days
+0..m-2, keeping a games-per-player vector, the subset chosen on each day
+and the number of leaves covered so far.  Each node at the last day is
+handed to the scan's fold, ``fold(games, choice, index, limit)``: ``games``
+and ``choice`` hold days 0..m-2, ``index`` is the index of the node's first
+leaf, and the fold scans that day's first ``limit`` subsets (fewer than
+all of them only when the budget runs out inside the node).  It returns
+the position where it stopped, or -1 to go on.
 
 Orbit memo.  Every statistic a scan folds (the fairness profile, strong
 envy-freeness, the number of envy pairs) depends only on the games vector,
 and players with the same availability row and the same availability count
 are interchangeable.  When the budget covers every leaf, each day's list is
 the complete family of same-size subsets of that day's players (as
-``oracle._combo_lists`` builds it), so a permutation of such players maps
-the subtree below one node onto the subtree below another node of the same
-depth.  At depths 1..m-2 the walk therefore records the games vector of
-each node whose subtree it has scanned in full, sorted within classes of
+``oracle._efficient_lists`` builds it), so a permutation of such players
+maps the subtree below one node onto the subtree below another node of the
+same depth.  At depths 1..m-2 the walk therefore records the games vector
+of each node whose subtree it has scanned in full, sorted within classes of
 interchangeable players, and skips a later node with the same record,
-adding the skipped subtree's leaf count to ``scanned``.  This is exact:
-every fold changes only on a leaf strictly better than all before it (a
-larger profile, the first envy-free leaf, fewer envy pairs), and a skipped
-subtree holds exactly the values of one scanned in full earlier, so it
-holds no such leaf.  Leaf indices, first-EF and first-best choices and
+adding the skipped subtree's leaf count to the leaves covered.  This is
+exact: every fold changes only on a leaf strictly better than all before
+it (a larger profile, the first envy-free leaf, fewer envy pairs), and a
+skipped subtree holds exactly the values of one scanned in full earlier, so
+it holds no such leaf.  Leaf indices, first-EF and first-best choices and
 ``min_envy`` are those of the plain walk; only the time differs.  A budget
 below the leaf count turns the memo off: the scan must stop after exactly
 ``budget`` leaves, and its lists may be truncated, which breaks the
@@ -42,58 +47,80 @@ _NO_LEAVES = -1
 _KEY_DEPTH_LIMIT = 256
 
 
-class _OrbitMemo:
-    """Fully scanned subtrees, one set per depth, keyed by the games vector
-    sorted within classes of interchangeable players.
+def _walk(combos, n, budget, avail, fold):
+    """Walk the odometer over ``combos`` and hand each last-day node to
+    ``fold``; returns ``(scanned, stopped)``.
 
-    A class is the players with the same row, read off as the days whose
-    subsets mention them, and the same availability count (``avail``, or
-    None where the statistic ignores it).  The class map is built at the
-    first key, after the first subtree finishes, so a scan that stops inside
-    its first subtree never pays for it.
+    ``stopped`` is True when the fold stopped the walk, which counts the leaf
+    it stopped at, or when the budget ran out with a leaf left unscanned.
+    ``avail`` splits the memo's classes of interchangeable players
+    by availability count, or is None where the statistic ignores it.
     """
+    m = len(combos)
+    if m == 0 or not all(combos):
+        return 0, False
+    last = m - 1
+    width = len(combos[last])
+    games = [0] * n
+    choice = [0] * m
+    covers_all = math.prod(map(len, combos)) <= budget
+    depths = range(1, min(last, _KEY_DEPTH_LIMIT)) if covers_all else range(0)
+    seen = {}  # depth -> keys of the fully scanned subtrees there
+    offset = sorted_offset = None
+    scanned = 0
 
-    def __init__(self, combos, n, budget, avail=None):
-        m = len(combos)
-        covers_all = math.prod(map(len, combos)) <= budget
-        self.depths = range(1, min(m - 1, _KEY_DEPTH_LIMIT)) if covers_all else range(0)
-        self.seen = {}  # depth -> keys of the fully scanned subtrees there
-        self._combos, self._n, self._avail = combos, n, avail
-        self._pending = {}
-        self._offset = self._sorted_offset = None
-
-    def _key(self, games):
-        if self._offset is None:
-            rows = [[] for _ in range(self._n)]
-            for k, day in enumerate(self._combos):
+    def key():
+        # The class map is built at the first key, after the first subtree
+        # finishes, so a scan that stops inside it never pays for it.
+        nonlocal offset, sorted_offset
+        if offset is None:
+            rows = [[] for _ in range(n)]
+            for k, day in enumerate(combos):
                 for i in set().union(*day):
                     rows[i].append(k)
-            avail = self._avail or (None,) * self._n
             classes = {}
-            self._offset = [
+            offset = [
                 classes.setdefault((tuple(row), a), len(classes)) * _KEY_DEPTH_LIMIT
-                for row, a in zip(rows, avail)
+                for row, a in zip(rows, avail or (None,) * n)
             ]
-            self._sorted_offset = sorted(self._offset)
+            sorted_offset = sorted(offset)
         # sorting games + class offset sorts within each class; subtracting
         # the sorted offsets leaves the games counts class by class
-        ranked = sorted(map(add, games, self._offset))
-        return bytes(map(sub, ranked, self._sorted_offset))
+        return bytes(map(sub, sorted(map(add, games, offset)), sorted_offset))
 
-    def covered(self, day, games):
-        """True when this node's subtree mirrors one already scanned at its
-        depth; call it only for a depth in ``seen``."""
-        key = self._pending[day] = self._key(games)
-        return key in self.seen[day]
+    def node(day):
+        nonlocal scanned
+        k = None
+        if day in seen:
+            k = key()
+            if k in seen[day]:
+                scanned += math.prod(map(len, combos[day:]))
+                return False
+        if day == last:
+            limit = min(width, budget - scanned)
+            stop = fold(games, choice, scanned, limit)
+            if stop >= 0:
+                scanned += stop + 1
+                return True
+            scanned += limit
+            if limit < width:
+                return True
+        else:
+            for ci, combo in enumerate(combos[day]):
+                choice[day] = ci
+                for i in combo:
+                    games[i] += 1
+                stop = node(day + 1)
+                for i in combo:
+                    games[i] -= 1
+                if stop:
+                    return True
+        if day in depths:
+            seen.setdefault(day, set()).add(key() if k is None else k)
+        return False
 
-    def finish(self, day, games):
-        """Record this node's subtree as fully scanned."""
-        key = self._pending.pop(day, None)
-        self.seen.setdefault(day, set()).add(self._key(games) if key is None else key)
-
-    def leaves(self, day):
-        """Leaf count of the subtree below a node at depth ``day``."""
-        return math.prod(map(len, self._combos[day:]))
+    stopped = node(0)  # before reading scanned, which node() advances
+    return scanned, stopped
 
 
 def _prep_envy_order(n, avail):
@@ -148,26 +175,22 @@ def scan_fair(combos, n, budget):
     iff the leaf budget ran out first.
     """
     m = len(combos)
-    if m == 0 or any(not day for day in combos):
-        return 0, True, None, None, _NO_LEAVES
-
-    games = [0] * n
-    cnt = [0] * (m + 2)
-    cnt[0] = n
+    last = combos[-1] if combos else ()
     best = [-1] * m
     best_choice = None
     best_index = _NO_LEAVES
-    choice = [0] * m
-    state = {"scanned": 0, "truncated": False}
-    memo = _OrbitMemo(combos, n, budget)
-    memo_depths, memo_seen = memo.depths, memo.seen
 
-    def dfs(day):
-        if day == m:
-            if state["scanned"] >= budget:
-                state["truncated"] = True
-                return True
-            state["scanned"] += 1
+    def fold(games, choice, index, limit):
+        nonlocal best_choice, best_index
+        # cnt[t] players have t games, so G_t comes out in O(1) per threshold
+        cnt = [0] * (m + 2)
+        for g in games:
+            cnt[g] += 1
+        for pos in range(limit):
+            combo = last[pos]
+            for i in combo:
+                cnt[games[i]] -= 1
+                cnt[games[i] + 1] += 1
             cur = n - cnt[0]
             t = 0
             while t < m and cur == best[t]:
@@ -175,42 +198,21 @@ def scan_fair(combos, n, budget):
                 if t < m:
                     cur -= cnt[t]
             if t < m and cur > best[t]:
-                nonlocal best_choice, best_index
                 g = n - cnt[0]
                 for u in range(m):
                     best[u] = g
                     g -= cnt[u + 1]
+                choice[-1] = pos
                 best_choice = tuple(choice)
-                best_index = state["scanned"] - 1
-            return False
-        if day in memo_seen and memo.covered(day, games):
-            state["scanned"] += memo.leaves(day)
-            return False
-        for ci, combo in enumerate(combos[day]):
-            choice[day] = ci
+                best_index = index + pos
             for i in combo:
-                cnt[games[i]] -= 1
-                games[i] += 1
+                cnt[games[i] + 1] -= 1
                 cnt[games[i]] += 1
-            stop = dfs(day + 1)
-            for i in combo:
-                cnt[games[i]] -= 1
-                games[i] -= 1
-                cnt[games[i]] += 1
-            if stop:
-                return True
-        if day in memo_depths:
-            memo.finish(day, games)
-        return False
+        return -1
 
-    dfs(0)
-    return (
-        state["scanned"],
-        not state["truncated"],
-        tuple(best) if best_choice is not None else None,
-        best_choice,
-        best_index,
-    )
+    scanned, stopped = _walk(combos, n, budget, None, fold)
+    best_g = tuple(best) if best_choice is not None else None
+    return scanned, not stopped, best_g, best_choice, best_index
 
 
 def scan_first_ef(combos, n, avail, budget):
@@ -219,47 +221,28 @@ def scan_first_ef(combos, n, avail, budget):
     Returns ``(scanned, conclusive, choice, index)``; ``conclusive`` is True
     when a witness was found or the whole space was covered.
     """
-    m = len(combos)
-    if m == 0 or any(not day for day in combos):
-        return 0, True, None, _NO_LEAVES
-
+    last = combos[-1] if combos else ()
     order, starts = _prep_envy_order(n, avail)
-    games = [0] * n
-    choice = [0] * m
-    state = {"scanned": 0, "truncated": False, "found": None, "index": _NO_LEAVES}
-    memo = _OrbitMemo(combos, n, budget, avail)
-    memo_depths, memo_seen = memo.depths, memo.seen
+    found = None
+    found_index = _NO_LEAVES
 
-    def dfs(day):
-        if day == m:
-            if state["scanned"] >= budget:
-                state["truncated"] = True
-                return True
-            state["scanned"] += 1
-            if _is_envy_free(games, order, starts):
-                state["found"] = tuple(choice)
-                state["index"] = state["scanned"] - 1
-                return True
-            return False
-        if day in memo_seen and memo.covered(day, games):
-            state["scanned"] += memo.leaves(day)
-            return False
-        for ci, combo in enumerate(combos[day]):
-            choice[day] = ci
+    def fold(games, choice, index, limit):
+        nonlocal found, found_index
+        for pos in range(limit):
+            combo = last[pos]
             for i in combo:
                 games[i] += 1
-            stop = dfs(day + 1)
+            envy_free = _is_envy_free(games, order, starts)
             for i in combo:
                 games[i] -= 1
-            if stop:
-                return True
-        if day in memo_depths:
-            memo.finish(day, games)
-        return False
+            if envy_free:
+                choice[-1] = pos
+                found, found_index = tuple(choice), index + pos
+                return pos
+        return -1
 
-    dfs(0)
-    conclusive = state["found"] is not None or not state["truncated"]
-    return state["scanned"], conclusive, state["found"], state["index"]
+    scanned, stopped = _walk(combos, n, budget, avail, fold)
+    return scanned, found is not None or not stopped, found, found_index
 
 
 def scan_verify(combos, n, avail, budget, stop_on_ef=True):
@@ -270,54 +253,31 @@ def scan_verify(combos, n, avail, budget, stop_on_ef=True):
     With ``stop_on_ef`` the scan ends at the first envy-free leaf (the
     minimum is then exactly 0).
     """
-    m = len(combos)
-    if m == 0 or any(not day for day in combos):
+    if not combos or not all(combos):
         return 0, True, False, None, _NO_LEAVES
-
+    last = combos[-1]
     order, starts = _prep_envy_order(n, avail)
-    games = [0] * n
-    choice = [0] * m
-    state = {
-        "scanned": 0,
-        "truncated": False,
-        "ef_choice": None,
-        "min_envy": n * n + 1,
-    }
-    memo = _OrbitMemo(combos, n, budget, avail)
-    memo_depths, memo_seen = memo.depths, memo.seen
+    ef_choice = None
+    min_envy = n * n + 1
 
-    def dfs(day):
-        if day == m:
-            if state["scanned"] >= budget:
-                state["truncated"] = True
-                return True
-            state["scanned"] += 1
-            cap = state["min_envy"]
-            count = _count_envy_pairs(games, order, starts, cap)
-            if count < cap:
-                state["min_envy"] = count
-                if count == 0:
-                    state["ef_choice"] = tuple(choice)
-                    if stop_on_ef:
-                        return True
-            return False
-        if day in memo_seen and memo.covered(day, games):
-            state["scanned"] += memo.leaves(day)
-            return False
-        for ci, combo in enumerate(combos[day]):
-            choice[day] = ci
+    def fold(games, choice, index, limit):
+        nonlocal ef_choice, min_envy
+        for pos in range(limit):
+            combo = last[pos]
             for i in combo:
                 games[i] += 1
-            stop = dfs(day + 1)
+            count = _count_envy_pairs(games, order, starts, min_envy)
             for i in combo:
                 games[i] -= 1
-            if stop:
-                return True
-        if day in memo_depths:
-            memo.finish(day, games)
-        return False
+            if count < min_envy:
+                min_envy = count
+                if count == 0:
+                    choice[-1] = pos
+                    ef_choice = tuple(choice)
+                    if stop_on_ef:
+                        return pos
+        return -1
 
-    dfs(0)
-    ef_found = state["ef_choice"] is not None
-    conclusive = ef_found or not state["truncated"]
-    return state["scanned"], conclusive, ef_found, state["ef_choice"], state["min_envy"]
+    scanned, stopped = _walk(combos, n, budget, avail, fold)
+    ef_found = ef_choice is not None
+    return scanned, ef_found or not stopped, ef_found, ef_choice, min_envy

@@ -62,15 +62,13 @@ class SearchBounds:
 
     Sizes whose candidate pool exceeds ``per_size_cap`` are skipped and
     reported, so a finished search states exactly what it covered.  The pool
-    is an estimate that only gates the size: the count of row multisets when
-    deduplicating (the canonical matrices searched are far fewer), the count
-    of raw matrices otherwise.
+    is an estimate that only gates the size: the count of row multisets (the
+    canonical matrices searched are far fewer).
     """
 
     max_players: int
     max_days: int
     per_instance_budget: EnumerationBudget = field(default_factory=EnumerationBudget)
-    symmetry_dedup: bool = True
     per_size_cap: int = 2_000_000
 
     def __post_init__(self):
@@ -311,13 +309,6 @@ def _int_to_matrix(value: int, n: int, m: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _is_irreducible_matrix(matrix, g: int) -> bool:
-    if any(sum(row) < 1 for row in matrix):
-        return False
-    n, m = len(matrix), len(matrix[0])
-    return all(sum(matrix[i][k] for i in range(n)) >= g for k in range(m))
-
-
 def _problem_from_matrix(matrix) -> Problem:
     n, m = len(matrix), len(matrix[0])
     return Problem(
@@ -332,14 +323,13 @@ def search_witness_g2(bounds: SearchBounds) -> G2SearchResult:
     """Bounded exhaustive hunt for a g=2 instance with no full-game strongly
     envy-free assignment.
 
-    Sizes are visited in (players, days) order.  Within a size, with
-    ``symmetry_dedup`` the candidates are the canonical forms of the size's
-    irreducible matrices, one per class under row and column permutations,
-    in ascending order of canonical form; without it, every irreducible
-    matrix in ascending order of its row-major reading.  The first witness
-    (by this order) is returned with its full report.  ``search_complete`` is
-    True only when no size was skipped and no instance was inconclusive, so a
-    negative result states its exact coverage.
+    Sizes are visited in (players, days) order.  Within a size, the
+    candidates are the canonical forms of the size's irreducible matrices,
+    one per class under row and column permutations, in ascending order of
+    canonical form.  The first witness (by this order) is returned with its
+    full report.  ``search_complete`` is True only when no size was skipped
+    and no instance was inconclusive, so a negative result states its exact
+    coverage.
     """
     examined = 0
     inconclusive = 0
@@ -349,21 +339,13 @@ def search_witness_g2(bounds: SearchBounds) -> G2SearchResult:
     for n in range(2, bounds.max_players + 1):
         levels = _orderly_levels(n)
         for m in range(1, bounds.max_days + 1):
-            if bounds.symmetry_dedup:
-                pool = math.comb((1 << m) - 1 + n - 1, n)
-            else:
-                pool = 1 << (n * m)
+            pool = math.comb((1 << m) - 1 + n - 1, n)
             if pool > bounds.per_size_cap:
                 # the pool grows with m, so every larger m is over the cap too
                 skipped.extend((n, k) for k in range(m, bounds.max_days + 1))
                 break
             searched.append((n, m))
-            candidates = (
-                _candidates_dedup(next(levels), m)
-                if bounds.symmetry_dedup
-                else _candidates_raw(n, m)
-            )
-            for matrix in candidates:
+            for matrix in _candidates_dedup(next(levels), m):
                 examined += 1
                 p = _problem_from_matrix(matrix)
                 report = verify_no_fair_ef(p, bounds.per_instance_budget)
@@ -400,7 +382,10 @@ def _candidates_dedup(level, m: int):
 
 
 def _candidates_raw(n: int, m: int):
+    """Every irreducible g = 2 matrix of n players and m days, in ascending
+    order of its row-major reading: the reference the search's canonical
+    candidates are tested against."""
     for value in range(1 << (n * m)):
         matrix = _int_to_matrix(value, n, m)
-        if _is_irreducible_matrix(matrix, 2):
+        if is_irreducible(_problem_from_matrix(matrix)):
             yield matrix

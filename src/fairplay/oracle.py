@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice, combinations
+from itertools import combinations, islice, product
 from typing import Iterator, Optional
 
 from fairplay import solver as _solver
@@ -107,12 +107,6 @@ def _efficient_lists(
     return lists, 0 if p.is_empty else total
 
 
-def _combo_lists(p: Problem, max_leaves: int) -> list[list[tuple[int, ...]]]:
-    """Each day's subsets, as many as a scan of ``max_leaves`` leaves can
-    ever touch."""
-    return _efficient_lists(p, max_leaves)[0]
-
-
 def _assignment_from_choice(
     p: Problem, combos: list[list[tuple[int, ...]]], choice: tuple[int, ...]
 ) -> Assignment:
@@ -145,29 +139,15 @@ class EfficientEnumeration:
             return
         cap = self._budget.max_assignments
         combos, total = _efficient_lists(p, cap + 1)
-        choice = [0] * p.m
-
-        def rec(day: int):
-            if day == p.m:
-                if self.yielded >= cap:
-                    if self._budget.on_exceed == "error":
-                        raise BudgetExceededError(
-                            f"enumeration budget of {cap} exceeded "
-                            f"({total} assignments exist)"
-                        )
-                    self.truncated = True
-                    return True
-                self.yielded += 1
-                yield _assignment_from_choice(p, combos, tuple(choice))
-                return False
-            for ci in range(len(combos[day])):
-                choice[day] = ci
-                stop = yield from rec(day + 1)
-                if stop:
-                    return True
-            return False
-
-        yield from rec(0)
+        for choice in islice(product(*(range(len(day)) for day in combos)), cap):
+            self.yielded += 1
+            yield _assignment_from_choice(p, combos, choice)
+        if total > cap:
+            if self._budget.on_exceed == "error":
+                raise BudgetExceededError(
+                    f"enumeration budget of {cap} exceeded ({total} assignments exist)"
+                )
+            self.truncated = True
 
 
 def enumerate_efficient(p: Problem, budget: EnumerationBudget | None = None) -> EfficientEnumeration:
@@ -185,7 +165,7 @@ def brute_force_fair(
     budget = budget or EnumerationBudget()
     if p.is_empty:
         return GVector(()), Assignment(tuple(() for _ in range(p.n)))
-    combos = _combo_lists(p, budget.max_assignments + 1)
+    combos = _efficient_lists(p, budget.max_assignments + 1)[0]
     scanned, complete, best_g, best_choice, _ = scan_fair(
         combos, p.n, budget.max_assignments
     )
@@ -206,7 +186,7 @@ def exists_efficient_strongly_ef(
     budget = budget or EnumerationBudget()
     if p.is_empty:
         return Assignment(tuple(() for _ in range(p.n)))
-    combos = _combo_lists(p, budget.max_assignments + 1)
+    combos = _efficient_lists(p, budget.max_assignments + 1)[0]
     scanned, conclusive, choice, _ = scan_first_ef(
         combos, p.n, p.availability_counts(), budget.max_assignments
     )

@@ -15,6 +15,7 @@ from fairplay.impossibility import (
     _column_masks,
     _is_canonical,
     _orderly_levels,
+    _problem_from_matrix,
     build_table2,
     build_witness,
     canonical_form,
@@ -310,11 +311,18 @@ def test_dedup_candidates_ascend_within_a_size():
 
 
 def test_g2_search_without_dedup_matches_on_tiny_bounds():
+    """The search finds no witness up to (3,2), and neither does a check of
+    every irreducible matrix of those sizes, one class member at a time."""
     with_dedup = search_witness_g2(SearchBounds(3, 2))
-    raw = search_witness_g2(SearchBounds(3, 2, symmetry_dedup=False))
-    assert with_dedup.witness is None and raw.witness is None
-    assert with_dedup.search_complete and raw.search_complete
-    assert raw.instances_examined >= with_dedup.instances_examined
+    assert with_dedup.witness is None and with_dedup.search_complete
+    raw = 0
+    for n in range(2, 4):
+        for m in range(1, 3):
+            for matrix in _candidates_raw(n, m):
+                report = verify_no_fair_ef(_problem_from_matrix(matrix))
+                assert report.conclusive and report.ef_found, matrix
+                raw += 1
+    assert raw >= with_dedup.instances_examined
 
 
 def test_g2_search_candidate_pool_sizes_are_predictable():

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from conftest import make_problem, random_problem
+from conftest import all_feasible_assignments, make_problem, random_problem
 from fairplay import fixtures
 from fairplay.model import (
     envy_report,
@@ -60,14 +60,13 @@ def test_count_efficient_requires_irreducible_input():
 def test_enumeration_matches_count_and_predicates_on_table2():
     p = fixtures.table2()
     stream = enumerate_efficient(p, EnumerationBudget(50_000))
-    seen = 0
-    for i, x in enumerate(stream):
-        seen += 1
-        if i % 4000 == 0:  # predicate spot checks across the stream
-            assert is_feasible(x, p).ok
-            assert is_efficient(x, p)
-    assert seen == 42_875
+    seen = list(stream)
+    for x in seen[::4000]:  # predicate spot checks across the stream
+        assert is_feasible(x, p).ok
+        assert is_efficient(x, p)
+    assert len(seen) == 42_875
     assert not stream.truncated
+    assert seen == list(all_feasible_assignments(p, full_games_only=True))
 
 
 def test_enumeration_matches_count_on_reduced_table1():
@@ -75,20 +74,28 @@ def test_enumeration_matches_count_on_reduced_table1():
     assert sum(1 for _ in enumerate_efficient(p)) == 23_625
 
 
-def test_enumeration_truncates_with_flag():
+# table2 has 42,875 assignments: a budget one short cuts the stream, an
+# exact budget yields every assignment with no truncation and no error
+@pytest.mark.parametrize("budget", [10, 42_874, 42_875])
+def test_enumeration_truncates_with_flag(budget):
     p = fixtures.table2()
-    stream = enumerate_efficient(p, EnumerationBudget(10, "truncate"))
+    stream = enumerate_efficient(p, EnumerationBudget(budget, "truncate"))
     got = list(stream)
-    assert len(got) == 10
-    assert stream.truncated
-    assert stream.yielded == 10
+    assert len(got) == budget
+    assert stream.truncated == (budget < 42_875)
+    assert stream.yielded == budget
 
 
-def test_enumeration_errors_when_budget_hit():
+@pytest.mark.parametrize("budget", [10, 42_874, 42_875])
+def test_enumeration_errors_when_budget_hit(budget):
     p = fixtures.table2()
-    stream = enumerate_efficient(p, EnumerationBudget(10, "error"))
-    with pytest.raises(BudgetExceededError):
-        list(stream)
+    stream = enumerate_efficient(p, EnumerationBudget(budget, "error"))
+    if budget < 42_875:
+        with pytest.raises(BudgetExceededError):
+            list(stream)
+    else:
+        assert len(list(stream)) == budget
+    assert stream.yielded == budget
 
 
 def test_enumeration_of_empty_problem_is_empty():
@@ -115,8 +122,9 @@ def test_enumeration_counts_agree_on_random_instances(rng):
         red, _ = reduce_problem(p)
         if red.is_empty:
             continue
-        count = count_efficient(red)
-        assert count == sum(1 for _ in enumerate_efficient(red))
+        stream = list(enumerate_efficient(red))
+        assert count_efficient(red) == len(stream)
+        assert stream == list(all_feasible_assignments(red, full_games_only=True))
         checked += 1
 
 

@@ -15,14 +15,17 @@ from fairplay import _scan, fixtures
 from fairplay._scan import scan_fair, scan_first_ef, scan_verify
 from fairplay.impossibility import build_witness
 from fairplay.model import envy_report, g_vector, reduce_problem
-from fairplay.oracle import _assignment_from_choice, _combo_lists
+from fairplay.oracle import _assignment_from_choice, _efficient_lists
 
 FULL = 10**7
 
 
 def _instances(rng):
     red, _ = reduce_problem(fixtures.table1())
-    fixed = [red, fixtures.table2(), build_witness(3)]
+    # one day: the walk starts at the last day; two days: no memo depth
+    one_day = make_problem([(1,)] * 7, 3)
+    two_days = make_problem([(1, 1), (1, 1), (1, 0), (0, 1), (0, 1), (1, 1), (1, 0)], 2)
+    fixed = [red, fixtures.table2(), build_witness(3), one_day, two_days]
     randoms = []
     while len(randoms) < 12:
         p = random_problem(rng, max_n=6, max_m=3)
@@ -47,7 +50,7 @@ def _symmetric_instances(rng):
             p, _ = reduce_problem(p)
         if p.m < 4:
             continue
-        leaves = math.prod(len(day) for day in _combo_lists(p, FULL))
+        leaves = _efficient_lists(p, FULL)[1]
         if 1 < leaves <= 20_000:
             out.append(p)
     return out
@@ -73,7 +76,7 @@ def references():
 
 def test_scan_fair_finds_first_best_leaf(references):
     for ref in references:
-        combos = _combo_lists(ref.p, FULL)
+        combos = _efficient_lists(ref.p, FULL)[0]
         scanned, complete, best_g, choice, index = scan_fair(combos, ref.p.n, FULL)
         best = max(ref.profiles)
         assert (scanned, complete, best_g) == (len(ref.leaves), True, best)
@@ -83,7 +86,7 @@ def test_scan_fair_finds_first_best_leaf(references):
 
 def test_scan_first_ef_finds_first_envy_free_leaf(references):
     for ref in references:
-        combos = _combo_lists(ref.p, FULL)
+        combos = _efficient_lists(ref.p, FULL)[0]
         scanned, conclusive, choice, index = scan_first_ef(
             combos, ref.p.n, ref.avail, FULL
         )
@@ -97,7 +100,7 @@ def test_scan_first_ef_finds_first_envy_free_leaf(references):
 
 def test_scan_verify_minimum_envy(references):
     for ref in references:
-        combos = _combo_lists(ref.p, FULL)
+        combos = _efficient_lists(ref.p, FULL)[0]
         scanned, conclusive, ef_found, choice, min_envy = scan_verify(
             combos, ref.p.n, ref.avail, FULL, stop_on_ef=False
         )
@@ -106,17 +109,18 @@ def test_scan_verify_minimum_envy(references):
         if ef_found:
             leaf = _assignment_from_choice(ref.p, combos, choice)
             assert leaf == ref.leaves[ref.first_ef]
-        assert scan_verify(combos, ref.p.n, ref.avail, FULL)[1:] == (
-            conclusive, ef_found, choice, min_envy
+        stopped_at = len(ref.leaves) if ref.first_ef is None else ref.first_ef + 1
+        assert scan_verify(combos, ref.p.n, ref.avail, FULL) == (
+            stopped_at, conclusive, ef_found, choice, min_envy
         )
 
 
-@pytest.mark.parametrize("budget", [1, 7, 1000])
+@pytest.mark.parametrize("budget", [1, 7, 35, 36, 1000])
 def test_budget_truncation(references, budget):
     ref = references[1]
     assert ref.p == fixtures.table2()
     n, avail = ref.p.n, ref.avail
-    combos = _combo_lists(ref.p, budget + 1)
+    combos = _efficient_lists(ref.p, budget + 1)[0]
     seen = ref.profiles[:budget]
 
     scanned, complete, best_g, _, index = scan_fair(combos, n, budget)
@@ -135,7 +139,7 @@ def test_memo_needs_a_budget_covering_every_leaf(references, monkeypatch, budget
     ref = references[1]
     assert ref.p == fixtures.table2()
     n, avail = ref.p.n, ref.avail
-    combos = _combo_lists(ref.p, budget + 1)
+    combos = _efficient_lists(ref.p, budget + 1)[0]
     walked = []
     count_envy_pairs = _scan._count_envy_pairs
     monkeypatch.setattr(
