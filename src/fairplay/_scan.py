@@ -15,36 +15,61 @@ leaf, and the fold scans that day's first ``limit`` subsets (fewer than
 all of them only when the budget runs out inside the node).  It returns
 the position where it stopped, or -1 to go on.
 
-Orbit memo.  Every statistic a scan folds (the fairness profile, strong
-envy-freeness, the number of envy pairs) depends only on the games vector,
-and players with the same availability row and the same availability count
-are interchangeable.  When the budget covers every leaf, each day's list is
-the complete family of same-size subsets of that day's players (as
-``oracle._efficient_lists`` builds it), so a permutation of such players
-maps the subtree below one node onto the subtree below another node of the
-same depth.  At depths 1..m-2 the walk therefore records the games vector
-of each node whose subtree it has scanned in full, sorted within classes of
-interchangeable players, and skips a later node with the same record,
-adding the skipped subtree's leaf count to the leaves covered.  This is
-exact: every fold changes only on a leaf strictly better than all before
-it (a larger profile, the first envy-free leaf, fewer envy pairs), and a
-skipped subtree holds exactly the values of one scanned in full earlier, so
-it holds no such leaf.  Leaf indices, first-EF and first-best choices and
-``min_envy`` are those of the plain walk; only the time differs.  A budget
-below the leaf count turns the memo off: the scan must stop after exactly
-``budget`` leaves, and its lists may be truncated, which breaks the
-symmetry.
+Orbit memo.  Below a node at depth d, players i and j are interchangeable
+when they share the remaining row ``avail[i][d:]``: each of days d..m-1
+offers both of them or neither.  Where a statistic reads availability (the
+envy scans), they must also share the availability count.  When each of
+those days' lists is the complete family of same-size subsets of the day's
+players, a transposition of two class-mates maps every such family onto
+itself, so it maps the subtree below a node, leaf for leaf, onto the
+subtree below the node whose games vector has their counts swapped.  Every
+statistic a scan folds (the fairness profile, strong envy-freeness, the
+number of envy pairs) reads only the games vector and the availability
+counts, so it is invariant under the transposition.  Two nodes of one
+depth whose games vectors agree after sorting within classes therefore
+hold the same values below them; :func:`orbit_key` is that sorted vector
+and :func:`class_offsets` marks the classes, for any number of days.  The
+random tie-break's DP (``solver._Optima``) keys its memo the same way.
+
+Budget rule.  ``oracle._efficient_lists`` truncates only a prefix of days,
+so days d..m-1 are complete exactly when the leaves below a depth-d node
+fit in the budget, and the walk memoizes depth d (for 0 < d < m-1) just
+then.  It records the key of each node whose subtree it has scanned in
+full and skips a later node of the same depth with a recorded key.  The
+skip covers ``min(subtree, budget - scanned)`` leaves and ends the walk
+when the budget cuts it.  This is exact: every fold changes only on a leaf
+strictly better than all before it (a larger profile, fewer envy pairs,
+the first envy-free leaf), and a skipped subtree, or any prefix of it,
+holds only values of a subtree scanned in full earlier, so it holds no
+such leaf.  Leaf counts, first-EF and first-best choices and indices, and
+``min_envy`` are those of the plain walk; only the time differs.
 """
 
 from __future__ import annotations
 
-import math
-from operator import add, sub
+from itertools import repeat
+from operator import add
 
 _NO_LEAVES = -1
 
-# A memo key packs games counts as bytes, and games at depth d are at most d.
-_KEY_DEPTH_LIMIT = 256
+
+def class_offsets(rows, depth, tags=None):
+    """One offset per player at ``depth``: equal for players that share
+    ``rows[i][depth:]`` (and ``tags[i]``, when given), and at least m + 1
+    apart between classes, so that adding it to a games count at that
+    depth (at most m) keeps the classes apart."""
+    spacing = len(rows[0]) + 1 if rows else 1
+    classes = {}
+    return [
+        classes.setdefault((row[depth:], tag), len(classes)) * spacing
+        for row, tag in zip(rows, tags or repeat(None))
+    ]
+
+
+def orbit_key(games, offsets):
+    """The games vector sorted within the classes of one depth's
+    ``offsets``, as a tuple: equal exactly for nodes in one orbit."""
+    return tuple(sorted(map(add, games, offsets)))
 
 
 def _walk(combos, n, budget, avail, fold):
@@ -61,41 +86,27 @@ def _walk(combos, n, budget, avail, fold):
         return 0, False
     last = m - 1
     width = len(combos[last])
+    below = [1] * (m + 1)  # below[d]: leaves under a node at depth d
+    for d in range(last, -1, -1):
+        below[d] = below[d + 1] * len(combos[d])
+    depths = {d for d in range(m) if 0 < d < last and below[d] <= budget}
+    # depth -> (its class offsets, keys of the subtrees scanned in full),
+    # from the first such subtree on: a scan that stops inside it, as most
+    # tiny ones do, never pays for the classes
+    seen = {}
     games = [0] * n
     choice = [0] * m
-    covers_all = math.prod(map(len, combos)) <= budget
-    depths = range(1, min(last, _KEY_DEPTH_LIMIT)) if covers_all else range(0)
-    seen = {}  # depth -> keys of the fully scanned subtrees there
-    offset = sorted_offset = None
     scanned = 0
-
-    def key():
-        # The class map is built at the first key, after the first subtree
-        # finishes, so a scan that stops inside it never pays for it.
-        nonlocal offset, sorted_offset
-        if offset is None:
-            rows = [[] for _ in range(n)]
-            for k, day in enumerate(combos):
-                for i in set().union(*day):
-                    rows[i].append(k)
-            classes = {}
-            offset = [
-                classes.setdefault((tuple(row), a), len(classes)) * _KEY_DEPTH_LIMIT
-                for row, a in zip(rows, avail or (None,) * n)
-            ]
-            sorted_offset = sorted(offset)
-        # sorting games + class offset sorts within each class; subtracting
-        # the sorted offsets leaves the games counts class by class
-        return bytes(map(sub, sorted(map(add, games, offset)), sorted_offset))
 
     def node(day):
         nonlocal scanned
-        k = None
-        if day in seen:
-            k = key()
-            if k in seen[day]:
-                scanned += math.prod(map(len, combos[day:]))
-                return False
+        memo = seen.get(day)
+        if memo is not None:
+            key = orbit_key(games, memo[0])
+            if key in memo[1]:
+                covered = min(below[day], budget - scanned)
+                scanned += covered
+                return covered < below[day]
         if day == last:
             limit = min(width, budget - scanned)
             stop = fold(games, choice, scanned, limit)
@@ -115,8 +126,13 @@ def _walk(combos, n, budget, avail, fold):
                     games[i] -= 1
                 if stop:
                     return True
-        if day in depths:
-            seen.setdefault(day, set()).add(key() if k is None else k)
+        if memo is not None:
+            memo[1].add(key)
+        elif day in depths:
+            on_day = [set().union(*subsets) for subsets in combos]
+            rows = [tuple(i in s for s in on_day) for i in range(n)]
+            offsets = class_offsets(rows, day, avail)
+            seen[day] = offsets, {orbit_key(games, offsets)}
         return False
 
     stopped = node(0)  # before reading scanned, which node() advances
@@ -133,21 +149,6 @@ def _prep_envy_order(n, avail):
             starts.append(pos)
     starts.append(n)
     return order, starts
-
-
-def _is_envy_free(games, order, starts):
-    min_higher = None
-    for b in range(len(starts) - 1):
-        lo, hi = starts[b], starts[b + 1]
-        if min_higher is not None:
-            for q in range(lo, hi):
-                if games[order[q]] > min_higher:
-                    return False
-        for q in range(lo, hi):
-            g = games[order[q]]
-            if min_higher is None or g < min_higher:
-                min_higher = g
-    return True
 
 
 def _count_envy_pairs(games, order, starts, cap):
@@ -215,43 +216,14 @@ def scan_fair(combos, n, budget):
     return scanned, not stopped, best_g, best_choice, best_index
 
 
-def scan_first_ef(combos, n, avail, budget):
-    """First enumerated assignment with zero strong-envy violations.
-
-    Returns ``(scanned, conclusive, choice, index)``; ``conclusive`` is True
-    when a witness was found or the whole space was covered.
-    """
-    last = combos[-1] if combos else ()
-    order, starts = _prep_envy_order(n, avail)
-    found = None
-    found_index = _NO_LEAVES
-
-    def fold(games, choice, index, limit):
-        nonlocal found, found_index
-        for pos in range(limit):
-            combo = last[pos]
-            for i in combo:
-                games[i] += 1
-            envy_free = _is_envy_free(games, order, starts)
-            for i in combo:
-                games[i] -= 1
-            if envy_free:
-                choice[-1] = pos
-                found, found_index = tuple(choice), index + pos
-                return pos
-        return -1
-
-    scanned, stopped = _walk(combos, n, budget, avail, fold)
-    return scanned, found is not None or not stopped, found, found_index
-
-
-def scan_verify(combos, n, avail, budget, stop_on_ef=True):
-    """Scan every enumerated assignment, tracking whether any is strong-envy
-    free and the minimum violation-pair count seen.
+def scan_verify(combos, n, avail, budget):
+    """Scan the enumerated assignments for the first one with no
+    strong-envy violation, tracking the minimum violation-pair count seen.
 
     Returns ``(scanned, conclusive, ef_found, first_ef_choice, min_envy)``.
-    With ``stop_on_ef`` the scan ends at the first envy-free leaf (the
-    minimum is then exactly 0).
+    The scan ends at the first envy-free leaf, which it counts, so that
+    leaf's index is ``scanned - 1`` and ``min_envy`` is 0; ``conclusive`` is
+    True when one was found or every leaf was covered.
     """
     if not combos or not all(combos):
         return 0, True, False, None, _NO_LEAVES
@@ -274,8 +246,7 @@ def scan_verify(combos, n, avail, budget, stop_on_ef=True):
                 if count == 0:
                     choice[-1] = pos
                     ef_choice = tuple(choice)
-                    if stop_on_ef:
-                        return pos
+                    return pos
         return -1
 
     scanned, stopped = _walk(combos, n, budget, avail, fold)

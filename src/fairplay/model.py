@@ -59,7 +59,7 @@ class Problem:
 
     def day_counts(self) -> tuple[int, ...]:
         """Per-day number of available players (column sums)."""
-        return tuple(sum(row[k] for row in self.avail) for k in range(self.m))
+        return tuple(map(sum, zip(*self.avail))) if self.avail else (0,) * self.m
 
     def player_index(self, name: str) -> int:
         try:
@@ -341,13 +341,20 @@ def is_feasible(x: Assignment, p: Problem) -> Feasibility:
     return Feasibility(True, None)
 
 
+def day_quotas(p: Problem) -> list[int]:
+    """Players each day seats in a full-game assignment: the largest
+    multiple of the group size its available players reach."""
+    g = p.group_size
+    return [g * (c // g) for c in p.day_counts()]
+
+
 def max_total_games(p: Problem) -> int:
     """Maximum number of games any feasible assignment can host.
 
     Days are coupled only through their own totals, so the bound is the
     per-day sum of floor(available / group_size), and it is attained.
     """
-    return sum(c // p.group_size for c in p.day_counts())
+    return sum(day_quotas(p)) // p.group_size
 
 
 def is_efficient(x: Assignment, p: Problem) -> bool:

@@ -16,11 +16,12 @@ from itertools import combinations, islice, product
 from typing import Iterator, Optional
 
 from fairplay import solver as _solver
-from fairplay._scan import scan_fair, scan_first_ef
+from fairplay._scan import scan_fair, scan_verify
 from fairplay.model import (
     Assignment,
     GVector,
     Problem,
+    day_quotas,
     is_irreducible,
 )
 
@@ -70,14 +71,8 @@ def _require_irreducible(p: Problem, op: str) -> None:
 
 def day_selections(p: Problem) -> tuple[list[tuple[int, ...]], list[int]]:
     """Per-day available player indices and per-day selection sizes."""
-    g = p.group_size
-    day_players = []
-    quotas = []
-    for k in range(p.m):
-        players = tuple(i for i in range(p.n) if p.avail[i][k])
-        day_players.append(players)
-        quotas.append(g * (len(players) // g))
-    return day_players, quotas
+    day_players = [tuple(i for i in range(p.n) if p.avail[i][k]) for k in range(p.m)]
+    return day_players, day_quotas(p)
 
 
 def count_efficient(p: Problem) -> int:
@@ -187,7 +182,7 @@ def exists_efficient_strongly_ef(
     if p.is_empty:
         return Assignment(tuple(() for _ in range(p.n)))
     combos = _efficient_lists(p, budget.max_assignments + 1)[0]
-    scanned, conclusive, choice, _ = scan_first_ef(
+    scanned, conclusive, _, choice, _ = scan_verify(
         combos, p.n, p.availability_counts(), budget.max_assignments
     )
     if choice is not None:

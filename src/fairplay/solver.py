@@ -1,9 +1,9 @@
 """Exact fair solver: lexicographically maximal fairness profiles.
 
 The optimum profile comes from one exact integer min-cost flow whose
-weights encode the whole lexicographic order (see ``_flow``); no
-enumeration is involved, which keeps this module an independent route from
-the brute-force oracle.  Tie-breaking then picks one assignment among the
+weights encode the whole lexicographic order (see ``_flow``).  That solve
+enumerates nothing, which keeps it an independent route from the
+brute-force oracle.  Tie-breaking then picks one assignment among the
 profile-optimal ones:
 
 * ``lex``: the matrix that is smallest in row-major binary order, found by
@@ -15,6 +15,8 @@ profile-optimal ones:
   optima, replaying a seeded reservoir sampler's calls on that count gives
   the rank of the optimum it would keep, and unranking walks the days
   straight to it, so the draw is the reservoir's without its full walk.
+  The DP merges nodes with ``_scan``'s orbit key, the one the oracle's
+  scans use.
 
 Inputs need not be irreducible: the solver reduces internally and
 zero-extends the result, so removed players provably get no games.
@@ -30,10 +32,12 @@ from operator import add
 from typing import Optional
 
 from fairplay import _flow
+from fairplay._scan import class_offsets, orbit_key
 from fairplay.model import (
     Assignment,
     GVector,
     Problem,
+    day_quotas,
     g_vector,
     reduce_problem,
     zero_extend,
@@ -88,16 +92,11 @@ class SolveReport:
     stages: tuple[StageInfo, ...]
 
 
-def _quotas(p: Problem) -> list[int]:
-    g = p.group_size
-    return [g * (c // g) for c in p.day_counts()]
-
-
 def solve_efficient(p: Problem) -> Assignment:
     """Deterministic full-game baseline with no fairness: each surviving day
     takes its first available players, in player order."""
     reduced, _ = reduce_problem(p)
-    quotas = _quotas(reduced)
+    quotas = day_quotas(reduced)
     matrix = [[0] * reduced.m for _ in range(reduced.n)]
     for k in range(reduced.m):
         picked = 0
@@ -121,7 +120,7 @@ def solve_fair(p: Problem, tie_break: TieBreakPolicy | None = None) -> SolveRepo
         empty = Assignment(tuple((0,) * p.m for _ in range(p.n)))
         return SolveReport(empty, g_vector(empty) if p.n else GVector(()), 0, ())
 
-    quotas = _quotas(reduced)
+    quotas = day_quotas(reduced)
     best = _flow.solve_stage(reduced.avail, quotas)
     target = best.gvector
     stages = tuple(
@@ -225,9 +224,10 @@ class _Optima:
     remaining available day) already falls short of the target counts 0.
     Players with the same remaining row ``avail[i][day:]`` are
     interchangeable below a node, because each day offers every subset of
-    its quota size, so nodes of one depth whose games vectors agree after
-    sorting within those classes have equal counts; that sorted vector is
-    the memo key.
+    its quota size and the profile ignores availability, so nodes of one
+    depth in one orbit have equal counts.  The memo key is
+    ``_scan.orbit_key`` over ``_scan.class_offsets(avail, day)``, the key the
+    scans' orbit memo uses, whose docstring gives the argument.
     """
 
     def __init__(self, reduced: Problem, quotas: list[int], target: tuple[int, ...]):
@@ -242,15 +242,7 @@ class _Optima:
         for k in range(m - 1, -1, -1):
             suffix.append([s + row[k] for s, row in zip(suffix[-1], reduced.avail)])
         self.suffix = suffix[::-1]
-        # offsets[k][i] spaces player i's class at depth k (same row
-        # avail[i][k:]) past any games count, so sorting games + offsets
-        # sorts within classes
-        self.offsets = []
-        for k in range(m + 1):
-            classes: dict[tuple[int, ...], int] = {}
-            self.offsets.append(
-                [classes.setdefault(row[k:], len(classes)) * (m + 1) for row in reduced.avail]
-            )
+        self.offsets = [class_offsets(reduced.avail, k) for k in range(m + 1)]
         self.memo: list[dict[tuple[int, ...], int]] = [{} for _ in range(m + 1)]
         self.games = [0] * n
 
@@ -266,7 +258,7 @@ class _Optima:
 
     def count(self, day: int) -> int:
         games = self.games
-        key = tuple(sorted(map(add, games, self.offsets[day])))
+        key = orbit_key(games, self.offsets[day])
         found = self.memo[day].get(key)
         if found is None:
             found = 0

@@ -1,19 +1,19 @@
 """The scan kernel against the independent enumerator in conftest: best and
 first envy-free leaves in odometer order, minimum envy, budget truncation,
-the orbit memo's budget switch and the empty-input returns.
+the orbit memo under a budget and the empty-input returns.
 
-Instances whose players share a few rows make the orbit memo skip subtrees,
-so every check below also holds the memo to the plain walk."""
+Instances whose players share a few rows, or only the rows' late days, make
+the orbit memo skip subtrees, so every check below also holds the memo to
+the plain walk."""
 
-import math
 import random
 
 import pytest
 
 from conftest import all_feasible_assignments, make_problem, random_problem
 from fairplay import _scan, fixtures
-from fairplay._scan import scan_fair, scan_first_ef, scan_verify
-from fairplay.impossibility import build_witness
+from fairplay._scan import scan_fair, scan_verify
+from fairplay.impossibility import build_witness, verify_no_fair_ef
 from fairplay.model import envy_report, g_vector, reduce_problem
 from fairplay.oracle import _assignment_from_choice, _efficient_lists
 
@@ -25,14 +25,20 @@ def _instances(rng):
     # one day: the walk starts at the last day; two days: no memo depth
     one_day = make_problem([(1,)] * 7, 3)
     two_days = make_problem([(1, 1), (1, 1), (1, 0), (0, 1), (0, 1), (1, 1), (1, 0)], 2)
-    fixed = [red, fixtures.table2(), build_witness(3), one_day, two_days]
+    # witness 3 with a forced player split across the two days, or with a
+    # fourth half-forced player: no envy-free leaf, so the envy scan covers
+    # every leaf
+    left, right = [(1, 1, 0, 0, 0)] * 2, [(0, 0, 1, 1, 1)] * 5
+    split = make_problem(left + [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0)] + right, 3)
+    extra = make_problem(left + [(1, 1, 0, 0, 0), (0, 1, 0, 0, 0)] + right, 3)
+    fixed = [red, fixtures.table2(), build_witness(3), one_day, two_days, split, extra]
     randoms = []
     while len(randoms) < 12:
         p = random_problem(rng, max_n=6, max_m=3)
         r, _ = reduce_problem(p)
         if not r.is_empty:
             randoms.append(r)
-    return fixed + randoms + _symmetric_instances(rng)
+    return fixed + randoms + _symmetric_instances(rng) + _tail_instances(rng)
 
 
 def _symmetric_instances(rng):
@@ -41,11 +47,41 @@ def _symmetric_instances(rng):
     seats nobody, so players with equal rows as the scan sees them can
     differ in availability count.  The first is made by hand that way:
     p1-p3 share days 2 and 4, but p3 is also free on day 3, alone."""
-    out = [make_problem([(0, 1, 0, 1), (0, 1, 0, 1), (0, 1, 1, 1), (0, 0, 0, 1)], 2)]
-    while len(out) < 8:
-        m = rng.randint(4, 5)
+
+    def draw(m):
         rows = [tuple(rng.randint(0, 1) for _ in range(m)) for _ in range(rng.randint(2, 3))]
-        p = make_problem([rng.choice(rows) for _ in range(rng.randint(5, 9))], rng.choice((2, 3)))
+        return [rng.choice(rows) for _ in range(rng.randint(5, 9))]
+
+    return _drawn(rng, [(0, 1, 0, 1), (0, 1, 0, 1), (0, 1, 1, 1), (0, 0, 0, 1)], draw)
+
+
+def _tail_instances(rng):
+    """Instances of 4-5 days whose players share one or two rows on the
+    days from a split point on but differ before it, so the classes of
+    interchangeable players change with the depth, and class-mates differ
+    in availability count.  The first is made by hand that way: p1 and p5,
+    and also p3 and p4, share days 2-5 but differ on day 1, while p2 and p4
+    share days 1-2 and 4-5 only."""
+
+    def draw(m):
+        split = rng.randint(1, m - 2)
+        tails = [tuple(rng.randint(0, 1) for _ in range(m - split)) for _ in range(rng.randint(1, 2))]
+        return [
+            tuple(rng.randint(0, 1) for _ in range(split)) + rng.choice(tails)
+            for _ in range(rng.randint(5, 9))
+        ]
+
+    first = [(1, 0, 1, 1, 1), (1, 1, 1, 0, 0), (0, 1, 0, 0, 0), (1, 1, 0, 0, 0), (0, 0, 1, 1, 1)]
+    return _drawn(rng, first, draw)
+
+
+def _drawn(rng, first, draw):
+    """``first`` with g = 2, then seven instances from ``draw(m)``'s rows for
+    m of 4-5 days, with g of 2-3, every other one reduced, kept when 4-5 days
+    and 2-20,000 leaves remain."""
+    out = [make_problem(first, 2)]
+    while len(out) < 8:
+        p = make_problem(draw(rng.randint(4, 5)), rng.choice((2, 3)))
         if len(out) % 2 == 0:
             p, _ = reduce_problem(p)
         if p.m < 4:
@@ -54,6 +90,23 @@ def _symmetric_instances(rng):
         if 1 < leaves <= 20_000:
             out.append(p)
     return out
+
+
+def _count_folded(monkeypatch):
+    """Patch the walk so that the leaves it hands to folds are tallied in the
+    returned list, one entry per last-day node."""
+    folded = []
+    walk = _scan._walk
+
+    def counting_walk(combos, n, budget, avail, fold):
+        def counted(games, choice, index, limit):
+            folded.append(limit)
+            return fold(games, choice, index, limit)
+
+        return walk(combos, n, budget, avail, counted)
+
+    monkeypatch.setattr(_scan, "_walk", counting_walk)
+    return folded
 
 
 class Reference:
@@ -84,35 +137,22 @@ def test_scan_fair_finds_first_best_leaf(references):
         assert _assignment_from_choice(ref.p, combos, choice) == ref.leaves[index]
 
 
-def test_scan_first_ef_finds_first_envy_free_leaf(references):
+def test_scan_verify_minimum_envy(references):
+    """The scan stops at the first envy-free leaf, else it covers every leaf
+    and reports the minimum envy over them."""
     for ref in references:
         combos = _efficient_lists(ref.p, FULL)[0]
-        scanned, conclusive, choice, index = scan_first_ef(
+        scanned, conclusive, ef_found, choice, min_envy = scan_verify(
             combos, ref.p.n, ref.avail, FULL
         )
         assert conclusive
         if ref.first_ef is None:
-            assert (scanned, choice, index) == (len(ref.leaves), None, -1)
+            assert (scanned, ef_found, choice) == (len(ref.leaves), False, None)
+            assert min_envy == min(ref.envy)
         else:
-            assert (scanned, index) == (ref.first_ef + 1, ref.first_ef)
-            assert _assignment_from_choice(ref.p, combos, choice) == ref.leaves[index]
-
-
-def test_scan_verify_minimum_envy(references):
-    for ref in references:
-        combos = _efficient_lists(ref.p, FULL)[0]
-        scanned, conclusive, ef_found, choice, min_envy = scan_verify(
-            combos, ref.p.n, ref.avail, FULL, stop_on_ef=False
-        )
-        assert (scanned, conclusive) == (len(ref.leaves), True)
-        assert (ef_found, min_envy) == (ref.first_ef is not None, min(ref.envy))
-        if ef_found:
+            assert (scanned, ef_found, min_envy) == (ref.first_ef + 1, True, 0)
             leaf = _assignment_from_choice(ref.p, combos, choice)
             assert leaf == ref.leaves[ref.first_ef]
-        stopped_at = len(ref.leaves) if ref.first_ef is None else ref.first_ef + 1
-        assert scan_verify(combos, ref.p.n, ref.avail, FULL) == (
-            stopped_at, conclusive, ef_found, choice, min_envy
-        )
 
 
 @pytest.mark.parametrize("budget", [1, 7, 35, 36, 1000])
@@ -126,38 +166,52 @@ def test_budget_truncation(references, budget):
     scanned, complete, best_g, _, index = scan_fair(combos, n, budget)
     assert (scanned, complete, best_g) == (budget, False, max(seen))
     assert index == seen.index(max(seen))
-    assert scan_first_ef(combos, n, avail, budget) == (budget, False, None, -1)
     assert scan_verify(combos, n, avail, budget) == (
         budget, False, False, None, min(ref.envy[:budget])
     )
 
 
 @pytest.mark.parametrize("budget, complete", [(42_875, True), (42_874, False)])
-def test_memo_needs_a_budget_covering_every_leaf(references, monkeypatch, budget, complete):
-    """The memo skips subtrees only when the budget covers all 42,875 leaves
-    of table2; one leaf less walks and stops leaf by leaf."""
+def test_memo_under_a_budget(references, monkeypatch, budget, complete):
+    """table2's 42,875 leaves: a budget of all of them or of one less both
+    memoize the depth whose subtrees fit in it, fold far fewer leaves than
+    the budget and still return the plain walk's prefix."""
     ref = references[1]
     assert ref.p == fixtures.table2()
     n, avail = ref.p.n, ref.avail
     combos = _efficient_lists(ref.p, budget + 1)[0]
-    walked = []
+    folded = _count_folded(monkeypatch)
+    seen = ref.profiles[:budget]
+
+    scanned, complete_fair, best_g, choice, index = scan_fair(combos, n, budget)
+    assert (scanned, complete_fair, best_g) == (budget, complete, max(seen))
+    assert index == seen.index(max(seen))
+    assert _assignment_from_choice(ref.p, combos, choice) == ref.leaves[index]
+    assert sum(folded) < budget // 10
+    folded.clear()
+    assert scan_verify(combos, n, avail, budget) == (
+        budget, complete, False, None, min(ref.envy[:budget])
+    )
+    assert sum(folded) < budget // 10
+
+
+def test_default_budget_keeps_the_memo_on_witness_6(monkeypatch):
+    """98.6M leaves against the default budget of 10^7: the envy fold sees
+    at most one subtree of the last two days (462 x 462 leaves), the memo
+    covers the rest, and the scan stops at exactly the budget,
+    inconclusive."""
+    calls = []
     count_envy_pairs = _scan._count_envy_pairs
     monkeypatch.setattr(
-        _scan, "_count_envy_pairs", lambda *a: walked.append(1) or count_envy_pairs(*a)
+        _scan, "_count_envy_pairs", lambda *a: calls.append(1) or count_envy_pairs(*a)
     )
-
-    scanned, conclusive, ef_found, _, min_envy = scan_verify(combos, n, avail, budget)
-    assert (scanned, conclusive, ef_found) == (budget, complete, False)
-    assert min_envy == min(ref.envy[:budget])
-    assert (len(walked) < budget) == complete
-    assert scan_fair(combos, n, budget)[:2] == (budget, complete)
-    assert scan_first_ef(combos, n, avail, budget)[:2] == (budget, complete)
+    report = verify_no_fair_ef(build_witness(6))
+    assert (report.scanned, report.conclusive, report.ef_found) == (10**7, False, False)
+    assert len(calls) <= 462 * 462
 
 
 def test_empty_inputs():
     assert scan_fair([], 0, 10) == (0, True, None, None, -1)
     assert scan_fair([[]], 3, 10) == (0, True, None, None, -1)
-    assert scan_first_ef([], 0, (), 10) == (0, True, None, -1)
-    assert scan_first_ef([[]], 3, (1, 1, 1), 10) == (0, True, None, -1)
     assert scan_verify([], 0, (), 10) == (0, True, False, None, -1)
     assert scan_verify([[]], 3, (1, 1, 1), 10) == (0, True, False, None, -1)

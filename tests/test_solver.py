@@ -9,6 +9,7 @@ import pytest
 from conftest import all_feasible_assignments, make_problem, random_problem
 from fairplay import _flow, fixtures
 from fairplay.model import (
+    day_quotas,
     g_vector,
     is_efficient,
     is_feasible,
@@ -25,7 +26,6 @@ from fairplay.oracle import (
 from fairplay.solver import (
     TieBreakPolicy,
     _Optima,
-    _quotas,
     solve_efficient,
     solve_fair,
 )
@@ -321,7 +321,7 @@ def test_random_draw_is_a_reservoir_over_the_oracle_enumeration():
         leaves = [(g_vector(a).counts, a) for a in enumerate_efficient(red)]
         opt = max(counts for counts, _ in leaves)
         optima = [a for counts, a in leaves if counts == opt]
-        assert _Optima(red, _quotas(red), opt).count(0) == len(optima), p
+        assert _Optima(red, day_quotas(red), opt).count(0) == len(optima), p
         for seed in (0, 1, 2):
             rng = random.Random(seed)
             kept = None
