@@ -137,22 +137,32 @@ def test_scan_fair_finds_first_best_leaf(references):
         assert _assignment_from_choice(ref.p, combos, choice) == ref.leaves[index]
 
 
-def test_scan_verify_minimum_envy(references):
-    """The scan stops at the first envy-free leaf, else it covers every leaf
-    and reports the minimum envy over them."""
+def test_scan_first_ef_finds_first_envy_free_leaf(references):
+    """The scan stops at the first envy-free leaf, counts it and returns its
+    choice with a minimum envy of 0."""
     for ref in references:
+        if ref.first_ef is None:
+            continue
         combos = _efficient_lists(ref.p, FULL)[0]
         scanned, conclusive, ef_found, choice, min_envy = scan_verify(
             combos, ref.p.n, ref.avail, FULL
         )
-        assert conclusive
-        if ref.first_ef is None:
-            assert (scanned, ef_found, choice) == (len(ref.leaves), False, None)
-            assert min_envy == min(ref.envy)
-        else:
-            assert (scanned, ef_found, min_envy) == (ref.first_ef + 1, True, 0)
-            leaf = _assignment_from_choice(ref.p, combos, choice)
-            assert leaf == ref.leaves[ref.first_ef]
+        assert (scanned, conclusive) == (ref.first_ef + 1, True)
+        assert (ef_found, min_envy) == (True, 0)
+        leaf = _assignment_from_choice(ref.p, combos, choice)
+        assert leaf == ref.leaves[ref.first_ef]
+
+
+def test_scan_verify_minimum_envy(references):
+    """With no envy-free leaf the scan covers every leaf and reports the
+    minimum envy over them."""
+    for ref in references:
+        if ref.first_ef is not None:
+            continue
+        combos = _efficient_lists(ref.p, FULL)[0]
+        assert scan_verify(combos, ref.p.n, ref.avail, FULL) == (
+            len(ref.leaves), True, False, None, min(ref.envy)
+        )
 
 
 @pytest.mark.parametrize("budget", [1, 7, 35, 36, 1000])
