@@ -8,11 +8,19 @@ the whole profile, in one min-cost flow: rewards per player fall as j grows,
 so the parallel unit arcs to the sink form a concave gain.
 
 Costs are Python integers, so the big lexicographic weights are exact.  The
-solve is successive shortest paths with node potentials (Tomizawa 1971;
-Edmonds & Karp 1972): each augmenting path comes from Dijkstra on reduced
-costs ``cost(u, v) + pi[u] - pi[v]``, which stay >= 0 on every residual arc.
-The network is a DAG, so exact starting potentials are known without a
-Bellman-Ford pass.
+solve is primal-dual (Ahuja, Magnanti & Orlin, *Network Flows*, 1993,
+section 9.8): successive shortest paths with node potentials (Tomizawa 1971;
+Edmonds & Karp 1972), taken a distance level at a time.  Each phase runs
+one Dijkstra on reduced costs ``cost(u, v) + pi[u] - pi[v]`` and adds each
+node's distance to its potential, which keeps every residual reduced cost
+>= 0 and brings it to 0 on every shortest path.  A DFS then pushes one unit
+along each source -> sink path of zero-reduced-cost arcs it finds.  Such a
+path costs ``pi[sink] - pi[source]``, the least any path can, so each unit
+is a shortest augmenting path and the flow stays min-cost for its value.
+A push opens only the reverses of arcs of reduced cost 0, whose reduced
+cost is 0 as well, so the potentials stay valid through the phase and
+after it.  Phases repeat until every quota is met; the network is a DAG,
+so exact starting potentials are known without a Bellman-Ford pass.
 
 The solved network is handed back as a :class:`Residual` that the lex
 tie-break edits cell by cell.  An optimal flow can avoid an arc exactly when
@@ -106,18 +114,16 @@ class Residual:
                 stack.append(v)
         return False
 
-    def augment(self, source: int, sink: int) -> int:
-        """Push one unit along a shortest source -> sink path and return the
-        number of arcs relaxed finding it.
+    def raise_potentials(self, source: int, sink: int) -> int:
+        """Run Dijkstra from the source on reduced costs and add each node's
+        distance to its potential; returns the number of arcs relaxed.
 
-        Dijkstra runs on reduced costs.  Each node's potential then grows by
-        its distance (by the largest distance found, where the node is
-        unreached), which keeps every residual reduced cost >= 0, also on
-        the reverses of the path's arcs.
+        An unreached node gains the largest distance found.  That keeps
+        every residual reduced cost >= 0 and brings it to 0 on every arc of
+        a shortest path.  Raises ValueError when the sink is unreached.
         """
         to, cap, cost, pi, head = self.to, self.cap, self.cost, self.pi, self.head
         dist: list[Optional[int]] = [None] * len(head)
-        prev_arc = [-1] * len(head)
         done = [False] * len(head)
         dist[source] = 0
         heap = [(0, source)]
@@ -136,19 +142,62 @@ class Residual:
                 nd = du + cost[e] - pi[v]
                 if dist[v] is None or nd < dist[v]:
                     dist[v] = nd
-                    prev_arc[v] = e
                     heappush(heap, (nd, v))
         if dist[sink] is None:
             raise ValueError("the day quotas cannot be met")
         far = max(d for d in dist if d is not None)
         for v, d in enumerate(dist):
             pi[v] += far if d is None else d
-        v = sink
-        while v != source:  # one unit fits: every path has a unit cell arc
-            e = prev_arc[v]
-            self._push(e)
-            v = to[e ^ 1]
         return relaxations
+
+    def push_zero_paths(self, source: int, sink: int) -> tuple[int, int]:
+        """Push one unit along each source -> sink path of zero-reduced-cost
+        residual arcs, until a DFS finds none; returns the number of units
+        pushed and of arcs examined.
+
+        Each node keeps a pointer to its next untried arc, so an arc that
+        leads nowhere, or to a node on the current path, is tried once per
+        call.  The DFS is complete for the first path, so a call after
+        :meth:`raise_potentials` pushes at least one unit; a later path it
+        misses is found after the next Dijkstra.
+        """
+        to, cap, cost, pi, head = self.to, self.cap, self.cost, self.pi, self.head
+        nxt = [0] * len(head)
+        on_path = [False] * len(head)
+        on_path[source] = True
+        path: list[int] = []
+        pushed = examined = 0
+        u = source
+        while True:
+            if u == sink:
+                for e in path:
+                    self._push(e)
+                    on_path[to[e]] = False
+                on_path[source] = True
+                path.clear()
+                pushed += 1
+                u = source
+            arcs, i, pu = head[u], nxt[u], pi[u]
+            end = len(arcs)
+            while i < end:
+                e = arcs[i]
+                if cap[e] > 0:
+                    examined += 1
+                    v = to[e]
+                    if not on_path[v] and cost[e] + pu == pi[v]:
+                        break
+                i += 1
+            nxt[u] = i
+            if i < end:  # advance; the arc is tried again after a push
+                path.append(e)
+                on_path[v] = True
+                u = v
+            elif u == source:
+                return pushed, examined
+            else:  # retreat from a node that leads nowhere
+                on_path[u] = False
+                u = to[path.pop() ^ 1]
+                nxt[u] += 1
 
 
 @dataclass
@@ -196,9 +245,15 @@ def solve_stage(avail: Sequence[Sequence[int]], quotas: Sequence[int]) -> FlowRe
     # cheapest way on to the sink is a first-game arc.
     net.pi[sink] = -(base ** (m - 1))
 
-    # Successive shortest paths, one unit per path, until every quota is met.
+    # Primal-dual phases until every quota is met: one Dijkstra per distance
+    # level, then every unit that fits on its zero-reduced-cost paths.
     augmentations = sum(quotas)
-    relaxations = sum(net.augment(source, sink) for _ in range(augmentations))
+    pushed = relaxations = 0
+    while pushed < augmentations:
+        relaxations += net.raise_potentials(source, sink)
+        units, examined = net.push_zero_paths(source, sink)
+        pushed += units
+        relaxations += examined
 
     games = [0] * n
     for (i, _), e in net.cell_arc.items():

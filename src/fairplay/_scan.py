@@ -33,11 +33,12 @@ random tie-break's DP (``solver._Optima``) keys its memo the same way.
 
 Budget rule.  ``oracle._efficient_lists`` truncates only a prefix of days,
 so days d..m-1 are complete exactly when the leaves below a depth-d node
-fit in the budget, and the walk memoizes depth d (for 0 < d < m-1) just
-then.  It records the key of each node whose subtree it has scanned in
-full and skips a later node of the same depth with a recorded key.  The
-skip covers ``min(subtree, budget - scanned)`` leaves and ends the walk
-when the budget cuts it.  This is exact: every fold changes only on a leaf
+fit in the budget, and the walk memoizes depth d (for 0 < d < m-1, when
+the depth has more than one node) just then.  It records the key of each
+node whose subtree it has scanned in full and skips a later node of the
+same depth with a recorded key.  The skip covers
+``min(subtree, budget - scanned)`` leaves and ends the walk when the
+budget cuts it.  This is exact: every fold changes only on a leaf
 strictly better than all before it (a larger profile, fewer envy pairs,
 the first envy-free leaf), and a skipped subtree, or any prefix of it,
 holds only values of a subtree scanned in full earlier, so it holds no
@@ -89,11 +90,13 @@ def _walk(combos, n, budget, avail, fold):
     below = [1] * (m + 1)  # below[d]: leaves under a node at depth d
     for d in range(last, -1, -1):
         below[d] = below[d + 1] * len(combos[d])
-    depths = {d for d in range(m) if 0 < d < last and below[d] <= budget}
+    # depths with more than one node, whose subtrees fit in the budget
+    depths = {d for d in range(1, last) if below[d] < below[0] and below[d] <= budget}
     # depth -> (its class offsets, keys of the subtrees scanned in full),
     # from the first such subtree on: a scan that stops inside it, as most
     # tiny ones do, never pays for the classes
     seen = {}
+    rows = []  # the players' rows, built once for the first depth's classes
     games = [0] * n
     choice = [0] * m
     scanned = 0
@@ -129,8 +132,9 @@ def _walk(combos, n, budget, avail, fold):
         if memo is not None:
             memo[1].add(key)
         elif day in depths:
-            on_day = [set().union(*subsets) for subsets in combos]
-            rows = [tuple(i in s for s in on_day) for i in range(n)]
+            if not rows:
+                on_day = [set().union(*subsets) for subsets in combos]
+                rows.extend(tuple(i in s for s in on_day) for i in range(n))
             offsets = class_offsets(rows, day, avail)
             seen[day] = offsets, {orbit_key(games, offsets)}
         return False

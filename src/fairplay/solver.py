@@ -75,7 +75,9 @@ class StageInfo:
     """One threshold t of the optimal profile: ``optimal_count`` is G_t.
 
     The whole profile is settled by a single flow solve, so every entry
-    carries that solve's ``augmentations`` and ``relaxations``.
+    carries that solve's ``augmentations``, the units of flow (the sum of the
+    day quotas), and ``relaxations``, the residual arcs examined by its
+    Dijkstra runs and by its searches for zero-reduced-cost paths.
     """
 
     threshold: int

@@ -9,6 +9,7 @@ import pytest
 from conftest import all_feasible_assignments, make_problem, random_problem
 from fairplay import _flow, fixtures
 from fairplay.model import (
+    Assignment,
     day_quotas,
     g_vector,
     is_efficient,
@@ -163,6 +164,16 @@ def _row_major(x):
     return tuple(c for row in x.matrix for c in row)
 
 
+def _lex_min_over_optima(red):
+    """The row-major smallest of the oracle's profile-optimal assignments of
+    an irreducible problem."""
+    opt = brute_force_fair(red)[0].counts
+    return min(
+        (a for a in enumerate_efficient(red) if g_vector(a).counts == opt),
+        key=_row_major,
+    )
+
+
 @pytest.mark.parametrize(
     "make",
     [fixtures.table2, lambda: reduce_problem(fixtures.table1())[0]],
@@ -170,13 +181,7 @@ def _row_major(x):
 )
 def test_lex_tie_break_is_row_major_minimum_over_optima(make):
     p = make()
-    opt = brute_force_fair(p)[0].counts
-    best = min(
-        _row_major(a)
-        for a in enumerate_efficient(p)
-        if g_vector(a).counts == opt
-    )
-    assert _row_major(solve_fair(p, TieBreakPolicy.lex()).assignment) == best
+    assert solve_fair(p, TieBreakPolicy.lex()).assignment == _lex_min_over_optima(p)
 
 
 def test_lex_tie_break_is_row_major_minimum_on_randoms(rng):
@@ -186,15 +191,17 @@ def test_lex_tie_break_is_row_major_minimum_on_randoms(rng):
         red, _ = reduce_problem(p)
         if red.is_empty:
             continue
-        opt = brute_force_fair(red)[0].counts
-        best = min(
-            _row_major(a)
-            for a in enumerate_efficient(red)
-            if g_vector(a).counts == opt
-        )
-        got = solve_fair(red, TieBreakPolicy.lex()).assignment
-        assert _row_major(got) == best
+        assert solve_fair(red, TieBreakPolicy.lex()).assignment == _lex_min_over_optima(red)
         checked += 1
+
+
+def test_lex_tie_break_is_row_major_minimum_on_repeated_rows():
+    """Instances with many optima: the lex result must not depend on which
+    optimal flow the profile solve hands to the tie-break."""
+    for p in _repeated_row_instances(random.Random(20261018), 30):
+        red, _ = reduce_problem(p)
+        got = solve_fair(p, TieBreakPolicy.lex()).assignment
+        assert got == zero_extend(_lex_min_over_optima(red), p, red), p
 
 
 def _club(seed, n, m):
@@ -354,6 +361,62 @@ def test_stage_optima_are_monotone_reachable(rng):
         for s in report.stages:
             achieved = sum(1 for d in games if d >= s.threshold)
             assert achieved == s.optimal_count
+
+
+# --------------------------------------------------------------------------- #
+# the profile flow
+# --------------------------------------------------------------------------- #
+
+def _flow_instances():
+    """The fixtures, 50 seeded random instances and the pinned club sheets
+    from 60x7 to 120x7.  Every other random instance is left unreduced, so
+    that the solve meets nodes no residual path reaches: a player with no
+    available day, a day too short for a game."""
+    out = [reduce_problem(fixtures.table1())[0], fixtures.table2()]
+    rng = random.Random(20261019)
+    while len(out) < 52:
+        p = random_problem(rng, max_n=12, max_m=5)
+        red, _ = reduce_problem(p)
+        if not red.is_empty:
+            out.append(p if len(out) % 2 else red)
+    for seed, n, m, _ in _PINNED_LEX:
+        if n >= 60:
+            out.append(reduce_problem(_club(seed, n, m))[0])
+    return out
+
+
+def test_profile_flow_leaves_valid_potentials():
+    """After the solve, every residual arc has reduced cost >= 0, which is
+    what makes ``Residual.reroute`` exact; the flow meets every quota and its
+    games attain the reported profile."""
+    for p in _flow_instances():
+        quotas = day_quotas(p)
+        result = _flow.solve_stage(p.avail, quotas)
+        net = result.residual
+        for e, v in enumerate(net.to):
+            if net.cap[e] > 0:
+                u = net.to[e ^ 1]
+                assert net.cost[e] + net.pi[u] - net.pi[v] >= 0, (p, e)
+        source = 0
+        assert sum(net.cap[e ^ 1] for e in net.head[source]) == sum(quotas)
+        matrix = [[0] * p.m for _ in range(p.n)]
+        for i, k in net.cell_arc:
+            matrix[i][k] = int(net.uses((i, k)))
+        games = Assignment(tuple(map(tuple, matrix)))
+        assert games.day_totals() == tuple(quotas)
+        assert g_vector(games).counts == result.gvector
+
+
+@pytest.mark.parametrize(
+    "seed,n,m", [pin[:3] for pin in _PINNED_LEX], ids=[f"{n}x{m}" for _, n, m, _ in _PINNED_LEX]
+)
+def test_profile_flow_runs_a_dijkstra_per_distance_level(seed, n, m):
+    """One Dijkstra per unit of flow examines about half of the residual
+    arcs per unit; the primal-dual phases examine a small fraction."""
+    red, _ = reduce_problem(_club(seed, n, m))
+    result = _flow.solve_stage(red.avail, day_quotas(red))
+    assert result.augmentations == sum(day_quotas(red))
+    assert result.relaxations < result.augmentations * len(result.residual.to) / 8
 
 
 @pytest.mark.parametrize(
