@@ -11,10 +11,13 @@ reports exactly what it covered.
 
 The search visits one matrix per class under row and column permutations:
 the canonical ones, grown a column at a time by orderly generation, so no
-class is made twice and no dedup set is kept.  A size is searched only when
-its candidate pool, an estimate counted over row multisets (C(2^m - 1 + n - 1,
-n) for n players and m days), is within the cap; the pool is only this gate,
-not what the search generates.
+class is made twice and no dedup set is kept.  The matrices with a zero row
+are taken from the level with one player fewer, and each child is first
+tested against its parent's own column order, which rejects most
+non-canonical children before the full canonicity test runs.  A size is
+searched only when its candidate pool, an estimate counted over row
+multisets (C(2^m - 1 + n - 1, n) for n players and m days), is within the
+cap; the pool is only this gate, not what the search generates.
 """
 
 from __future__ import annotations
@@ -166,7 +169,7 @@ def _split(cells: tuple[int, ...], col: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _least_order(columns: tuple[int, ...], n: int, abort_below_own: bool = False):
+def _least_order(columns: tuple[int, ...], n: int, own: list | None = None):
     """The greedy behind :func:`canonical_form`, shared with
     :func:`_is_canonical`: a column order whose reading is least, where
     ``columns`` are bit masks over the n rows.
@@ -180,16 +183,12 @@ def _least_order(columns: tuple[int, ...], n: int, abort_below_own: bool = False
     rows reading 1 in each cell, and fewer 1s in the first cell that differs
     reads lower.
 
-    With ``abort_below_own``, return None as soon as any prefix reads below
-    the columns' own order at its depth.
+    With ``own``, the columns' own order as :func:`_own_chain` gives it,
+    return None as soon as any prefix reads below it at its depth.
     """
     frontier = {(0, ((1 << n) - 1,)): ()}
-    own = ((1 << n) - 1,)
     for depth in range(len(columns)):
-        best = None
-        if abort_below_own:
-            best = tuple([(cell & columns[depth]).bit_count() for cell in own])
-            own = _split(own, columns[depth])
+        best = None if own is None else own[depth][1]
         entries: dict[tuple, tuple[int, ...]] = {}
         for (used, cells), order in frontier.items():
             for c, col in enumerate(columns):
@@ -197,7 +196,7 @@ def _least_order(columns: tuple[int, ...], n: int, abort_below_own: bool = False
                     continue
                 key = tuple([(cell & col).bit_count() for cell in cells])
                 if best is None or key < best:
-                    if abort_below_own:
+                    if own is not None:
                         return None
                     best = key
                     entries = {}
@@ -242,38 +241,64 @@ def _is_canonical(columns: tuple[int, ...], n: int) -> bool:
     prefixes, since the rows ascend, and survives while nothing reads lower,
     so "no prefix reads lower" is exactly ``canonical_form(M) == M``.
     """
-    return _least_order(columns, n, abort_below_own=True) is not None
+    return _least_order(columns, n, _own_chain(columns, n)) is not None
 
 
-def _children(rows: tuple[int, ...], columns: tuple[int, ...]):
-    """The children of an n x k matrix given as a level entry of
-    :func:`_orderly_levels`: every n x (k+1) matrix with ascending rows that
-    adds a last column of weight >= 2, as a ``(rows, columns)`` pair too.
+def _own_chain(columns: tuple[int, ...], n: int) -> list:
+    """A matrix's own column order, depth by depth: the ordered partition of
+    the rows that its first d columns make, and the key (1s per cell) that
+    column d reads on it."""
+    own = []
+    cells = ((1 << n) - 1,)
+    for col in columns:
+        own.append((cells, tuple([(cell & col).bit_count() for cell in cells])))
+        cells = _split(cells, col)
+    return own
+
+
+def _reads_below_own(own: list, col: int) -> bool:
+    """Whether a new column reads below a matrix's own order, as
+    :func:`_own_chain` gives it, at some depth.  The greedy of
+    :func:`_is_canonical` then aborts on the matrix with that column added
+    (see :func:`_orderly_levels`)."""
+    for cells, key in own:
+        if tuple([(cell & col).bit_count() for cell in cells]) < key:
+            return True
+    return False
+
+
+def _children(rows: tuple[int, ...]):
+    """The new last columns of the children of an n x k matrix given by its
+    ascending rows, as in :func:`_orderly_levels`: every column of weight
+    >= 2 that keeps the rows ascending and the first row nonzero, as a bit
+    mask over the rows.
 
     Within each block of equal rows the new bits run 0s then 1s, which keeps
-    the rows ascending and makes each child exactly once.
+    the rows ascending and makes each child exactly once.  When the first
+    block is zero rows, it takes only its all-ones choice: any other choice
+    leaves the first row zero, and :func:`_orderly_levels` takes those
+    children from the level with one row fewer.
     """
-    choices = []  # per block of equal rows: (mask of its new 1s, their count)
+    choices = []  # per block of equal rows: the masks of its new 1s
     start = 0
     for end in range(1, len(rows) + 1):
         if end < len(rows) and rows[end] == rows[start]:
             continue
-        size, start = end - start, end
-        choices.append([(((1 << t) - 1) << (end - t), t) for t in range(size + 1)])
+        least = end - start if start == 0 and rows[0] == 0 else 0
+        choices.append([((1 << t) - 1) << (end - t) for t in range(least, end - start + 1)])
+        start = end
     for parts in product(*choices):
-        if sum(ones for _, ones in parts) >= 2:
-            col = sum(mask for mask, _ in parts)
-            yield (
-                tuple(2 * r + (col >> i & 1) for i, r in enumerate(rows)),
-                columns + (col,),
-            )
+        col = sum(parts)
+        if col.bit_count() >= 2:
+            yield col
 
 
-def _orderly_levels(n: int):
-    """Yield, for k = 1, 2, ..., every canonical n x k matrix whose columns
-    all have weight >= 2 (rows may be zero), as ``(rows, columns)`` pairs:
-    ascending row ints (first column the most significant bit) and column
-    bit masks over those rows.
+def _orderly_levels(n: int, below: list):
+    """Yield, for k = 1, ..., len(below), every canonical n x k matrix whose
+    columns all have weight >= 2 (rows may be zero), as ``(rows, columns)``
+    pairs: ascending row ints (first column the most significant bit) and
+    column bit masks over those rows.  ``below[k-1]`` is the same level for
+    n - 1 rows; each is dropped from ``below`` as soon as it is taken.
 
     Orderly generation (Read 1978; McKay 1998): grow each canonical prefix
     by one column and keep the canonical children.  It is exact because the
@@ -286,15 +311,46 @@ def _orderly_levels(n: int):
     every depth is its own prefix, that is ``canonical_form(P) == P``.
     Every canonical M thus arises as a child of a canonical P, and only
     once; weight >= 2 is final once a column is added.
+
+    Two shortcuts keep exactly the same matrices.
+
+    Zero rows.  A zero row reads 0 in every column, so it stays in the first
+    cell of every partition and adds no 1 to any count.  The greedy on
+    ``[0; P]`` thus runs in step with the greedy on P: each key is P's key,
+    with a leading 0 where the zero row sits alone in the first cell, and
+    since every kept prefix has the same cell sizes, that holds for all the
+    keys of a depth or for none.  So ``[0; P]`` is canonical exactly when P
+    is; its rows ascend and its columns keep their weights.  The entries
+    with a zero first row are therefore the n - 1 row level with a zero row
+    on top: rows ``(0,) + r``, columns ``c << 1`` (row i moves to bit
+    i + 1).  :func:`_children` makes only the others.
+
+    Own column order first.  While the greedy on a child has not aborted,
+    its frontier at each depth d below the parent's column count holds the
+    child's own prefix of d columns, whose cells are the partition the
+    parent's first d columns make, and the new column c is unused there.
+    So if c's key on that partition reads below the key of column d, the
+    greedy aborts on the child: this test is the greedy's abort restricted
+    to the own prefix, and it rejects no child that :func:`_is_canonical`
+    keeps.  The parent's
+    partitions and keys (:func:`_own_chain`) are built once, and only the
+    children that pass run the full greedy.
     """
     level = [((0,) * n, ())]
-    while True:
-        level = [
-            child
-            for parent in level
-            for child in _children(*parent)
-            if _is_canonical(child[1], n)
-        ]
+    for k in range(len(below)):
+        lifted, below[k] = below[k], None
+        grown = [((0,) + rows, tuple([c << 1 for c in cols])) for rows, cols in lifted]
+        del lifted
+        for rows, columns in level:
+            own = _own_chain(columns, n)
+            for col in _children(rows):
+                if _reads_below_own(own, col):
+                    continue
+                child = columns + (col,)
+                if _is_canonical(child, n):
+                    child_rows = tuple([2 * r + (col >> i & 1) for i, r in enumerate(rows)])
+                    grown.append((child_rows, child))
+        level = grown
         yield level
 
 
@@ -336,16 +392,19 @@ def search_witness_g2(bounds: SearchBounds) -> G2SearchResult:
     searched: list[tuple[int, int]] = []
     skipped: list[tuple[int, int]] = []
 
+    levels: list = [[]] * bounds.max_days  # one row fits no column of weight >= 2
     for n in range(2, bounds.max_players + 1):
-        levels = _orderly_levels(n)
-        for m in range(1, bounds.max_days + 1):
-            pool = math.comb((1 << m) - 1 + n - 1, n)
-            if pool > bounds.per_size_cap:
-                # the pool grows with m, so every larger m is over the cap too
-                skipped.extend((n, k) for k in range(m, bounds.max_days + 1))
-                break
+        # the pool grows with m, so the sizes within the cap are m = 1..days;
+        # it grows with n too, so the n - 1 row levels cover them
+        days = sum(
+            math.comb((1 << m) - 1 + n - 1, n) <= bounds.per_size_cap
+            for m in range(1, bounds.max_days + 1)
+        )
+        below, levels = levels[:days], []
+        for m, level in enumerate(_orderly_levels(n, below), 1):
+            levels.append(level)
             searched.append((n, m))
-            for matrix in _candidates_dedup(next(levels), m):
+            for matrix in _candidates_dedup(level, m):
                 examined += 1
                 p = _problem_from_matrix(matrix)
                 report = verify_no_fair_ef(p, bounds.per_instance_budget)
@@ -361,6 +420,7 @@ def search_witness_g2(bounds: SearchBounds) -> G2SearchResult:
                         sizes_searched=tuple(searched),
                         sizes_skipped=tuple(skipped),
                     )
+        skipped.extend((n, m) for m in range(days + 1, bounds.max_days + 1))
 
     complete = not skipped and inconclusive == 0
     return G2SearchResult(
@@ -376,9 +436,8 @@ def search_witness_g2(bounds: SearchBounds) -> G2SearchResult:
 def _candidates_dedup(level, m: int):
     """The n x m matrices of an orderly level with no zero row, in ascending
     order; rows ascend, so the first row is the least."""
-    for rows, _ in sorted(level):
-        if rows[0]:
-            yield _bits_to_matrix(rows, m)
+    for rows in sorted(rows for rows, _ in level if rows[0]):
+        yield _bits_to_matrix(rows, m)
 
 
 def _candidates_raw(n: int, m: int):

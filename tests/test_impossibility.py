@@ -12,10 +12,13 @@ from fairplay.impossibility import (
     SearchBounds,
     _candidates_dedup,
     _candidates_raw,
+    _children,
     _column_masks,
     _is_canonical,
     _orderly_levels,
+    _own_chain,
     _problem_from_matrix,
+    _reads_below_own,
     build_table2,
     build_witness,
     canonical_form,
@@ -287,19 +290,96 @@ def test_g2_search_dedup_skips_oversized_pools():
     assert list(result.sizes_skipped) == over_cap
 
 
-def _dedup_candidates(max_players, max_days):
+def _levels(max_players, max_days):
+    """``(n, k, level)`` for n = 2..max_players and k = 1..max_days, each n
+    taking its zero-row entries from the n - 1 row levels, as the search
+    does."""
+    levels = [[]] * max_days
     for n in range(2, max_players + 1):
-        levels = _orderly_levels(n)
-        for m in range(1, max_days + 1):
-            yield n, m, list(_candidates_dedup(next(levels), m))
+        below, levels = levels, []
+        for k, level in enumerate(_orderly_levels(n, below), 1):
+            levels.append(level)
+            yield n, k, level
+
+
+def _dedup_candidates(max_players, max_days):
+    for n, m, level in _levels(max_players, max_days):
+        yield n, m, list(_candidates_dedup(level, m))
+
+
+def _reference_levels(n, max_days):
+    """Plain orderly generation with no shortcut: every child with ascending
+    rows and a new column of weight >= 2, kept if it is canonical."""
+    level = {((0,) * n, ())}
+    for _ in range(max_days):
+        level = {
+            (child, columns + (col,))
+            for rows, columns in level
+            for col in range(1 << n)
+            for child in [tuple(2 * r + (col >> i & 1) for i, r in enumerate(rows))]
+            if col.bit_count() >= 2 and list(child) == sorted(child)
+            and _is_canonical(columns + (col,), n)
+        }
+        yield level
+
+
+def test_orderly_levels_match_plain_orderly_generation():
+    """The zero-row lift and the own-order test change no level, up to
+    (7,4); no entry is made twice."""
+    reference = None
+    for n, k, level in _levels(7, 4):
+        if k == 1:
+            reference = _reference_levels(n, 4)
+        assert len(set(level)) == len(level), (n, k)
+        assert set(level) == next(reference), (n, k)
+
+
+def test_own_order_test_rejects_only_non_canonical_children():
+    """A part of the greedy's abort: every child up to (6,4) that reads
+    below its parent's own column order fails the full test."""
+    rejected = 0
+    for n, k, level in _levels(6, 3):
+        for rows, columns in level:
+            own = _own_chain(columns, n)
+            for col in _children(rows):
+                if _reads_below_own(own, col):
+                    rejected += 1
+                    assert not _is_canonical(columns + (col,), n), (rows, col)
+    assert rejected > 1000
 
 
 def test_dedup_candidates_are_the_canonical_forms_of_raw_candidates():
     """Two routes to the size classes: orderly generation, and
-    canonical_form over every irreducible matrix of the size."""
+    canonical_form over every irreducible matrix of the size; past 4 x 4,
+    over every multiset of nonzero rows with columns of weight >= 2."""
     for n, m, candidates in _dedup_candidates(4, 4):
         raw = {canonical_form(matrix) for matrix in _candidates_raw(n, m)}
         assert set(candidates) == raw, (n, m)
+    sizes = {(n, m): c for bounds in ((6, 4), (4, 5)) for n, m, c in _dedup_candidates(*bounds)}
+    for n, m in ((5, 4), (6, 4), (4, 5)):
+        rows = [row for row in product((0, 1), repeat=m) if any(row)]
+        raw = {
+            canonical_form(matrix)
+            for matrix in combinations_with_replacement(rows, n)
+            if all(sum(col) >= 2 for col in zip(*matrix))
+        }
+        assert set(sizes[n, m]) == raw, (n, m)
+
+
+def test_dedup_candidate_counts_up_to_7_4():
+    """The classes per size that ``SearchBounds(7, 4)`` searches: 6,834."""
+    counts = [[0] * 4 for _ in range(6)]
+    for n, m, candidates in _dedup_candidates(7, 4):
+        counts[n - 2][m - 1] = len(candidates)
+    assert counts == [
+        [1, 1, 1, 1],
+        [1, 3, 6, 10],
+        [1, 6, 23, 72],
+        [1, 9, 61, 353],
+        [1, 13, 138, 1372],
+        [1, 17, 271, 4471],
+    ]
+    assert sum(map(sum, counts)) == 6_834
 
 
 def test_dedup_candidates_ascend_within_a_size():
