@@ -44,6 +44,26 @@ the first envy-free leaf), and a skipped subtree, or any prefix of it,
 holds only values of a subtree scanned in full earlier, so it holds no
 such leaf.  Leaf counts, first-EF and first-best choices and indices, and
 ``min_envy`` are those of the plain walk; only the time differs.
+
+Bound rule.  The fairness scan also hands the walk a predicate that skips
+every node below which no leaf can beat the best profile so far (branch
+and bound, Land & Doig 1960).  At a depth-d node with games vector h, let
+r_i be the number of days d..m-1 whose subsets hold player i and Q the
+players those days seat.  Player i's candidate units are its games
+h_i + 1, ..., h_i + r_i, and unit s adds 1 to G_s, the number of players
+with at least s games.  A leaf below the node adds Q of these units to the
+node's profile, so no leaf beats U, the node's profile plus the Q units of
+lowest number: taking them maximizes G_1, then G_2, and so on.  At depth
+m-1, U is the node's best leaf whenever that day's list is the complete
+family of same-size subsets.  Computing U takes O(n + m).  The walk skips a
+node when U is at most the best profile so far; a tie may be skipped, since
+the fold changes only on a strictly better leaf.  A skip counts
+``min(subtree, budget - scanned)`` leaves and ends the walk when the
+budget cuts it, as a memo skip does, so leaf counts and the first best
+choice and index stay those of the plain walk.  For the memo, a subtree
+whose parts the bound skipped still counts as scanned in full: those parts
+hold no leaf better than the best before them.  The bound only counts
+players and units, so the scan shares no code with the solver's flow.
 """
 
 from __future__ import annotations
@@ -73,7 +93,7 @@ def orbit_key(games, offsets):
     return tuple(sorted(map(add, games, offsets)))
 
 
-def _walk(combos, n, budget, avail, fold):
+def _walk(combos, n, budget, avail, fold, bound=None):
     """Walk the odometer over ``combos`` and hand each last-day node to
     ``fold``; returns ``(scanned, stopped)``.
 
@@ -81,6 +101,8 @@ def _walk(combos, n, budget, avail, fold):
     it stopped at, or when the budget ran out with a leaf left unscanned.
     ``avail`` splits the memo's classes of interchangeable players
     by availability count, or is None where the statistic ignores it.
+    ``bound(games, day)``, when given, is True for a node whose subtree
+    cannot change the fold, which the walk then skips.
     """
     m = len(combos)
     if m == 0 or not all(combos):
@@ -101,15 +123,23 @@ def _walk(combos, n, budget, avail, fold):
     choice = [0] * m
     scanned = 0
 
+    def skip(day):
+        """Count a skipped subtree's leaves, up to the budget; True when the
+        budget cuts it."""
+        nonlocal scanned
+        covered = min(below[day], budget - scanned)
+        scanned += covered
+        return covered < below[day]
+
     def node(day):
         nonlocal scanned
+        if bound is not None and bound(games, day):
+            return skip(day)
         memo = seen.get(day)
         if memo is not None:
             key = orbit_key(games, memo[0])
             if key in memo[1]:
-                covered = min(below[day], budget - scanned)
-                scanned += covered
-                return covered < below[day]
+                return skip(day)
         if day == last:
             limit = min(width, budget - scanned)
             stop = fold(games, choice, scanned, limit)
@@ -215,7 +245,38 @@ def scan_fair(combos, n, budget):
                 cnt[games[i]] += 1
         return -1
 
-    scanned, stopped = _walk(combos, n, budget, None, fold)
+    # reach[d][i]: days d..m-1 whose subsets hold player i; left[d]: the
+    # players those days seat
+    reach = [[0] * n]
+    left = [0]
+    for subsets in reversed(combos):
+        on_day = set().union(*subsets)
+        reach.append([r + (i in on_day) for i, r in enumerate(reach[-1])])
+        left.append(left[-1] + (len(subsets[0]) if subsets else 0))
+    reach.reverse()
+    left.reverse()
+
+    def bound(games, day):
+        # U of the bound rule, compared with best one entry at a time; the
+        # units t + 1 raise players from t games, so they add to best[t]
+        at = [0] * (m + 1)  # at[t]: players with t games
+        top = [0] * (m + 1)  # top[t]: players who can reach t games at most
+        for g, r in zip(games, reach[day]):
+            at[g] += 1
+            top[g + r] += 1
+        units = left[day]
+        low = capped = 0
+        for t in range(m):
+            low += at[t]  # players with t games or fewer
+            capped += top[t]  # those of them that cannot reach t + 1
+            take = min(low - capped, units)  # the units t + 1 taken
+            units -= take
+            u = n - low + take
+            if u != best[t]:
+                return u < best[t]
+        return True
+
+    scanned, stopped = _walk(combos, n, budget, None, fold, bound)
     best_g = tuple(best) if best_choice is not None else None
     return scanned, not stopped, best_g, best_choice, best_index
 

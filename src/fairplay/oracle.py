@@ -1,11 +1,15 @@
 """Brute-force ground truth on desk-scale instances.
 
-Everything here works by exhausting the full-game assignments of an
+Everything here answers over all the full-game assignments of an
 irreducible problem: each day independently contributes a choice of
 ``group_size * floor(available / group_size)`` players, and the assignments
 are the cartesian product of those per-day choices, enumerated in odometer
 order (later days spin fastest, each day's subsets in lexicographic order by
-player index).
+player index).  The scans of ``_scan`` cover every assignment, but fold
+only some: they count without walking the subtrees symmetric to one
+already scanned, and the fairness scan also those that a counting bound
+shows cannot beat its best leaf.  That bound shares no code with the
+solver's flow, so the oracle stays a second route to its answers.
 """
 
 from __future__ import annotations
@@ -155,7 +159,13 @@ def brute_force_fair(
     p: Problem, budget: EnumerationBudget | None = None
 ) -> tuple[GVector, Assignment]:
     """Exhaustively determine the lexicographically maximal fairness profile
-    over all full-game assignments, plus the first assignment attaining it."""
+    over all full-game assignments, plus the first assignment attaining it.
+
+    The budget caps the assignments covered, skipped ones included, and
+    ``BudgetExceededError`` is raised when it runs out first.  The scan's
+    bound skips every subtree that cannot beat the best leaf so far, so a
+    budget of every assignment can finish on club sheets with about 10^19
+    of them."""
     _require_irreducible(p, "brute_force_fair")
     budget = budget or EnumerationBudget()
     if p.is_empty:

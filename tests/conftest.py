@@ -1,12 +1,14 @@
-"""Shared test helpers: seeded random instances and a tiny independent
+"""Shared test helpers: seeded random instances, a tiny independent
 enumerator over ALL feasible assignments (not just full-game ones), used to
-cross-check the package's efficient-only scans."""
+cross-check the package's efficient-only scans, and a tally of the leaves
+those scans fold."""
 
 import random
 from itertools import combinations, product
 
 import pytest
 
+from fairplay import _scan
 from fairplay.model import Assignment, Problem, validate_problem
 
 
@@ -52,6 +54,23 @@ def all_feasible_assignments(p: Problem, full_games_only=False):
             for i in combo:
                 matrix[i][k] = 1
         yield Assignment(tuple(tuple(row) for row in matrix))
+
+
+def count_folded(monkeypatch):
+    """Patch the walk so that the leaves it hands to folds are tallied in the
+    returned list, one entry per last-day node."""
+    folded = []
+    walk = _scan._walk
+
+    def counting_walk(combos, n, budget, avail, fold, bound=None):
+        def counted(games, choice, index, limit):
+            folded.append(limit)
+            return fold(games, choice, index, limit)
+
+        return walk(combos, n, budget, avail, counted, bound)
+
+    monkeypatch.setattr(_scan, "_walk", counting_walk)
+    return folded
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from conftest import all_feasible_assignments, make_problem, random_problem
+from conftest import all_feasible_assignments, count_folded, make_problem, random_problem
 from fairplay import _scan, fixtures
 from fairplay._scan import scan_fair, scan_verify
 from fairplay.impossibility import build_witness, verify_no_fair_ef
@@ -92,23 +92,6 @@ def _drawn(rng, first, draw):
     return out
 
 
-def _count_folded(monkeypatch):
-    """Patch the walk so that the leaves it hands to folds are tallied in the
-    returned list, one entry per last-day node."""
-    folded = []
-    walk = _scan._walk
-
-    def counting_walk(combos, n, budget, avail, fold):
-        def counted(games, choice, index, limit):
-            folded.append(limit)
-            return fold(games, choice, index, limit)
-
-        return walk(combos, n, budget, avail, counted)
-
-    monkeypatch.setattr(_scan, "_walk", counting_walk)
-    return folded
-
-
 class Reference:
     """One instance with its efficient assignments in odometer order, each
     scored by the model's own g-vector and envy audit."""
@@ -165,20 +148,31 @@ def test_scan_verify_minimum_envy(references):
         )
 
 
-@pytest.mark.parametrize("budget", [1, 7, 35, 36, 1000])
+@pytest.mark.parametrize("budget", [1, 7, 35, 36, 1000, "1/3", "2/3"])
 def test_budget_truncation(references, budget):
-    ref = references[1]
-    assert ref.p == fixtures.table2()
-    n, avail = ref.p.n, ref.avail
-    combos = _efficient_lists(ref.p, budget + 1)[0]
-    seen = ref.profiles[:budget]
+    """table2 under fixed budgets, and every instance under a third and two
+    thirds of its leaves, where the budget may cut a subtree that the
+    fairness scan's bound skips: the scans return the plain walk's prefix."""
+    if isinstance(budget, int):
+        assert references[1].p == fixtures.table2()
+        cases = [(references[1], budget)]
+    else:
+        thirds = int(budget[0])
+        cases = [(ref, max(1, len(ref.leaves) * thirds // 3)) for ref in references]
+    for ref, cap in cases:
+        n, avail = ref.p.n, ref.avail
+        combos = _efficient_lists(ref.p, cap + 1)[0]
+        seen = ref.profiles[:cap]
+        cut = cap < len(ref.leaves)
 
-    scanned, complete, best_g, _, index = scan_fair(combos, n, budget)
-    assert (scanned, complete, best_g) == (budget, False, max(seen))
-    assert index == seen.index(max(seen))
-    assert scan_verify(combos, n, avail, budget) == (
-        budget, False, False, None, min(ref.envy[:budget])
-    )
+        scanned, complete, best_g, choice, index = scan_fair(combos, n, cap)
+        assert (scanned, complete, best_g) == (len(seen), not cut, max(seen))
+        assert index == seen.index(max(seen))
+        assert _assignment_from_choice(ref.p, combos, choice) == ref.leaves[index]
+        if ref.first_ef is None or ref.first_ef >= cap:
+            assert scan_verify(combos, n, avail, cap) == (
+                len(seen), not cut, False, None, min(ref.envy[:cap])
+            )
 
 
 @pytest.mark.parametrize("budget, complete", [(42_875, True), (42_874, False)])
@@ -190,7 +184,7 @@ def test_memo_under_a_budget(references, monkeypatch, budget, complete):
     assert ref.p == fixtures.table2()
     n, avail = ref.p.n, ref.avail
     combos = _efficient_lists(ref.p, budget + 1)[0]
-    folded = _count_folded(monkeypatch)
+    folded = count_folded(monkeypatch)
     seen = ref.profiles[:budget]
 
     scanned, complete_fair, best_g, choice, index = scan_fair(combos, n, budget)

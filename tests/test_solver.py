@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from conftest import all_feasible_assignments, make_problem, random_problem
+from conftest import all_feasible_assignments, count_folded, make_problem, random_problem
 from fairplay import _flow, fixtures
 from fairplay.model import (
     Assignment,
@@ -238,6 +238,23 @@ _PINNED_LEX = [
 def test_lex_tie_break_is_pinned_on_club_sized_instances(seed, n, m, digest):
     x = solve_fair(_club(seed, n, m), TieBreakPolicy.lex()).assignment
     assert _digest(x) == digest
+
+
+@pytest.mark.parametrize(
+    "seed,n,m",
+    [pin[:3] for pin in _PINNED_LEX[:4]],
+    ids=[f"{n}x{m}" for _, n, m, _ in _PINNED_LEX[:4]],
+)
+def test_brute_force_reaches_club_sized_instances(monkeypatch, seed, n, m):
+    """A second route to the pinned sheets' profile: with a budget of every
+    leaf (up to 1.8e19 on 60x7), the oracle's bounded scan folds fewer than
+    10^6 of them and returns the flow solver's profile."""
+    red, _ = reduce_problem(_club(seed, n, m))
+    folded = count_folded(monkeypatch)
+    oracle_g, x = brute_force_fair(red, EnumerationBudget(count_efficient(red)))
+    assert oracle_g.counts == solve_fair(red).g_vector.counts
+    assert g_vector(x) == oracle_g and is_efficient(x, red)
+    assert sum(folded) < 10**6
 
 
 def test_random_tie_break_is_deterministic_per_seed():
