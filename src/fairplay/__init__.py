@@ -35,12 +35,10 @@ from fairplay.model import (
 from fairplay.oracle import (
     BudgetExceededError,
     EnumerationBudget,
-    MisreportFinding,
     brute_force_fair,
     count_efficient,
     enumerate_efficient,
     exists_efficient_strongly_ef,
-    misreport_scan,
 )
 from fairplay.impossibility import (
     G2SearchResult,
@@ -54,9 +52,7 @@ from fairplay.impossibility import (
 )
 from fairplay.solver import (
     SolveReport,
-    StageInfo,
     TieBreakPolicy,
-    solve_efficient,
     solve_fair,
 )
 
@@ -72,12 +68,10 @@ __all__ = [
     "G2SearchResult",
     "GVector",
     "InfeasibleAssignmentError",
-    "MisreportFinding",
     "Problem",
     "ReductionLog",
     "SearchBounds",
     "SolveReport",
-    "StageInfo",
     "TieBreakPolicy",
     "ValidationError",
     "WitnessReport",
@@ -97,10 +91,8 @@ __all__ = [
     "is_feasible",
     "is_irreducible",
     "max_total_games",
-    "misreport_scan",
     "reduce_problem",
     "search_witness_g2",
-    "solve_efficient",
     "solve_fair",
     "validate_problem",
     "verify_no_fair_ef",

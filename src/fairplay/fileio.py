@@ -1,9 +1,9 @@
 """CSV formats for availability and assignment matrices.
 
 Layout: header ``player,<day1>,...,<dayM>``, one row per player with 0/1
-cells.  UTF-8; LF or CRLF accepted on input; output is always LF with no
-trailing separators and no BOM.  Derived totals are never stored, only
-recomputed, so inconsistent totals cannot enter data files.
+cells.  UTF-8; a leading BOM and LF or CRLF accepted on input; output is
+always LF with no trailing separators and no BOM.  Derived totals are never
+stored, only recomputed, so inconsistent totals cannot enter data files.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ def parse_problem(text: str, group_size: int) -> Problem:
 
 
 def parse_problem_file(path: str | Path, group_size: int) -> Problem:
-    return parse_problem(Path(path).read_text(encoding="utf-8"), group_size)
+    return parse_problem(Path(path).read_text(encoding="utf-8-sig"), group_size)
 
 
 def parse_assignment(text: str, p: Problem) -> Assignment:
@@ -86,7 +86,7 @@ def parse_assignment(text: str, p: Problem) -> Assignment:
 
 
 def parse_assignment_file(path: str | Path, p: Problem) -> Assignment:
-    return parse_assignment(Path(path).read_text(encoding="utf-8"), p)
+    return parse_assignment(Path(path).read_text(encoding="utf-8-sig"), p)
 
 
 def _serialize(players, days, matrix) -> str:

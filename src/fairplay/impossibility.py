@@ -358,13 +358,6 @@ def _bits_to_matrix(rows: tuple[int, ...], m: int) -> tuple[tuple[int, ...], ...
     return tuple(tuple(r >> (m - 1 - k) & 1 for k in range(m)) for r in rows)
 
 
-def _int_to_matrix(value: int, n: int, m: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(
-        tuple(value >> (n * m - 1 - (i * m + k)) & 1 for k in range(m))
-        for i in range(n)
-    )
-
-
 def _problem_from_matrix(matrix) -> Problem:
     n, m = len(matrix), len(matrix[0])
     return Problem(
@@ -438,13 +431,3 @@ def _candidates_dedup(level, m: int):
     order; rows ascend, so the first row is the least."""
     for rows in sorted(rows for rows, _ in level if rows[0]):
         yield _bits_to_matrix(rows, m)
-
-
-def _candidates_raw(n: int, m: int):
-    """Every irreducible g = 2 matrix of n players and m days, in ascending
-    order of its row-major reading: the reference the search's canonical
-    candidates are tested against."""
-    for value in range(1 << (n * m)):
-        matrix = _int_to_matrix(value, n, m)
-        if is_irreducible(_problem_from_matrix(matrix)):
-            yield matrix

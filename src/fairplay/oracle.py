@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from itertools import combinations, islice, product
 from typing import Iterator, Optional
 
-from fairplay import solver as _solver
 from fairplay._scan import scan_fair, scan_verify
 from fairplay.model import (
     Assignment,
@@ -56,27 +55,9 @@ class EnumerationBudget:
             raise ValueError(f"unknown on_exceed policy {self.on_exceed!r}")
 
 
-@dataclass(frozen=True)
-class MisreportFinding:
-    """Outcome of one hypothetical under-report of a player's availability."""
-
-    player: str
-    true_row: tuple[int, ...]
-    reported_row: tuple[int, ...]
-    games_truthful: int
-    games_misreport: int
-    gain: int
-
-
 def _require_irreducible(p: Problem, op: str) -> None:
     if not is_irreducible(p):
         raise ValueError(f"{op} requires an irreducible problem; reduce it first")
-
-
-def day_selections(p: Problem) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Per-day available player indices and per-day selection sizes."""
-    day_players = [tuple(i for i in range(p.n) if p.avail[i][k]) for k in range(p.m)]
-    return day_players, day_quotas(p)
 
 
 def count_efficient(p: Problem) -> int:
@@ -93,7 +74,8 @@ def _efficient_lists(
     as a scan of ``max_leaves`` leaves can ever touch, and count the
     full-game assignments (0 for an empty problem) from the same per-day
     sizes."""
-    day_players, quotas = day_selections(p)
+    day_players = [tuple(i for i in range(p.n) if p.avail[i][k]) for k in range(p.m)]
+    quotas = day_quotas(p)
     sizes = [math.comb(len(pl), take) for pl, take in zip(day_players, quotas)]
     total = math.prod(sizes)
     leaves = min(total, max_leaves)
@@ -203,45 +185,3 @@ def exists_efficient_strongly_ef(
             f"assignments with no envy-free assignment found; absence not certified"
         )
     return None
-
-
-def misreport_scan(
-    p: Problem, player: str, tie_break: "_solver.TieBreakPolicy"
-) -> list[MisreportFinding]:
-    """Re-solve the fair assignment for every strict under-report of one
-    player's availability and record what the player would gain.
-
-    Requires the deterministic tie-break: under a random policy gains would
-    be artifacts of the seed.
-    """
-    if tie_break.mode != "lex":
-        raise ValueError("misreport_scan requires the deterministic tie-break policy")
-    idx = p.player_index(player)
-    true_row = p.avail[idx]
-    avail_days = [k for k in range(p.m) if true_row[k]]
-
-    truthful = _solver.solve_fair(p, tie_break)
-    games_truthful = sum(truthful.assignment.matrix[idx])
-
-    findings = []
-    for mask in range((1 << len(avail_days)) - 1):
-        reported = list(true_row)
-        for pos, k in enumerate(avail_days):
-            reported[k] = (mask >> pos) & 1
-        rows = list(p.avail)
-        rows[idx] = tuple(reported)
-        modified = Problem(p.players, p.days, tuple(rows), p.group_size)
-        report = _solver.solve_fair(modified, tie_break)
-        games = sum(report.assignment.matrix[idx])
-        findings.append(
-            MisreportFinding(
-                player=player,
-                true_row=true_row,
-                reported_row=tuple(reported),
-                games_truthful=games_truthful,
-                games_misreport=games,
-                gain=games - games_truthful,
-            )
-        )
-    findings.sort(key=lambda f: (-f.gain, f.reported_row))
-    return findings

@@ -71,45 +71,10 @@ class TieBreakPolicy:
 
 
 @dataclass(frozen=True)
-class StageInfo:
-    """One threshold t of the optimal profile: ``optimal_count`` is G_t.
-
-    The whole profile is settled by a single flow solve, so every entry
-    carries that solve's ``augmentations``, the units of flow (the sum of the
-    day quotas), and ``relaxations``, the residual arcs examined by its
-    Dijkstra runs and by its searches for zero-reduced-cost paths.
-    """
-
-    threshold: int
-    optimal_count: int
-    augmentations: int
-    relaxations: int
-
-
-@dataclass(frozen=True)
 class SolveReport:
     assignment: Assignment
     g_vector: GVector
     total_games: int
-    stages: tuple[StageInfo, ...]
-
-
-def solve_efficient(p: Problem) -> Assignment:
-    """Deterministic full-game baseline with no fairness: each surviving day
-    takes its first available players, in player order."""
-    reduced, _ = reduce_problem(p)
-    quotas = day_quotas(reduced)
-    matrix = [[0] * reduced.m for _ in range(reduced.n)]
-    for k in range(reduced.m):
-        picked = 0
-        for i in range(reduced.n):
-            if picked == quotas[k]:
-                break
-            if reduced.avail[i][k]:
-                matrix[i][k] = 1
-                picked += 1
-    inner = Assignment(tuple(tuple(row) for row in matrix))
-    return zero_extend(inner, p, reduced)
 
 
 def solve_fair(p: Problem, tie_break: TieBreakPolicy | None = None) -> SolveReport:
@@ -120,15 +85,11 @@ def solve_fair(p: Problem, tie_break: TieBreakPolicy | None = None) -> SolveRepo
 
     if reduced.is_empty:
         empty = Assignment(tuple((0,) * p.m for _ in range(p.n)))
-        return SolveReport(empty, g_vector(empty) if p.n else GVector(()), 0, ())
+        return SolveReport(empty, g_vector(empty) if p.n else GVector(()), 0)
 
     quotas = day_quotas(reduced)
     best = _flow.solve_stage(reduced.avail, quotas)
     target = best.gvector
-    stages = tuple(
-        StageInfo(t, target[t - 1], best.augmentations, best.relaxations)
-        for t in range(1, reduced.m + 1)
-    )
 
     if tie_break.mode == "lex":
         inner = _realize_lex_min(reduced, quotas, target, best)
@@ -140,7 +101,6 @@ def solve_fair(p: Problem, tie_break: TieBreakPolicy | None = None) -> SolveRepo
         assignment=assignment,
         g_vector=g_vector(assignment),
         total_games=assignment.total_slots() // p.group_size,
-        stages=stages,
     )
 
 

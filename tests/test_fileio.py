@@ -6,8 +6,10 @@ from conftest import random_problem
 from fairplay import fixtures
 from fairplay.fileio import (
     parse_assignment,
+    parse_assignment_file,
     parse_matrix_csv,
     parse_problem,
+    parse_problem_file,
     serialize_assignment,
     serialize_problem,
 )
@@ -27,6 +29,20 @@ def test_crlf_input_is_accepted():
     players, days, rows = parse_matrix_csv(text)
     assert players == ["a", "b"]
     assert rows == [[1, 0], [1, 1]]
+
+
+def test_utf8_bom_input_parses_like_plain_input(tmp_path):
+    def with_bom(name):
+        path = tmp_path / name
+        path.write_bytes(b"\xef\xbb\xbf" + fixtures.fixture_path(name).read_bytes())
+        return path
+
+    p = parse_problem_file(with_bom("table1.csv"), 4)
+    assert p == fixtures.table1()
+    name = "table1_assignment_corrected.csv"
+    x = parse_assignment_file(with_bom(name), p)
+    assert x == fixtures.table1_assignment_corrected()
+    assert serialize_assignment(x, p) == fixtures.fixture_text(name)
 
 
 def test_quoted_names_with_commas_round_trip():

@@ -11,7 +11,6 @@ from fairplay import fixtures
 from fairplay.impossibility import (
     SearchBounds,
     _candidates_dedup,
-    _candidates_raw,
     _children,
     _column_masks,
     _is_canonical,
@@ -305,6 +304,23 @@ def _levels(max_players, max_days):
 def _dedup_candidates(max_players, max_days):
     for n, m, level in _levels(max_players, max_days):
         yield n, m, list(_candidates_dedup(level, m))
+
+
+def _int_to_matrix(value: int, n: int, m: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(
+        tuple(value >> (n * m - 1 - (i * m + k)) & 1 for k in range(m))
+        for i in range(n)
+    )
+
+
+def _candidates_raw(n: int, m: int):
+    """Every irreducible g = 2 matrix of n players and m days, in ascending
+    order of its row-major reading: the reference the search's canonical
+    candidates are tested against."""
+    for value in range(1 << (n * m)):
+        matrix = _int_to_matrix(value, n, m)
+        if is_irreducible(_problem_from_matrix(matrix)):
+            yield matrix
 
 
 def _reference_levels(n, max_days):

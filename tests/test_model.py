@@ -71,6 +71,13 @@ def test_validation_errors(players, days, matrix, g, fragment):
         validate_problem(players, days, matrix, g)
 
 
+def test_player_index_names_known_players_and_raises_on_unknown():
+    p = fixtures.table2()
+    assert p.player_index("e") == p.players.index("e")
+    with pytest.raises(KeyError, match="nobody"):
+        p.player_index("nobody")
+
+
 def test_validation_error_carries_coordinates():
     with pytest.raises(ValidationError, match=r"row 1.*column 2"):
         validate_problem(["a", "b"], ["x", "y", "z"],

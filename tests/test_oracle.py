@@ -1,5 +1,5 @@
 """Enumeration oracle: counts, stream order, budgets, the exhaustive
-fairness optimum, envy-free existence, and the misreport scanner."""
+fairness optimum and envy-free existence."""
 
 import math
 
@@ -23,9 +23,7 @@ from fairplay.oracle import (
     count_efficient,
     enumerate_efficient,
     exists_efficient_strongly_ef,
-    misreport_scan,
 )
-from fairplay.solver import TieBreakPolicy, solve_fair
 
 
 def reduced_table1():
@@ -225,65 +223,3 @@ def test_equal_availability_instance_always_has_ef_witness():
 def test_exists_ef_raises_when_budget_cannot_certify_absence():
     with pytest.raises(BudgetExceededError):
         exists_efficient_strongly_ef(fixtures.table2(), EnumerationBudget(50))
-
-
-# --------------------------------------------------------------------------- #
-# misreport_scan
-# --------------------------------------------------------------------------- #
-
-def test_misreport_scan_table2_player_e():
-    p = fixtures.table2()
-    findings = misreport_scan(p, "e", TieBreakPolicy.lex())
-    assert len(findings) == 7  # 2^3 - 1 strict under-reports
-    assert all(f.player == "e" for f in findings)
-    assert all(
-        all(r <= t for r, t in zip(f.reported_row, f.true_row)) for f in findings
-    )
-    assert all(f.gain == f.games_misreport - f.games_truthful for f in findings)
-    gains = [f.gain for f in findings]
-    assert gains == sorted(gains, reverse=True)
-
-
-def test_misreport_scan_george_stc():
-    """Frozen oracle outcome: under the deterministic solver George StC gets
-    two games truthfully and no under-report ever gains."""
-    p = reduced_table1()
-    findings = misreport_scan(p, "George StC", TieBreakPolicy.lex())
-    assert len(findings) == 15
-    assert findings[0].games_truthful == 2
-    assert findings[0].gain == 0
-    assert max(f.gain for f in findings) == 0
-
-
-def test_empty_report_yields_zero_games(rng):
-    for _ in range(10):
-        p = random_problem(rng, max_n=6, max_m=3)
-        name = p.players[0]
-        findings = misreport_scan(p, name, TieBreakPolicy.lex())
-        if not findings:  # player had no available days: no strict subsets
-            continue
-        empties = [f for f in findings if sum(f.reported_row) == 0]
-        assert len(empties) == 1
-        assert empties[0].games_misreport == 0
-
-
-def test_misreport_findings_reproduce_under_resolve(rng):
-    p = fixtures.table2()
-    for f in misreport_scan(p, "e", TieBreakPolicy.lex()):
-        rows = list(p.avail)
-        rows[p.player_index("e")] = f.reported_row
-        from fairplay.model import Problem
-
-        modified = Problem(p.players, p.days, tuple(rows), p.group_size)
-        report = solve_fair(modified, TieBreakPolicy.lex())
-        assert sum(report.assignment.matrix[p.player_index("e")]) == f.games_misreport
-
-
-def test_misreport_scan_rejects_random_policy():
-    with pytest.raises(ValueError, match="deterministic"):
-        misreport_scan(fixtures.table2(), "e", TieBreakPolicy.seeded(1))
-
-
-def test_misreport_scan_rejects_unknown_player():
-    with pytest.raises(KeyError):
-        misreport_scan(fixtures.table2(), "nobody", TieBreakPolicy.lex())

@@ -1,0 +1,57 @@
+"""Package structure: the public names, and the independence of the
+exhaustive routes from the flow solver they cross-check."""
+
+import ast
+from pathlib import Path
+
+import fairplay
+from fairplay import oracle, solver
+
+SRC = Path(fairplay.__file__).parent
+
+
+def _imported_modules(module: str) -> set[str]:
+    """Every ``fairplay`` module that ``fairplay.<module>`` imports, directly
+    or through the package modules it imports, read from the source."""
+    seen: set[str] = set()
+    todo = [module]
+    while todo:
+        tree = ast.parse((SRC / f"{todo.pop()}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                if node.level:  # relative to the package
+                    base = f"fairplay.{base}".rstrip(".")
+                names = [base] + [f"{base}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            for name in names:
+                sub = name.removeprefix("fairplay.")
+                if sub != name and (SRC / f"{sub}.py").exists() and sub not in seen:
+                    seen.add(sub)
+                    todo.append(sub)
+    return {f"fairplay.{sub}" for sub in seen}
+
+
+def test_exhaustive_routes_do_not_import_the_flow_solver():
+    """The oracle and its scan kernel are the second route to every answer
+    the solver gives, so they may not reach the solver's code."""
+    flow = {"fairplay.solver", "fairplay._flow"}
+    assert flow <= _imported_modules("cli")  # the walk sees such imports
+    for module in ("oracle", "_scan"):
+        assert not _imported_modules(module) & flow, module
+
+
+def test_public_names_resolve_and_are_listed_once():
+    assert len(set(fairplay.__all__)) == len(fairplay.__all__)
+    for name in fairplay.__all__:
+        assert hasattr(fairplay, name), name
+
+
+def test_removed_names_are_not_exported():
+    for name in ("StageInfo", "solve_efficient", "misreport_scan", "MisreportFinding"):
+        assert name not in fairplay.__all__
+        for module in (fairplay, solver, oracle):
+            assert not hasattr(module, name), (module.__name__, name)

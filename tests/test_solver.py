@@ -1,5 +1,5 @@
 """Fair solver: exactness against the brute-force oracle, tie-break
-semantics, determinism, the staged report, and the single flow solve."""
+semantics, determinism, and the single flow solve."""
 
 import hashlib
 import random
@@ -27,7 +27,6 @@ from fairplay.oracle import (
 from fairplay.solver import (
     TieBreakPolicy,
     _Optima,
-    solve_efficient,
     solve_fair,
 )
 
@@ -39,38 +38,6 @@ def test_tie_break_policy_validation():
         TieBreakPolicy("random")
     with pytest.raises(ValueError, match="mode"):
         TieBreakPolicy("coin-flip")
-
-
-# --------------------------------------------------------------------------- #
-# solve_efficient
-# --------------------------------------------------------------------------- #
-
-def test_solve_efficient_takes_first_available_players_on_table2():
-    p = fixtures.table2()
-    x = solve_efficient(p)
-    by_day = [
-        [p.players[i] for i in range(p.n) if x.matrix[i][k]] for k in range(p.m)
-    ]
-    assert by_day[0] == ["a", "b", "c", "d"]
-    assert by_day[1] == ["a", "b", "c", "d"]
-    for k in (2, 3, 4):
-        assert by_day[k] == ["e", "f", "g", "h"]
-    assert x.total_slots() == 20
-    assert is_efficient(x, p)
-
-
-def test_solve_efficient_on_hopeless_problem_is_all_zero():
-    p = make_problem([[0, 0]] * 4, g=4)
-    x = solve_efficient(p)
-    assert x.total_slots() == 0
-    assert (x.n, x.m) == (4, 2)
-
-
-def test_solve_efficient_on_reduced_table1():
-    p, _ = reduce_problem(fixtures.table1())
-    x = solve_efficient(p)
-    assert x.total_slots() == 24
-    assert is_efficient(x, p)
 
 
 # --------------------------------------------------------------------------- #
@@ -153,7 +120,6 @@ def test_solve_fair_on_empty_problem():
     report = solve_fair(p)
     assert report.total_games == 0
     assert report.assignment.total_slots() == 0
-    assert report.stages == ()
 
 
 # --------------------------------------------------------------------------- #
@@ -354,30 +320,6 @@ def test_random_draw_is_a_reservoir_over_the_oracle_enumeration():
                     kept = a
             drawn = solve_fair(p, TieBreakPolicy.seeded(seed)).assignment
             assert drawn == zero_extend(kept, p, red), (p, seed)
-
-
-# --------------------------------------------------------------------------- #
-# stages
-# --------------------------------------------------------------------------- #
-
-def test_stage_report_matches_final_profile():
-    red, _ = reduce_problem(fixtures.table1())
-    report = solve_fair(red)
-    assert [s.threshold for s in report.stages] == [1, 2, 3, 4]
-    assert tuple(s.optimal_count for s in report.stages) == report.g_vector.counts
-    assert all(s.augmentations > 0 for s in report.stages)
-
-
-def test_stage_optima_are_monotone_reachable(rng):
-    """Each stage's recorded count stays achievable when later stages are
-    solved: the final assignment realizes every stage optimum at once."""
-    for _ in range(20):
-        p = random_problem(rng, max_n=6, max_m=3)
-        report = solve_fair(p)
-        games = [sum(row) for row in report.assignment.matrix]
-        for s in report.stages:
-            achieved = sum(1 for d in games if d >= s.threshold)
-            assert achieved == s.optimal_count
 
 
 # --------------------------------------------------------------------------- #
