@@ -34,7 +34,6 @@ from fairplay.model import (
 )
 from fairplay.oracle import (
     BudgetExceededError,
-    EnumerationBudget,
     brute_force_fair,
     count_efficient,
     enumerate_efficient,
@@ -61,7 +60,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Assignment",
     "BudgetExceededError",
-    "EnumerationBudget",
     "EnvyPair",
     "EnvyReport",
     "FairnessOrder",

@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+from itertools import islice
 
 from fairplay import __version__
 from fairplay.fileio import (
@@ -21,6 +22,7 @@ from fairplay.fileio import (
     serialize_problem,
 )
 from fairplay.impossibility import (
+    DEFAULT_PER_SIZE_CAP,
     SearchBounds,
     build_witness,
     search_witness_g2,
@@ -39,7 +41,12 @@ from fairplay.model import (
     reduce_problem,
     zero_extend,
 )
-from fairplay.oracle import EnumerationBudget, count_efficient, enumerate_efficient
+from fairplay.oracle import (
+    DEFAULT_MAX_ASSIGNMENTS,
+    BudgetExceededError,
+    count_efficient,
+    enumerate_efficient,
+)
 from fairplay.solver import TieBreakPolicy, solve_fair
 
 EXIT_OK = 0
@@ -178,7 +185,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    budget = EnumerationBudget(args.budget) if args.budget else EnumerationBudget()
+    budget = args.budget or DEFAULT_MAX_ASSIGNMENTS
     if args.group_size >= 3:
         p = build_witness(args.group_size)
         report = verify_no_fair_ef(p, budget)
@@ -231,9 +238,9 @@ def cmd_verify(args) -> int:
 def cmd_enumerate(args) -> int:
     p = parse_problem_file(args.input, args.group_size)
     reduced, _ = reduce_problem(p)
-    budget_cap = args.budget or EnumerationBudget().max_assignments
-    count = count_efficient(reduced)
+    budget_cap = args.budget or DEFAULT_MAX_ASSIGNMENTS
     if args.format == "count":
+        count = count_efficient(reduced)
         if count > budget_cap:
             print(
                 f"efficient assignment count {count} exceeds the enumeration "
@@ -244,16 +251,13 @@ def cmd_enumerate(args) -> int:
         print(count)
         return EXIT_OK
 
-    emitted = 0
-    stream = enumerate_efficient(reduced, EnumerationBudget(budget_cap, "truncate"))
-    for inner in stream:
-        if emitted == args.limit:
-            break
-        if emitted:
-            sys.stdout.write("\n")
-        sys.stdout.write(serialize_assignment(zero_extend(inner, p, reduced), p))
-        emitted += 1
-    if emitted < min(count, args.limit):
+    stream = islice(enumerate_efficient(reduced, budget_cap), args.limit)
+    try:
+        for emitted, inner in enumerate(stream):
+            if emitted:
+                sys.stdout.write("\n")
+            sys.stdout.write(serialize_assignment(zero_extend(inner, p, reduced), p))
+    except BudgetExceededError:
         print("stream truncated by enumeration budget", file=sys.stderr)
     return EXIT_OK
 
@@ -331,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--per-size-cap",
         type=_positive_int,
-        default=2_000_000,
+        default=DEFAULT_PER_SIZE_CAP,
         help="skip search sizes whose candidate pool exceeds this (coverage "
         "becomes partial and the run inconclusive)",
     )

@@ -20,7 +20,7 @@ def parse_matrix_csv(text: str) -> tuple[list[str], list[str], list[list[int]]]:
 
     Raises ValidationError naming the offending cell on any malformed input.
     """
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline=""))
     try:
         header = next(reader)
     except StopIteration:
@@ -67,7 +67,7 @@ def parse_problem(text: str, group_size: int) -> Problem:
 
 
 def parse_problem_file(path: str | Path, group_size: int) -> Problem:
-    return parse_problem(Path(path).read_text(encoding="utf-8-sig"), group_size)
+    return parse_problem(Path(path).read_text(encoding="utf-8"), group_size)
 
 
 def parse_assignment(text: str, p: Problem) -> Assignment:
@@ -86,7 +86,7 @@ def parse_assignment(text: str, p: Problem) -> Assignment:
 
 
 def parse_assignment_file(path: str | Path, p: Problem) -> Assignment:
-    return parse_assignment(Path(path).read_text(encoding="utf-8-sig"), p)
+    return parse_assignment(Path(path).read_text(encoding="utf-8"), p)
 
 
 def _serialize(players, days, matrix) -> str:

@@ -23,19 +23,22 @@ cap; the pool is only this gate, not what the search generates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
 from fairplay._scan import scan_verify
-from fairplay.model import Assignment, Problem, is_irreducible
+from fairplay.model import Assignment, Problem
 from fairplay.oracle import (
-    EnumerationBudget,
+    DEFAULT_MAX_ASSIGNMENTS,
     _assignment_from_choice,
     _efficient_lists,
+    _require_budget,
+    _require_irreducible,
 )
 
 _WITNESS_DAYS = ("Mon", "Tues", "Wed", "Thur", "Frid")
+DEFAULT_PER_SIZE_CAP = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -71,12 +74,13 @@ class SearchBounds:
 
     max_players: int
     max_days: int
-    per_instance_budget: EnumerationBudget = field(default_factory=EnumerationBudget)
-    per_size_cap: int = 2_000_000
+    per_instance_budget: int = DEFAULT_MAX_ASSIGNMENTS
+    per_size_cap: int = DEFAULT_PER_SIZE_CAP
 
     def __post_init__(self):
         if self.max_players < 1 or self.max_days < 1:
             raise ValueError("bounds must be >= 1")
+        _require_budget(self.per_instance_budget)
         if self.per_size_cap < 1:
             raise ValueError("per_size_cap must be >= 1")
 
@@ -127,17 +131,19 @@ def build_witness(g: int) -> Problem:
     return Problem(names, _WITNESS_DAYS, tuple(rows), g)
 
 
-def verify_no_fair_ef(p: Problem, budget: EnumerationBudget | None = None) -> WitnessReport:
+def verify_no_fair_ef(
+    p: Problem, max_assignments: int = DEFAULT_MAX_ASSIGNMENTS
+) -> WitnessReport:
     """Scan every full-game assignment of an irreducible problem for strong
     envy-freeness.  ``ef_found=False`` with ``conclusive=True`` certifies that
     no assignment is simultaneously full-game and strongly envy-free (and
-    therefore none is fairness-optimal and strongly envy-free either)."""
-    if not is_irreducible(p):
-        raise ValueError("verify_no_fair_ef requires an irreducible problem")
-    budget = budget or EnumerationBudget()
-    combos, total = _efficient_lists(p, budget.max_assignments + 1)
+    therefore none is fairness-optimal and strongly envy-free either).  A
+    scan cut by ``max_assignments`` is reported with ``conclusive=False``."""
+    _require_irreducible(p, "verify_no_fair_ef")
+    _require_budget(max_assignments)
+    combos, total = _efficient_lists(p, max_assignments + 1)
     scanned, conclusive, ef_found, choice, min_envy = scan_verify(
-        combos, p.n, p.availability_counts(), budget.max_assignments
+        combos, p.n, p.availability_counts(), max_assignments
     )
     witness = _assignment_from_choice(p, combos, choice) if choice is not None else None
     return WitnessReport(

@@ -10,12 +10,15 @@ only some: they count without walking the subtrees symmetric to one
 already scanned, and the fairness scan also those that a counting bound
 shows cannot beat its best leaf.  That bound shares no code with the
 solver's flow, so the oracle stays a second route to its answers.
+
+The exhaustive entry points take one integer budget, ``max_assignments``
+(the assignments covered, skipped ones included), and raise
+``BudgetExceededError`` when the answer needs more than that.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations, islice, product
 from typing import Iterator, Optional
 
@@ -35,29 +38,14 @@ class BudgetExceededError(RuntimeError):
     """The enumeration cap was hit before the answer was determined."""
 
 
-@dataclass(frozen=True)
-class EnumerationBudget:
-    """Cap on how many assignments a scan may visit.
-
-    ``on_exceed`` picks the reaction: ``"error"`` raises, ``"truncate"``
-    stops the stream and flags it.  Operations whose answer would be wrong
-    when partial (the fairness optimum, a negative envy-free search) always
-    raise, whatever the policy.
-    """
-
-    max_assignments: int = DEFAULT_MAX_ASSIGNMENTS
-    on_exceed: str = "error"
-
-    def __post_init__(self):
-        if self.max_assignments < 1:
-            raise ValueError("budget cap must be >= 1")
-        if self.on_exceed not in ("error", "truncate"):
-            raise ValueError(f"unknown on_exceed policy {self.on_exceed!r}")
-
-
 def _require_irreducible(p: Problem, op: str) -> None:
     if not is_irreducible(p):
         raise ValueError(f"{op} requires an irreducible problem; reduce it first")
+
+
+def _require_budget(max_assignments: int) -> None:
+    if max_assignments < 1:
+        raise ValueError("budget cap must be >= 1")
 
 
 def count_efficient(p: Problem) -> int:
@@ -98,90 +86,75 @@ def _assignment_from_choice(
     return Assignment(tuple(tuple(row) for row in matrix))
 
 
-class EfficientEnumeration:
-    """Iterator over all full-game assignments of an irreducible problem.
+def enumerate_efficient(
+    p: Problem, max_assignments: int = DEFAULT_MAX_ASSIGNMENTS
+) -> Iterator[Assignment]:
+    """Stream every full-game assignment exactly once, in odometer order.
 
-    After exhaustion, ``truncated`` tells whether the budget cut the stream
-    short (only possible with the ``"truncate"`` policy) and ``yielded``
-    how many assignments came out.
-    """
-
-    def __init__(self, p: Problem, budget: EnumerationBudget):
-        self.truncated = False
-        self.yielded = 0
-        self._p = p
-        self._budget = budget
-
-    def __iter__(self) -> Iterator[Assignment]:
-        self.truncated = False
-        self.yielded = 0
-        p = self._p
-        if p.is_empty:
-            return
-        cap = self._budget.max_assignments
-        combos, total = _efficient_lists(p, cap + 1)
-        for choice in islice(product(*(range(len(day)) for day in combos)), cap):
-            self.yielded += 1
-            yield _assignment_from_choice(p, combos, choice)
-        if total > cap:
-            if self._budget.on_exceed == "error":
-                raise BudgetExceededError(
-                    f"enumeration budget of {cap} exceeded ({total} assignments exist)"
-                )
-            self.truncated = True
-
-
-def enumerate_efficient(p: Problem, budget: EnumerationBudget | None = None) -> EfficientEnumeration:
-    """Stream every full-game assignment exactly once, in odometer order."""
+    The problem and the budget are checked on the call.  The stream is a
+    single-pass generator; when more than ``max_assignments`` assignments
+    exist, it yields that many and then raises ``BudgetExceededError``."""
     _require_irreducible(p, "enumerate_efficient")
-    return EfficientEnumeration(p, budget or EnumerationBudget())
+    _require_budget(max_assignments)
+    return _odometer(p, max_assignments)
+
+
+def _odometer(p: Problem, cap: int) -> Iterator[Assignment]:
+    if p.is_empty:
+        return
+    combos, total = _efficient_lists(p, cap + 1)
+    for choice in islice(product(*(range(len(day)) for day in combos)), cap):
+        yield _assignment_from_choice(p, combos, choice)
+    if total > cap:
+        raise BudgetExceededError(
+            f"enumeration budget of {cap} exceeded ({total} assignments exist)"
+        )
 
 
 def brute_force_fair(
-    p: Problem, budget: EnumerationBudget | None = None
+    p: Problem, max_assignments: int = DEFAULT_MAX_ASSIGNMENTS
 ) -> tuple[GVector, Assignment]:
     """Exhaustively determine the lexicographically maximal fairness profile
     over all full-game assignments, plus the first assignment attaining it.
 
-    The budget caps the assignments covered, skipped ones included, and
-    ``BudgetExceededError`` is raised when it runs out first.  The scan's
-    bound skips every subtree that cannot beat the best leaf so far, so a
-    budget of every assignment can finish on club sheets with about 10^19
-    of them."""
+    ``BudgetExceededError`` is raised when the budget runs out first.  The
+    scan's bound skips every subtree that cannot beat the best leaf so far,
+    so a budget of every assignment can finish on club sheets with about
+    10^19 of them."""
     _require_irreducible(p, "brute_force_fair")
-    budget = budget or EnumerationBudget()
+    _require_budget(max_assignments)
     if p.is_empty:
         return GVector(()), Assignment(tuple(() for _ in range(p.n)))
-    combos = _efficient_lists(p, budget.max_assignments + 1)[0]
+    combos = _efficient_lists(p, max_assignments + 1)[0]
     scanned, complete, best_g, best_choice, _ = scan_fair(
-        combos, p.n, budget.max_assignments
+        combos, p.n, max_assignments
     )
     if not complete:
         raise BudgetExceededError(
-            f"budget of {budget.max_assignments} exhausted after {scanned} "
+            f"budget of {max_assignments} exhausted after {scanned} "
             f"assignments; the optimum cannot be certified from a partial scan"
         )
     return GVector(best_g), _assignment_from_choice(p, combos, best_choice)
 
 
 def exists_efficient_strongly_ef(
-    p: Problem, budget: EnumerationBudget | None = None
+    p: Problem, max_assignments: int = DEFAULT_MAX_ASSIGNMENTS
 ) -> Optional[Assignment]:
     """First full-game assignment with no strong-envy violation, or None if
     the exhaustive scan proves there is none."""
     _require_irreducible(p, "exists_efficient_strongly_ef")
-    budget = budget or EnumerationBudget()
+    _require_budget(max_assignments)
     if p.is_empty:
         return Assignment(tuple(() for _ in range(p.n)))
-    combos = _efficient_lists(p, budget.max_assignments + 1)[0]
+    combos = _efficient_lists(p, max_assignments + 1)[0]
     scanned, conclusive, _, choice, _ = scan_verify(
-        combos, p.n, p.availability_counts(), budget.max_assignments
+        combos, p.n, p.availability_counts(), max_assignments
     )
     if choice is not None:
         return _assignment_from_choice(p, combos, choice)
     if not conclusive:
         raise BudgetExceededError(
-            f"budget of {budget.max_assignments} exhausted after {scanned} "
+            f"budget of {max_assignments} exhausted after {scanned} "
             f"assignments with no envy-free assignment found; absence not certified"
         )
     return None

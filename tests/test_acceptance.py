@@ -31,13 +31,12 @@ from fairplay.model import (
     validate_problem,
 )
 from fairplay.oracle import (
-    EnumerationBudget,
     brute_force_fair,
     count_efficient,
     enumerate_efficient,
     exists_efficient_strongly_ef,
 )
-from fairplay.solver import TieBreakPolicy, solve_fair
+from fairplay.solver import solve_fair
 
 T1 = str(fixture_path("table1.csv"))
 PRINTED = str(fixture_path("table1_assignment_printed.csv"))
@@ -108,7 +107,7 @@ def test_criterion_5_generalized_witnesses():
         r3 = verify_no_fair_ef(build_witness(3))
         assert r3.efficient_count == 1_000
         assert r3.conclusive and not r3.ef_found
-        r5 = verify_no_fair_ef(build_witness(5), EnumerationBudget(3_000_000))
+        r5 = verify_no_fair_ef(build_witness(5), 3_000_000)
         assert r5.efficient_count == 2_000_376
         assert r5.scanned == 2_000_376
         assert r5.conclusive and not r5.ef_found
@@ -150,7 +149,7 @@ def test_criterion_6_solver_exactness():
         assert solve_fair(table2()).g_vector.counts == (11, 9, 0, 0, 0)
         assert brute_force_fair(table2())[0].counts == (11, 9, 0, 0, 0)
         for red in _random_instances(200):
-            oracle_g, _ = brute_force_fair(red, EnumerationBudget(6_000_000))
+            oracle_g, _ = brute_force_fair(red, 6_000_000)
             report = solve_fair(red)
             assert report.g_vector.counts == oracle_g.counts, red
             _SOLVER_RUNS.append((red, report))

@@ -316,3 +316,24 @@ def test_enumerate_stream_blocks_are_blank_line_separated(capsys):
     blocks = out.split("\n\n")
     assert len(blocks) == 3
     assert all(b.startswith("player,") for b in blocks)
+
+
+def test_enumerate_stream_reports_truncation_by_budget(capsys):
+    """table2 has 42,875 assignments: a budget below the limit cuts the
+    stream and says so on stderr; a limit within the budget does not."""
+    def stream(limit, budget):
+        return run(
+            capsys, "enumerate", "--input", T2, "--group-size", "4",
+            "--format", "stream", "--limit", limit, "--budget", budget,
+        )
+
+    code, cut, err = stream("5", "3")
+    assert code == 0
+    assert len(cut.split("\n\n")) == 3
+    assert err == "stream truncated by enumeration budget\n"
+    code, out, err = stream("3", "3")
+    assert (code, out, err) == (0, cut, "")
+    code, out, err = stream("4", "42875")
+    assert (code, err) == (0, "")
+    assert len(out.split("\n\n")) == 4
+    assert out.startswith(cut)

@@ -43,6 +43,10 @@ def test_utf8_bom_input_parses_like_plain_input(tmp_path):
     x = parse_assignment_file(with_bom(name), p)
     assert x == fixtures.table1_assignment_corrected()
     assert serialize_assignment(x, p) == fixtures.fixture_text(name)
+    # the text entry points strip the BOM too
+    assert parse_problem("\ufeff" + fixtures.fixture_text("table1.csv"), 4) == p
+    assert parse_assignment("\ufeff" + fixtures.fixture_text(name), p) == x
+    assert parse_problem("\ufeffplayer,d1\na,1\nb,1\n", 2).players == ("a", "b")
 
 
 def test_quoted_names_with_commas_round_trip():

@@ -26,7 +26,6 @@ from fairplay.impossibility import (
 )
 from fairplay.model import envy_report, is_irreducible, reduce_problem
 from fairplay.oracle import (
-    EnumerationBudget,
     enumerate_efficient,
     exists_efficient_strongly_ef,
 )
@@ -79,7 +78,7 @@ def test_verify_table2_demonstrates_impossibility():
 def test_verify_witness6_demonstrates_impossibility():
     """98,611,128 leaves: the orbit memo walks one 462 x 462 subtree and
     skips the 461 that mirror it."""
-    report = verify_no_fair_ef(build_witness(6), EnumerationBudget(98_611_128))
+    report = verify_no_fair_ef(build_witness(6), 98_611_128)
     assert report.efficient_count == report.scanned == 98_611_128
     assert report.conclusive
     assert not report.ef_found
@@ -131,7 +130,7 @@ def test_verify_rejects_reducible_input():
 
 
 def test_verify_budget_exhaustion_is_marked_inconclusive():
-    report = verify_no_fair_ef(build_table2(), EnumerationBudget(500))
+    report = verify_no_fair_ef(build_table2(), 500)
     assert not report.conclusive
     assert not report.ef_found
     assert report.scanned == 500

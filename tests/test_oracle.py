@@ -2,11 +2,13 @@
 fairness optimum and envy-free existence."""
 
 import math
+from itertools import islice
 
 import pytest
 
 from conftest import all_feasible_assignments, make_problem, random_problem
 from fairplay import fixtures
+from fairplay.impossibility import SearchBounds, verify_no_fair_ef
 from fairplay.model import (
     envy_report,
     g_vector,
@@ -18,7 +20,6 @@ from fairplay.model import (
 )
 from fairplay.oracle import (
     BudgetExceededError,
-    EnumerationBudget,
     brute_force_fair,
     count_efficient,
     enumerate_efficient,
@@ -57,13 +58,12 @@ def test_count_efficient_requires_irreducible_input():
 
 def test_enumeration_matches_count_and_predicates_on_table2():
     p = fixtures.table2()
-    stream = enumerate_efficient(p, EnumerationBudget(50_000))
+    stream = enumerate_efficient(p, 50_000)
     seen = list(stream)
     for x in seen[::4000]:  # predicate spot checks across the stream
         assert is_feasible(x, p).ok
         assert is_efficient(x, p)
     assert len(seen) == 42_875
-    assert not stream.truncated
     assert seen == list(all_feasible_assignments(p, full_games_only=True))
 
 
@@ -72,28 +72,46 @@ def test_enumeration_matches_count_on_reduced_table1():
     assert sum(1 for _ in enumerate_efficient(p)) == 23_625
 
 
-# table2 has 42,875 assignments: a budget one short cuts the stream, an
-# exact budget yields every assignment with no truncation and no error
-@pytest.mark.parametrize("budget", [10, 42_874, 42_875])
-def test_enumeration_truncates_with_flag(budget):
-    p = fixtures.table2()
-    stream = enumerate_efficient(p, EnumerationBudget(budget, "truncate"))
-    got = list(stream)
-    assert len(got) == budget
-    assert stream.truncated == (budget < 42_875)
-    assert stream.yielded == budget
-
-
+# table2 has 42,875 assignments: a budget one short yields that many and
+# then raises, an exact budget yields every assignment with no error
 @pytest.mark.parametrize("budget", [10, 42_874, 42_875])
 def test_enumeration_errors_when_budget_hit(budget):
     p = fixtures.table2()
-    stream = enumerate_efficient(p, EnumerationBudget(budget, "error"))
+    stream = enumerate_efficient(p, budget)
+    got = []
     if budget < 42_875:
         with pytest.raises(BudgetExceededError):
-            list(stream)
+            got.extend(stream)
     else:
-        assert len(list(stream)) == budget
-    assert stream.yielded == budget
+        got.extend(stream)
+    assert len(got) == budget
+    assert got[:10] == list(islice(enumerate_efficient(p), 10))
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        (lambda: brute_force_fair(fixtures.table2(), 0), "budget cap"),
+        (lambda: exists_efficient_strongly_ef(fixtures.table2(), 0), "budget cap"),
+        (lambda: enumerate_efficient(fixtures.table2(), 0), "budget cap"),
+        (lambda: verify_no_fair_ef(fixtures.table2(), 0), "budget cap"),
+        (lambda: SearchBounds(2, 2, per_instance_budget=0), "budget cap"),
+        (lambda: enumerate_efficient(fixtures.table1()), "irreducible"),
+    ],
+    ids=[
+        "brute_force_fair",
+        "exists_efficient_strongly_ef",
+        "enumerate_efficient",
+        "verify_no_fair_ef",
+        "SearchBounds",
+        "enumerate_efficient-reducible",
+    ],
+)
+def test_entry_points_check_budget_and_input_on_the_call(call, fragment):
+    """A budget below 1 or a reducible problem is rejected by the call
+    itself; the enumeration stream is never iterated here."""
+    with pytest.raises(ValueError, match=fragment):
+        call()
 
 
 def test_enumeration_of_empty_problem_is_empty():
@@ -161,9 +179,7 @@ def test_brute_force_fair_dominates_every_enumerated_assignment():
 
 def test_brute_force_fair_raises_on_budget():
     with pytest.raises(BudgetExceededError):
-        brute_force_fair(fixtures.table2(), EnumerationBudget(100))
-    with pytest.raises(BudgetExceededError):
-        brute_force_fair(fixtures.table2(), EnumerationBudget(100, "truncate"))
+        brute_force_fair(fixtures.table2(), 100)
 
 
 # --------------------------------------------------------------------------- #
@@ -222,4 +238,4 @@ def test_equal_availability_instance_always_has_ef_witness():
 
 def test_exists_ef_raises_when_budget_cannot_certify_absence():
     with pytest.raises(BudgetExceededError):
-        exists_efficient_strongly_ef(fixtures.table2(), EnumerationBudget(50))
+        exists_efficient_strongly_ef(fixtures.table2(), 50)

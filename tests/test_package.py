@@ -1,5 +1,6 @@
-"""Package structure: the public names, and the independence of the
-exhaustive routes from the flow solver they cross-check."""
+"""Package structure: the public names, no unused imports, and the
+independence of the exhaustive routes from the flow solver they
+cross-check."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,7 @@ import fairplay
 from fairplay import oracle, solver
 
 SRC = Path(fairplay.__file__).parent
+TESTS = Path(__file__).parent
 
 
 def _imported_modules(module: str) -> set[str]:
@@ -50,8 +52,46 @@ def test_public_names_resolve_and_are_listed_once():
         assert hasattr(fairplay, name), name
 
 
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module imports but never reads; names listed in ``__all__``
+    and ``from __future__`` imports count as read."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = []
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(a.asname or a.name).partition(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read.update(ast.literal_eval(node.value))
+    return [name for name in imported if name not in read]
+
+
+def test_no_unused_imports():
+    paths = [*SRC.glob("*.py"), *SRC.glob("*/*.py"), *TESTS.glob("*.py")]
+    assert len(paths) > 10
+    unused = {
+        f"{path.parent.name}/{path.name}": names
+        for path in paths
+        if (names := _unused_imports(path))
+    }
+    assert unused == {}
+
+
 def test_removed_names_are_not_exported():
-    for name in ("StageInfo", "solve_efficient", "misreport_scan", "MisreportFinding"):
+    for name in (
+        "StageInfo",
+        "solve_efficient",
+        "misreport_scan",
+        "MisreportFinding",
+        "EnumerationBudget",
+        "EfficientEnumeration",
+    ):
         assert name not in fairplay.__all__
         for module in (fairplay, solver, oracle):
             assert not hasattr(module, name), (module.__name__, name)

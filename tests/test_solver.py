@@ -19,7 +19,6 @@ from fairplay.model import (
     zero_extend,
 )
 from fairplay.oracle import (
-    EnumerationBudget,
     brute_force_fair,
     count_efficient,
     enumerate_efficient,
@@ -60,7 +59,7 @@ def test_solve_fair_matches_oracle_on_random_instances(rng):
         red, _ = reduce_problem(p)
         if red.is_empty:
             continue
-        oracle_g, _ = brute_force_fair(red, EnumerationBudget(2_000_000))
+        oracle_g, _ = brute_force_fair(red, 2_000_000)
         report = solve_fair(red)
         assert report.g_vector.counts == oracle_g.counts, red
         checked += 1
@@ -217,7 +216,7 @@ def test_brute_force_reaches_club_sized_instances(monkeypatch, seed, n, m):
     10^6 of them and returns the flow solver's profile."""
     red, _ = reduce_problem(_club(seed, n, m))
     folded = count_folded(monkeypatch)
-    oracle_g, x = brute_force_fair(red, EnumerationBudget(count_efficient(red)))
+    oracle_g, x = brute_force_fair(red, count_efficient(red))
     assert oracle_g.counts == solve_fair(red).g_vector.counts
     assert g_vector(x) == oracle_g and is_efficient(x, red)
     assert sum(folded) < 10**6
