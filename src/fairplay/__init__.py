@@ -34,20 +34,20 @@ from fairplay.model import (
 )
 from fairplay.oracle import (
     BudgetExceededError,
+    WitnessReport,
     brute_force_fair,
     count_efficient,
     enumerate_efficient,
     exists_efficient_strongly_ef,
+    verify_no_fair_ef,
 )
 from fairplay.impossibility import (
     G2SearchResult,
     SearchBounds,
-    WitnessReport,
     build_table2,
     build_witness,
     canonical_form,
     search_witness_g2,
-    verify_no_fair_ef,
 )
 from fairplay.solver import (
     SolveReport,

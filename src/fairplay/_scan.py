@@ -2,18 +2,18 @@
 
 Each scan walks the full-game assignments of an irreducible problem in
 odometer order: day 0 varies slowest and the last day fastest, and each
-day's subsets come in lexicographic order by player index.  A leaf's index
-is its position in that order, counting from 0.  Each scan folds one
-statistic over the leaves and stops early once the leaf budget runs out.
+day's subsets come in lexicographic order by player index.  Each scan
+folds one statistic over the leaves and stops early once the leaf budget
+runs out.
 
 One walk, :func:`_walk`, serves every scan.  It steps through days
 0..m-2, keeping a games-per-player vector, the subset chosen on each day
 and the number of leaves covered so far.  Each node at the last day is
-handed to the scan's fold, ``fold(games, choice, index, limit)``: ``games``
-and ``choice`` hold days 0..m-2, ``index`` is the index of the node's first
-leaf, and the fold scans that day's first ``limit`` subsets (fewer than
-all of them only when the budget runs out inside the node).  It returns
-the position where it stopped, or -1 to go on.
+handed to the scan's fold, ``fold(games, choice, limit)``: ``games`` and
+``choice`` hold days 0..m-2, and the fold scans that day's first ``limit``
+subsets (fewer than all of them only when the budget runs out inside the
+node).  No leaf index is passed; a fold that needs a leaf records its
+choice.  It returns the position where it stopped, or -1 to go on.
 
 Orbit memo.  Below a node at depth d, players i and j are interchangeable
 when they share the remaining row ``avail[i][d:]``: each of days d..m-1
@@ -42,7 +42,7 @@ budget cuts it.  This is exact: every fold changes only on a leaf
 strictly better than all before it (a larger profile, fewer envy pairs,
 the first envy-free leaf), and a skipped subtree, or any prefix of it,
 holds only values of a subtree scanned in full earlier, so it holds no
-such leaf.  Leaf counts, first-EF and first-best choices and indices, and
+such leaf.  Leaf counts, first-EF and first-best choices, and
 ``min_envy`` are those of the plain walk; only the time differs.
 
 Bound rule.  The fairness scan also hands the walk a predicate that skips
@@ -60,7 +60,7 @@ node when U is at most the best profile so far; a tie may be skipped, since
 the fold changes only on a strictly better leaf.  A skip counts
 ``min(subtree, budget - scanned)`` leaves and ends the walk when the
 budget cuts it, as a memo skip does, so leaf counts and the first best
-choice and index stay those of the plain walk.  For the memo, a subtree
+choice stay those of the plain walk.  For the memo, a subtree
 whose parts the bound skipped still counts as scanned in full: those parts
 hold no leaf better than the best before them.  The bound only counts
 players and units, so the scan shares no code with the solver's flow.
@@ -142,7 +142,7 @@ def _walk(combos, n, budget, avail, fold, bound=None):
                 return skip(day)
         if day == last:
             limit = min(width, budget - scanned)
-            stop = fold(games, choice, scanned, limit)
+            stop = fold(games, choice, limit)
             if stop >= 0:
                 scanned += stop + 1
                 return True
@@ -205,7 +205,7 @@ def scan_fair(combos, n, budget):
     """Lexicographically maximal fairness profile over all enumerated
     assignments, plus the first leaf attaining it.
 
-    Returns ``(scanned, complete, best_g, best_choice, best_index)`` where
+    Returns ``(scanned, complete, best_g, best_choice)`` where
     ``best_choice`` holds one subset index per day and ``complete`` is False
     iff the leaf budget ran out first.
     """
@@ -213,10 +213,9 @@ def scan_fair(combos, n, budget):
     last = combos[-1] if combos else ()
     best = [-1] * m
     best_choice = None
-    best_index = _NO_LEAVES
 
-    def fold(games, choice, index, limit):
-        nonlocal best_choice, best_index
+    def fold(games, choice, limit):
+        nonlocal best_choice
         # cnt[t] players have t games, so G_t comes out in O(1) per threshold
         cnt = [0] * (m + 2)
         for g in games:
@@ -239,7 +238,6 @@ def scan_fair(combos, n, budget):
                     g -= cnt[u + 1]
                 choice[-1] = pos
                 best_choice = tuple(choice)
-                best_index = index + pos
             for i in combo:
                 cnt[games[i] + 1] -= 1
                 cnt[games[i]] += 1
@@ -278,26 +276,26 @@ def scan_fair(combos, n, budget):
 
     scanned, stopped = _walk(combos, n, budget, None, fold, bound)
     best_g = tuple(best) if best_choice is not None else None
-    return scanned, not stopped, best_g, best_choice, best_index
+    return scanned, not stopped, best_g, best_choice
 
 
 def scan_verify(combos, n, avail, budget):
     """Scan the enumerated assignments for the first one with no
     strong-envy violation, tracking the minimum violation-pair count seen.
 
-    Returns ``(scanned, conclusive, ef_found, first_ef_choice, min_envy)``.
+    Returns ``(scanned, conclusive, first_ef_choice, min_envy)``.
     The scan ends at the first envy-free leaf, which it counts, so that
-    leaf's index is ``scanned - 1`` and ``min_envy`` is 0; ``conclusive`` is
-    True when one was found or every leaf was covered.
+    leaf is number ``scanned`` in odometer order and ``min_envy`` is 0;
+    ``conclusive`` is True when one was found or every leaf was covered.
     """
     if not combos or not all(combos):
-        return 0, True, False, None, _NO_LEAVES
+        return 0, True, None, _NO_LEAVES
     last = combos[-1]
     order, starts = _prep_envy_order(n, avail)
     ef_choice = None
     min_envy = n * n + 1
 
-    def fold(games, choice, index, limit):
+    def fold(games, choice, limit):
         nonlocal ef_choice, min_envy
         for pos in range(limit):
             combo = last[pos]
@@ -315,5 +313,4 @@ def scan_verify(combos, n, avail, budget):
         return -1
 
     scanned, stopped = _walk(combos, n, budget, avail, fold)
-    ef_found = ef_choice is not None
-    return scanned, ef_found or not stopped, ef_found, ef_choice, min_envy
+    return scanned, ef_choice is not None or not stopped, ef_choice, min_envy

@@ -26,7 +26,6 @@ from fairplay.impossibility import (
     SearchBounds,
     build_witness,
     search_witness_g2,
-    verify_no_fair_ef,
 )
 from fairplay.model import (
     Assignment,
@@ -46,6 +45,7 @@ from fairplay.oracle import (
     BudgetExceededError,
     count_efficient,
     enumerate_efficient,
+    verify_no_fair_ef,
 )
 from fairplay.solver import TieBreakPolicy, solve_fair
 
@@ -218,10 +218,10 @@ def cmd_verify(args) -> int:
     if result.sizes_skipped:
         sizes = ", ".join(f"{n}x{m}" for n, m in result.sizes_skipped)
         print(f"skipped sizes (candidate pool over cap): {sizes}")
-    if result.witness is not None:
-        p, report = result.witness
+    report = result.witness
+    if report is not None:
         print("witness found: no efficient assignment is strongly envy-free")
-        sys.stdout.write(serialize_problem(p))
+        sys.stdout.write(serialize_problem(report.problem))
         print(f"efficient assignments: {report.efficient_count}")
         print(f"minimum envy pairs: {report.min_envy_pairs}")
         return EXIT_OK

@@ -1,5 +1,7 @@
 """Witness instances where no assignment is both full-game and strongly
-envy-free, and the machinery to certify them by exhaustion.
+envy-free, and the bounded g = 2 search for one.  Each instance is
+certified by :func:`fairplay.oracle.verify_no_fair_ef`, the exhaustive
+strong-envy scan.
 
 For group sizes g >= 3 a fixed family works: g players who force both of the
 first two days, and 2g-1 players sharing three more days.  The three shared
@@ -27,39 +29,16 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
-from fairplay._scan import scan_verify
-from fairplay.model import Assignment, Problem
+from fairplay.model import Problem
 from fairplay.oracle import (
     DEFAULT_MAX_ASSIGNMENTS,
-    _assignment_from_choice,
-    _efficient_lists,
+    WitnessReport,
     _require_budget,
-    _require_irreducible,
+    verify_no_fair_ef,
 )
 
 _WITNESS_DAYS = ("Mon", "Tues", "Wed", "Thur", "Frid")
 DEFAULT_PER_SIZE_CAP = 2_000_000
-
-
-@dataclass(frozen=True)
-class WitnessReport:
-    """Result of exhaustively checking one instance for a full-game,
-    strongly envy-free assignment.
-
-    ``conclusive`` is False only when the enumeration budget ran out first;
-    a budget-limited run is never reported as a demonstrated impossibility.
-    ``min_envy_pairs`` is the smallest violation-pair count seen over the
-    scanned assignments (an invented severity measure, 0 iff ``ef_found``).
-    """
-
-    problem: Problem
-    group_size: int
-    efficient_count: int
-    ef_found: bool
-    first_ef_witness: Optional[Assignment]
-    min_envy_pairs: int
-    scanned: int
-    conclusive: bool
 
 
 @dataclass(frozen=True)
@@ -89,12 +68,15 @@ class SearchBounds:
 class G2SearchResult:
     """Outcome of a bounded g=2 witness search."""
 
-    witness: Optional[tuple[Problem, WitnessReport]]
-    search_complete: bool
+    witness: Optional[WitnessReport]
     instances_examined: int
     instances_inconclusive: int
     sizes_searched: tuple[tuple[int, int], ...]
     sizes_skipped: tuple[tuple[int, int], ...]
+
+    @property
+    def search_complete(self) -> bool:
+        return self.witness is None and not (self.sizes_skipped or self.instances_inconclusive)
 
 
 def _letter_names(count: int) -> tuple[str, ...]:
@@ -129,33 +111,6 @@ def build_witness(g: int) -> Problem:
     names = _letter_names(left + right)
     rows = [(1, 1, 0, 0, 0)] * left + [(0, 0, 1, 1, 1)] * right
     return Problem(names, _WITNESS_DAYS, tuple(rows), g)
-
-
-def verify_no_fair_ef(
-    p: Problem, max_assignments: int = DEFAULT_MAX_ASSIGNMENTS
-) -> WitnessReport:
-    """Scan every full-game assignment of an irreducible problem for strong
-    envy-freeness.  ``ef_found=False`` with ``conclusive=True`` certifies that
-    no assignment is simultaneously full-game and strongly envy-free (and
-    therefore none is fairness-optimal and strongly envy-free either).  A
-    scan cut by ``max_assignments`` is reported with ``conclusive=False``."""
-    _require_irreducible(p, "verify_no_fair_ef")
-    _require_budget(max_assignments)
-    combos, total = _efficient_lists(p, max_assignments + 1)
-    scanned, conclusive, ef_found, choice, min_envy = scan_verify(
-        combos, p.n, p.availability_counts(), max_assignments
-    )
-    witness = _assignment_from_choice(p, combos, choice) if choice is not None else None
-    return WitnessReport(
-        problem=p,
-        group_size=p.group_size,
-        efficient_count=total,
-        ef_found=ef_found,
-        first_ef_witness=witness,
-        min_envy_pairs=min_envy,
-        scanned=scanned,
-        conclusive=conclusive,
-    )
 
 
 # --------------------------------------------------------------------------- #
@@ -381,10 +336,10 @@ def search_witness_g2(bounds: SearchBounds) -> G2SearchResult:
     Sizes are visited in (players, days) order.  Within a size, the
     candidates are the canonical forms of the size's irreducible matrices,
     one per class under row and column permutations, in ascending order of
-    canonical form.  The first witness (by this order) is returned with its
-    full report.  ``search_complete`` is True only when no size was skipped
-    and no instance was inconclusive, so a negative result states its exact
-    coverage.
+    canonical form.  The first witness (by this order) is returned as its
+    report, whose ``problem`` is the instance.  ``search_complete`` is True
+    only when no size was skipped and no instance was inconclusive, so a
+    negative result states its exact coverage.
     """
     examined = 0
     inconclusive = 0
@@ -412,8 +367,7 @@ def search_witness_g2(bounds: SearchBounds) -> G2SearchResult:
                     continue
                 if not report.ef_found:
                     return G2SearchResult(
-                        witness=(p, report),
-                        search_complete=False,
+                        witness=report,
                         instances_examined=examined,
                         instances_inconclusive=inconclusive,
                         sizes_searched=tuple(searched),
@@ -421,10 +375,8 @@ def search_witness_g2(bounds: SearchBounds) -> G2SearchResult:
                     )
         skipped.extend((n, m) for m in range(days + 1, bounds.max_days + 1))
 
-    complete = not skipped and inconclusive == 0
     return G2SearchResult(
         witness=None,
-        search_complete=complete,
         instances_examined=examined,
         instances_inconclusive=inconclusive,
         sizes_searched=tuple(searched),

@@ -11,14 +11,16 @@ already scanned, and the fairness scan also those that a counting bound
 shows cannot beat its best leaf.  That bound shares no code with the
 solver's flow, so the oracle stays a second route to its answers.
 
-The exhaustive entry points take one integer budget, ``max_assignments``
-(the assignments covered, skipped ones included), and raise
-``BudgetExceededError`` when the answer needs more than that.
+Each scan has one public wrapper, :func:`brute_force_fair` for fairness and
+:func:`verify_no_fair_ef` for strong envy.  The entry points take one integer
+budget, ``max_assignments`` (the assignments covered, skipped ones included);
+an answer that needs more raises ``BudgetExceededError`` or reads inconclusive.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from itertools import combinations, islice, product
 from typing import Iterator, Optional
 
@@ -126,7 +128,7 @@ def brute_force_fair(
     if p.is_empty:
         return GVector(()), Assignment(tuple(() for _ in range(p.n)))
     combos = _efficient_lists(p, max_assignments + 1)[0]
-    scanned, complete, best_g, best_choice, _ = scan_fair(
+    scanned, complete, best_g, best_choice = scan_fair(
         combos, p.n, max_assignments
     )
     if not complete:
@@ -137,24 +139,68 @@ def brute_force_fair(
     return GVector(best_g), _assignment_from_choice(p, combos, best_choice)
 
 
+@dataclass(frozen=True)
+class WitnessReport:
+    """Result of exhaustively checking one instance for a full-game,
+    strongly envy-free assignment.
+
+    ``conclusive`` is False only when the enumeration budget ran out first;
+    a budget-limited run is never reported as a demonstrated impossibility.
+    ``min_envy_pairs`` is the smallest violation-pair count seen over the
+    scanned assignments (an invented severity measure, 0 iff ``ef_found``).
+    """
+
+    problem: Problem
+    efficient_count: int
+    first_ef_witness: Optional[Assignment]
+    min_envy_pairs: int
+    scanned: int
+    conclusive: bool
+
+    @property
+    def ef_found(self) -> bool:
+        return self.first_ef_witness is not None
+
+
+def verify_no_fair_ef(
+    p: Problem, max_assignments: int = DEFAULT_MAX_ASSIGNMENTS
+) -> WitnessReport:
+    """Scan every full-game assignment of an irreducible problem for strong
+    envy-freeness.  ``ef_found=False`` with ``conclusive=True`` certifies that
+    no assignment is simultaneously full-game and strongly envy-free (and
+    therefore none is fairness-optimal and strongly envy-free either).  A
+    scan cut by ``max_assignments`` is reported with ``conclusive=False``.
+    An empty problem's witness is its empty assignment, found without a scan
+    as in :func:`brute_force_fair`; ``efficient_count`` stays ``count_efficient``'s 0."""
+    _require_irreducible(p, "verify_no_fair_ef")
+    _require_budget(max_assignments)
+    if p.is_empty:
+        return WitnessReport(p, 0, Assignment(tuple(() for _ in range(p.n))), 0, 0, True)
+    combos, total = _efficient_lists(p, max_assignments + 1)
+    scanned, conclusive, choice, min_envy = scan_verify(
+        combos, p.n, p.availability_counts(), max_assignments
+    )
+    witness = _assignment_from_choice(p, combos, choice) if choice is not None else None
+    return WitnessReport(
+        problem=p,
+        efficient_count=total,
+        first_ef_witness=witness,
+        min_envy_pairs=min_envy,
+        scanned=scanned,
+        conclusive=conclusive,
+    )
+
+
 def exists_efficient_strongly_ef(
     p: Problem, max_assignments: int = DEFAULT_MAX_ASSIGNMENTS
 ) -> Optional[Assignment]:
     """First full-game assignment with no strong-envy violation, or None if
-    the exhaustive scan proves there is none."""
-    _require_irreducible(p, "exists_efficient_strongly_ef")
-    _require_budget(max_assignments)
-    if p.is_empty:
-        return Assignment(tuple(() for _ in range(p.n)))
-    combos = _efficient_lists(p, max_assignments + 1)[0]
-    scanned, conclusive, _, choice, _ = scan_verify(
-        combos, p.n, p.availability_counts(), max_assignments
-    )
-    if choice is not None:
-        return _assignment_from_choice(p, combos, choice)
-    if not conclusive:
+    the exhaustive scan proves there is none: the witness of
+    :func:`verify_no_fair_ef`'s report, which must be conclusive."""
+    report = verify_no_fair_ef(p, max_assignments)
+    if not report.conclusive:
         raise BudgetExceededError(
-            f"budget of {max_assignments} exhausted after {scanned} "
+            f"budget of {max_assignments} exhausted after {report.scanned} "
             f"assignments with no envy-free assignment found; absence not certified"
         )
-    return None
+    return report.first_ef_witness

@@ -63,9 +63,9 @@ def count_folded(monkeypatch):
     walk = _scan._walk
 
     def counting_walk(combos, n, budget, avail, fold, bound=None):
-        def counted(games, choice, index, limit):
+        def counted(games, choice, limit):
             folded.append(limit)
-            return fold(games, choice, index, limit)
+            return fold(games, choice, limit)
 
         return walk(combos, n, budget, avail, counted, bound)
 

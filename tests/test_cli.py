@@ -4,10 +4,12 @@ import json
 
 import pytest
 
+from fairplay import impossibility
 from fairplay.cli import main
 from fairplay.fileio import parse_problem
 from fairplay.fixtures import fixture_path
 from fairplay.model import g_vector, reduce_problem, Assignment
+from fairplay.oracle import WitnessReport
 
 T1 = str(fixture_path("table1.csv"))
 T2 = str(fixture_path("table2.csv"))
@@ -215,6 +217,37 @@ def test_verify_g2_bounds_2_2_exits_5(capsys):
     code, out, _ = run(capsys, "verify", "--group-size", "2", "--bounds", "2,2")
     assert code == 5
     assert "search exhausted" in out
+
+
+def test_verify_g2_prints_the_first_witness(capsys, monkeypatch):
+    """No witness lies within reach, so the search's verifier is made to
+    read the first (2,2) candidate, the all-ones matrix, as one."""
+    verify = impossibility.verify_no_fair_ef
+
+    def fake(p, budget):
+        if p.m < 2:
+            return verify(p, budget)
+        return WitnessReport(
+            problem=p,
+            efficient_count=1,
+            first_ef_witness=None,
+            min_envy_pairs=3,
+            scanned=1,
+            conclusive=True,
+        )
+
+    monkeypatch.setattr(impossibility, "verify_no_fair_ef", fake)
+    code, out, err = run(capsys, "verify", "--group-size", "2", "--bounds", "2,2")
+    assert (code, err) == (0, "")
+    assert out == (
+        "searched 2 irreducible instance(s) across 2 size(s)\n"
+        "witness found: no efficient assignment is strongly envy-free\n"
+        "player,d1,d2\n"
+        "p1,1,1\n"
+        "p2,1,1\n"
+        "efficient assignments: 1\n"
+        "minimum envy pairs: 3\n"
+    )
 
 
 def test_verify_g2_with_skipped_sizes_exits_6(capsys):

@@ -6,7 +6,7 @@ from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
-from conftest import make_problem
+from conftest import all_feasible_assignments, make_problem, random_problem
 from fairplay import fixtures
 from fairplay.impossibility import (
     SearchBounds,
@@ -22,13 +22,21 @@ from fairplay.impossibility import (
     build_witness,
     canonical_form,
     search_witness_g2,
-    verify_no_fair_ef,
 )
-from fairplay.model import envy_report, is_irreducible, reduce_problem
+from fairplay.model import Problem, envy_report, is_irreducible, reduce_problem
 from fairplay.oracle import (
+    brute_force_fair,
     enumerate_efficient,
     exists_efficient_strongly_ef,
+    verify_no_fair_ef,
 )
+
+# an instance that reduces to nothing, one with no days, one with no players
+EMPTY_PROBLEMS = [
+    reduce_problem(make_problem([[1, 0], [0, 1]], g=2))[0],
+    Problem(("a",), (), ((),), 2),
+    Problem((), ("d",), (), 2),
+]
 
 
 # --------------------------------------------------------------------------- #
@@ -106,15 +114,36 @@ def test_min_envy_floor_holds_per_assignment_for_g3():
         assert len(envy_report(x, p).pairs) >= 3
 
 
-def test_verify_agrees_with_oracle_existence():
+def test_verify_and_existence_match_the_independent_enumerator(rng):
+    """Both strong-envy answers against conftest's enumerator and the model's
+    envy audit: the first envy-free assignment in odometer order (None when
+    there is none) and the minimum envy count over all assignments."""
+    randoms = []
+    while len(randoms) < 20:  # the empty reductions are EMPTY_PROBLEMS' kind
+        r, _ = reduce_problem(random_problem(rng, max_n=6, max_m=3))
+        if not r.is_empty:
+            randoms.append(r)
     red, _ = reduce_problem(fixtures.table1())
-    for p in [build_table2(), build_witness(3), red]:
+    for p in [build_table2(), build_witness(3), red, *EMPTY_PROBLEMS, *randoms]:
+        leaves = list(all_feasible_assignments(p, full_games_only=True))
+        envy = [len(envy_report(x, p).pairs) for x in leaves]
+        first = leaves[envy.index(0)] if 0 in envy else None
         report = verify_no_fair_ef(p)
-        oracle_witness = exists_efficient_strongly_ef(p)
-        assert report.ef_found == (oracle_witness is not None)
-        if report.ef_found:
-            assert report.first_ef_witness == oracle_witness
-            assert report.min_envy_pairs == 0
+        assert report.conclusive
+        assert report.first_ef_witness == exists_efficient_strongly_ef(p) == first
+        assert report.min_envy_pairs == min(envy)
+
+
+def test_empty_problems_have_the_empty_witness_on_every_route():
+    """An empty problem's one assignment seats nobody and is envy-free; the
+    strong-envy report finds it without a scan, as brute force does, and
+    still counts 0 assignments, as ``count_efficient`` does."""
+    for p in EMPTY_PROBLEMS:
+        report = verify_no_fair_ef(p)
+        empty = brute_force_fair(p)[1]
+        assert report.first_ef_witness == exists_efficient_strongly_ef(p) == empty
+        assert (report.ef_found, report.conclusive) == (True, True)
+        assert (report.min_envy_pairs, report.scanned, report.efficient_count) == (0, 0, 0)
 
 
 def test_verify_reduced_table1_finds_ef():

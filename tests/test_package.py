@@ -1,6 +1,6 @@
-"""Package structure: the public names, no unused imports, and the
+"""Package structure: the public names, no unused imports, the
 independence of the exhaustive routes from the flow solver they
-cross-check."""
+cross-check, and the one wrapper through which each scan is reached."""
 
 import ast
 from pathlib import Path
@@ -44,6 +44,44 @@ def test_exhaustive_routes_do_not_import_the_flow_solver():
     assert flow <= _imported_modules("cli")  # the walk sees such imports
     for module in ("oracle", "_scan"):
         assert not _imported_modules(module) & flow, module
+
+
+def _callers(name: str) -> set[tuple[str, str]]:
+    """``(module, function)`` for every function under ``src/fairplay`` that
+    calls ``name``; a call outside any function reads as ``<module>``."""
+    found = set()
+
+    def visit(node, module, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if getattr(func, "id", None) == name or getattr(func, "attr", None) == name:
+                found.add((module, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    for path in SRC.rglob("*.py"):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, "<module>")
+    return found
+
+
+def test_scans_have_one_caller_each_and_impossibility_reaches_them_through_it():
+    """Each exhaustive scan has one public wrapper in ``oracle``, and the
+    witness search certifies its candidates through that wrapper, not
+    through the scan kernel or the oracle's leaf helpers."""
+    assert _callers("scan_fair") == {("oracle", "brute_force_fair")}
+    assert _callers("scan_verify") == {("oracle", "verify_no_fair_ef")}
+    private = {"_efficient_lists", "_assignment_from_choice", "_require_irreducible"}
+    tree = ast.parse((SRC / "impossibility.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert all(a.name != "fairplay._scan" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.module != "fairplay._scan"
+            names = {alias.name for alias in node.names}
+            assert node.module != "fairplay" or "_scan" not in names
+            assert not names & private, node.module
 
 
 def test_public_names_resolve_and_are_listed_once():

@@ -13,9 +13,9 @@ import pytest
 from conftest import all_feasible_assignments, count_folded, make_problem, random_problem
 from fairplay import _scan, fixtures
 from fairplay._scan import scan_fair, scan_verify
-from fairplay.impossibility import build_witness, verify_no_fair_ef
+from fairplay.impossibility import build_witness
 from fairplay.model import envy_report, g_vector, reduce_problem
-from fairplay.oracle import _assignment_from_choice, _efficient_lists
+from fairplay.oracle import _assignment_from_choice, _efficient_lists, verify_no_fair_ef
 
 FULL = 10**7
 
@@ -113,11 +113,11 @@ def references():
 def test_scan_fair_finds_first_best_leaf(references):
     for ref in references:
         combos = _efficient_lists(ref.p, FULL)[0]
-        scanned, complete, best_g, choice, index = scan_fair(combos, ref.p.n, FULL)
+        scanned, complete, best_g, choice = scan_fair(combos, ref.p.n, FULL)
         best = max(ref.profiles)
         assert (scanned, complete, best_g) == (len(ref.leaves), True, best)
-        assert index == ref.profiles.index(best)
-        assert _assignment_from_choice(ref.p, combos, choice) == ref.leaves[index]
+        first_best = ref.leaves[ref.profiles.index(best)]
+        assert _assignment_from_choice(ref.p, combos, choice) == first_best
 
 
 def test_scan_first_ef_finds_first_envy_free_leaf(references):
@@ -127,11 +127,10 @@ def test_scan_first_ef_finds_first_envy_free_leaf(references):
         if ref.first_ef is None:
             continue
         combos = _efficient_lists(ref.p, FULL)[0]
-        scanned, conclusive, ef_found, choice, min_envy = scan_verify(
+        scanned, conclusive, choice, min_envy = scan_verify(
             combos, ref.p.n, ref.avail, FULL
         )
-        assert (scanned, conclusive) == (ref.first_ef + 1, True)
-        assert (ef_found, min_envy) == (True, 0)
+        assert (scanned, conclusive, min_envy) == (ref.first_ef + 1, True, 0)
         leaf = _assignment_from_choice(ref.p, combos, choice)
         assert leaf == ref.leaves[ref.first_ef]
 
@@ -144,7 +143,7 @@ def test_scan_verify_minimum_envy(references):
             continue
         combos = _efficient_lists(ref.p, FULL)[0]
         assert scan_verify(combos, ref.p.n, ref.avail, FULL) == (
-            len(ref.leaves), True, False, None, min(ref.envy)
+            len(ref.leaves), True, None, min(ref.envy)
         )
 
 
@@ -165,13 +164,13 @@ def test_budget_truncation(references, budget):
         seen = ref.profiles[:cap]
         cut = cap < len(ref.leaves)
 
-        scanned, complete, best_g, choice, index = scan_fair(combos, n, cap)
+        scanned, complete, best_g, choice = scan_fair(combos, n, cap)
         assert (scanned, complete, best_g) == (len(seen), not cut, max(seen))
-        assert index == seen.index(max(seen))
-        assert _assignment_from_choice(ref.p, combos, choice) == ref.leaves[index]
+        first_best = ref.leaves[seen.index(max(seen))]
+        assert _assignment_from_choice(ref.p, combos, choice) == first_best
         if ref.first_ef is None or ref.first_ef >= cap:
             assert scan_verify(combos, n, avail, cap) == (
-                len(seen), not cut, False, None, min(ref.envy[:cap])
+                len(seen), not cut, None, min(ref.envy[:cap])
             )
 
 
@@ -187,14 +186,14 @@ def test_memo_under_a_budget(references, monkeypatch, budget, complete):
     folded = count_folded(monkeypatch)
     seen = ref.profiles[:budget]
 
-    scanned, complete_fair, best_g, choice, index = scan_fair(combos, n, budget)
+    scanned, complete_fair, best_g, choice = scan_fair(combos, n, budget)
     assert (scanned, complete_fair, best_g) == (budget, complete, max(seen))
-    assert index == seen.index(max(seen))
-    assert _assignment_from_choice(ref.p, combos, choice) == ref.leaves[index]
+    first_best = ref.leaves[seen.index(max(seen))]
+    assert _assignment_from_choice(ref.p, combos, choice) == first_best
     assert sum(folded) < budget // 10
     folded.clear()
     assert scan_verify(combos, n, avail, budget) == (
-        budget, complete, False, None, min(ref.envy[:budget])
+        budget, complete, None, min(ref.envy[:budget])
     )
     assert sum(folded) < budget // 10
 
@@ -215,7 +214,7 @@ def test_default_budget_keeps_the_memo_on_witness_6(monkeypatch):
 
 
 def test_empty_inputs():
-    assert scan_fair([], 0, 10) == (0, True, None, None, -1)
-    assert scan_fair([[]], 3, 10) == (0, True, None, None, -1)
-    assert scan_verify([], 0, (), 10) == (0, True, False, None, -1)
-    assert scan_verify([[]], 3, (1, 1, 1), 10) == (0, True, False, None, -1)
+    assert scan_fair([], 0, 10) == (0, True, None, None)
+    assert scan_fair([[]], 3, 10) == (0, True, None, None)
+    assert scan_verify([], 0, (), 10) == (0, True, None, -1)
+    assert scan_verify([[]], 3, (1, 1, 1), 10) == (0, True, None, -1)
