@@ -174,9 +174,10 @@ def _walk(combos, n, budget, avail, fold, bound=None):
 
 
 def _prep_envy_order(n, avail):
-    """Player indices sorted by availability descending (stable), plus the
-    start offset of each equal-availability block."""
-    order = sorted(range(n), key=lambda i: (-avail[i], i))
+    """Player indices sorted by availability descending, ties by index (the
+    sort is stable under ``reverse``), plus the start offset of each
+    equal-availability block."""
+    order = sorted(range(n), key=avail.__getitem__, reverse=True)
     starts = []
     for pos in range(n):
         if pos == 0 or avail[order[pos]] != avail[order[pos - 1]]:

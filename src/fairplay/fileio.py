@@ -27,7 +27,7 @@ def parse_matrix_csv(text: str) -> tuple[list[str], list[str], list[list[int]]]:
         raise ValidationError("empty file: expected a header row") from None
     if len(header) < 2:
         raise ValidationError("header must name at least one day column")
-    if header[0] != "player":
+    if header[0].strip() != "player":
         raise ValidationError(
             f"header must start with 'player', got {header[0]!r}"
         )
@@ -36,8 +36,8 @@ def parse_matrix_csv(text: str) -> tuple[list[str], list[str], list[list[int]]]:
     players: list[str] = []
     rows: list[list[int]] = []
     for lineno, record in enumerate(reader, start=2):
-        if not record:
-            continue
+        if not record or (len(record) == 1 and not record[0].strip()):
+            continue  # an empty line or a line of spaces
         if len(record) != len(days) + 1:
             raise ValidationError(
                 f"line {lineno}: expected {len(days) + 1} fields, got {len(record)}"

@@ -131,9 +131,9 @@ def _split(cells: tuple[int, ...], col: int) -> tuple[int, ...]:
 
 
 def _least_order(columns: tuple[int, ...], n: int, own: list | None = None):
-    """The greedy behind :func:`canonical_form`, shared with
-    :func:`_is_canonical`: a column order whose reading is least, where
-    ``columns`` are bit masks over the n rows.
+    """The greedy behind :func:`canonical_form`, shared with the canonicity
+    test of :func:`_orderly_levels`: a column order whose reading is least,
+    where ``columns`` are bit masks over the n rows.
 
     Branch and prune over column orders: per depth, keep exactly the prefixes
     whose sorted reading (the rows' prefix values, ascending) is least.  A
@@ -145,7 +145,10 @@ def _least_order(columns: tuple[int, ...], n: int, own: list | None = None):
     reads lower.
 
     With ``own``, the columns' own order as :func:`_own_chain` gives it,
-    return None as soon as any prefix reads below it at its depth.
+    return None as soon as any prefix reads below it at its depth.  When the
+    rows ascend, the own order reads the matrix's own prefixes and survives
+    while nothing reads lower, so a result other than None says exactly
+    ``canonical_form(M) == M``.
     """
     frontier = {(0, ((1 << n) - 1,)): ()}
     for depth in range(len(columns)):
@@ -193,35 +196,22 @@ def _column_masks(matrix) -> tuple[int, ...]:
     )
 
 
-def _is_canonical(columns: tuple[int, ...], n: int) -> bool:
-    """Whether the n-row matrix whose columns are ``columns`` (bit masks over
-    rows sorted ascending) equals its :func:`canonical_form`.
-
-    Runs the greedy against the matrix's own column order and stops at the
-    first prefix that reads lower.  The own order reads the matrix's own
-    prefixes, since the rows ascend, and survives while nothing reads lower,
-    so "no prefix reads lower" is exactly ``canonical_form(M) == M``.
-    """
-    return _least_order(columns, n, _own_chain(columns, n)) is not None
-
-
-def _own_chain(columns: tuple[int, ...], n: int) -> list:
+def _own_chain(columns: tuple[int, ...], n: int) -> tuple[list, tuple[int, ...]]:
     """A matrix's own column order, depth by depth: the ordered partition of
     the rows that its first d columns make, and the key (1s per cell) that
-    column d reads on it."""
+    column d reads on it; and the partition that all its columns make."""
     own = []
     cells = ((1 << n) - 1,)
     for col in columns:
         own.append((cells, tuple([(cell & col).bit_count() for cell in cells])))
         cells = _split(cells, col)
-    return own
+    return own, cells
 
 
 def _reads_below_own(own: list, col: int) -> bool:
     """Whether a new column reads below a matrix's own order, as
-    :func:`_own_chain` gives it, at some depth.  The greedy of
-    :func:`_is_canonical` then aborts on the matrix with that column added
-    (see :func:`_orderly_levels`)."""
+    :func:`_own_chain` gives it, at some depth.  The canonicity test of
+    :func:`_orderly_levels` then aborts on the matrix with that column added."""
     for cells, key in own:
         if tuple([(cell & col).bit_count() for cell in cells]) < key:
             return True
@@ -292,10 +282,11 @@ def _orderly_levels(n: int, below: list):
     parent's first d columns make, and the new column c is unused there.
     So if c's key on that partition reads below the key of column d, the
     greedy aborts on the child: this test is the greedy's abort restricted
-    to the own prefix, and it rejects no child that :func:`_is_canonical`
-    keeps.  The parent's
+    to the own prefix, and it rejects no canonical child.  The parent's
     partitions and keys (:func:`_own_chain`) are built once, and only the
-    children that pass run the full greedy.
+    children that pass run the full greedy, against the child's own order:
+    the parent's chain plus the new column's key on the parent's last
+    partition.
     """
     level = [((0,) * n, ())]
     for k in range(len(below)):
@@ -303,30 +294,17 @@ def _orderly_levels(n: int, below: list):
         grown = [((0,) + rows, tuple([c << 1 for c in cols])) for rows, cols in lifted]
         del lifted
         for rows, columns in level:
-            own = _own_chain(columns, n)
+            own, cells = _own_chain(columns, n)
             for col in _children(rows):
                 if _reads_below_own(own, col):
                     continue
                 child = columns + (col,)
-                if _is_canonical(child, n):
+                key = tuple([(cell & col).bit_count() for cell in cells])
+                if _least_order(child, n, own + [(cells, key)]) is not None:
                     child_rows = tuple([2 * r + (col >> i & 1) for i, r in enumerate(rows)])
                     grown.append((child_rows, child))
         level = grown
         yield level
-
-
-def _bits_to_matrix(rows: tuple[int, ...], m: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(r >> (m - 1 - k) & 1 for k in range(m)) for r in rows)
-
-
-def _problem_from_matrix(matrix) -> Problem:
-    n, m = len(matrix), len(matrix[0])
-    return Problem(
-        tuple(f"p{i + 1}" for i in range(n)),
-        tuple(f"d{k + 1}" for k in range(m)),
-        matrix,
-        2,
-    )
 
 
 def search_witness_g2(bounds: SearchBounds) -> G2SearchResult:
@@ -345,6 +323,9 @@ def search_witness_g2(bounds: SearchBounds) -> G2SearchResult:
     inconclusive = 0
     searched: list[tuple[int, int]] = []
     skipped: list[tuple[int, int]] = []
+    # the instances' labels, p1..pn and d1..dm, sliced per size
+    names = tuple(f"p{i + 1}" for i in range(bounds.max_players))
+    labels = tuple(f"d{k + 1}" for k in range(bounds.max_days))
 
     levels: list = [[]] * bounds.max_days  # one row fits no column of weight >= 2
     for n in range(2, bounds.max_players + 1):
@@ -358,9 +339,10 @@ def search_witness_g2(bounds: SearchBounds) -> G2SearchResult:
         for m, level in enumerate(_orderly_levels(n, below), 1):
             levels.append(level)
             searched.append((n, m))
+            size_labels = names[:n], labels[:m]
             for matrix in _candidates_dedup(level, m):
                 examined += 1
-                p = _problem_from_matrix(matrix)
+                p = Problem(*size_labels, matrix, 2)
                 report = verify_no_fair_ef(p, bounds.per_instance_budget)
                 if not report.conclusive:
                     inconclusive += 1
@@ -386,6 +368,8 @@ def search_witness_g2(bounds: SearchBounds) -> G2SearchResult:
 
 def _candidates_dedup(level, m: int):
     """The n x m matrices of an orderly level with no zero row, in ascending
-    order; rows ascend, so the first row is the least."""
+    order; rows ascend, so the first row is the least.  Each row int is
+    read from one table of all 2^m rows, built once for the level."""
+    table = [tuple(r >> k & 1 for k in range(m - 1, -1, -1)) for r in range(1 << m)]
     for rows in sorted(rows for rows, _ in level if rows[0]):
-        yield _bits_to_matrix(rows, m)
+        yield tuple(map(table.__getitem__, rows))

@@ -55,7 +55,7 @@ class Problem:
 
     def availability_counts(self) -> tuple[int, ...]:
         """Per-player number of available days (row sums)."""
-        return tuple(sum(row) for row in self.avail)
+        return tuple(map(sum, self.avail))
 
     def day_counts(self) -> tuple[int, ...]:
         """Per-day number of available players (column sums)."""
@@ -290,9 +290,7 @@ def is_irreducible(p: Problem) -> bool:
     of available players.  Vacuously true for empty problems."""
     if p.is_empty:
         return True
-    if any(sum(row) < 1 for row in p.avail):
-        return False
-    return all(c >= p.group_size for c in p.day_counts())
+    return all(map(any, p.avail)) and min(p.day_counts()) >= p.group_size
 
 
 # --------------------------------------------------------------------------- #

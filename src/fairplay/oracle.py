@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, islice, product
+from itertools import combinations, compress, islice, product
 from typing import Iterator, Optional
 
 from fairplay._scan import scan_fair, scan_verify
@@ -63,8 +63,9 @@ def _efficient_lists(
     """Materialize each day's subsets in lexicographic order, but only as many
     as a scan of ``max_leaves`` leaves can ever touch, and count the
     full-game assignments (0 for an empty problem) from the same per-day
-    sizes."""
-    day_players = [tuple(i for i in range(p.n) if p.avail[i][k]) for k in range(p.m)]
+    sizes.  Each day's players come from one transpose of the matrix."""
+    everyone = range(p.n)
+    day_players = [tuple(compress(everyone, col)) for col in zip(*p.avail)]
     quotas = day_quotas(p)
     sizes = [math.comb(len(pl), take) for pl, take in zip(day_players, quotas)]
     total = math.prod(sizes)
@@ -73,19 +74,22 @@ def _efficient_lists(
     suffix = total
     for players, take, size in zip(day_players, quotas, sizes):
         suffix //= size
-        needed = min(size, (leaves - 1) // suffix + 1) if leaves > 0 else 0
-        lists.append(list(islice(combinations(players, take), needed)))
+        needed = -(-leaves // suffix)  # the day's subsets that the leaves reach
+        lists.append(list(islice(combinations(players, take), min(size, needed))))
     return lists, 0 if p.is_empty else total
 
 
 def _assignment_from_choice(
     p: Problem, combos: list[list[tuple[int, ...]]], choice: tuple[int, ...]
 ) -> Assignment:
-    matrix = [[0] * p.m for _ in range(p.n)]
-    for k, ci in enumerate(choice):
-        for i in combos[k][ci]:
-            matrix[i][k] = 1
-    return Assignment(tuple(tuple(row) for row in matrix))
+    n = p.n
+    columns = []
+    for day, ci in zip(combos, choice):
+        column = [0] * n
+        for i in day[ci]:
+            column[i] = 1
+        columns.append(column)
+    return Assignment(tuple(zip(*columns)))
 
 
 def enumerate_efficient(

@@ -78,6 +78,17 @@ def test_malformed_cell_error_names_the_cell():
         parse_problem("player,d1,d2\na,1,1\nb,1,x\n", 2)
 
 
+def test_header_and_blank_lines_tolerate_whitespace():
+    """Whitespace around the header's first cell is stripped as it is around
+    every other label, and a line of spaces is skipped like an empty one."""
+    plain = parse_matrix_csv("player,Mon\na,1\nb,1\n")
+    assert parse_matrix_csv("player ,Mon\na,1\nb,1\n") == plain
+    assert parse_matrix_csv(" player,Mon \na,1\n   \nb,1\n \t\n") == plain
+    assert serialize_problem(parse_problem("player ,Mon\na,1\n  \nb,1\n", 2)) == (
+        "player,Mon\na,1\nb,1\n"
+    )
+
+
 def test_duplicate_names_rejected_via_validate():
     with pytest.raises(ValidationError, match="duplicate"):
         parse_problem("player,d1\na,1\na,1\n", 2)

@@ -7,16 +7,15 @@ from itertools import combinations_with_replacement, permutations, product
 import pytest
 
 from conftest import all_feasible_assignments, make_problem, random_problem
-from fairplay import fixtures
+from fairplay import fixtures, impossibility
 from fairplay.impossibility import (
     SearchBounds,
     _candidates_dedup,
     _children,
     _column_masks,
-    _is_canonical,
+    _least_order,
     _orderly_levels,
     _own_chain,
-    _problem_from_matrix,
     _reads_below_own,
     build_table2,
     build_witness,
@@ -216,6 +215,13 @@ def test_canonical_form_distinguishes_nonisomorphic_matrices():
     assert canonical_form(a) == canonical_form(((0, 1), (1, 0)))
 
 
+def _is_canonical(columns, n):
+    """Whether the n-row matrix whose columns are ``columns`` (bit masks over
+    rows sorted ascending) equals its canonical form, by the greedy run
+    against the matrix's own column order, as the search runs it on a child."""
+    return _least_order(columns, n, _own_chain(columns, n)[0]) is not None
+
+
 def test_is_canonical_agrees_with_canonical_form(rng):
     """The early-abort test against the full greedy, on row-sorted matrices
     built with repeated rows and repeated columns, and on their canonical
@@ -303,6 +309,35 @@ def test_g2_search_at_4_4_completes_without_witness():
     assert result.instances_examined == 126
 
 
+def test_g2_search_reports_match_the_independent_enumerator(monkeypatch):
+    """Every report the search makes up to (5,4), its 550 candidates, against
+    conftest's enumerator and the model's envy audit, through the search's
+    own route: the instance it built and the report it read."""
+    reports = []
+
+    def recording(p, max_assignments):
+        reports.append(verify_no_fair_ef(p, max_assignments))
+        return reports[-1]
+
+    monkeypatch.setattr(impossibility, "verify_no_fair_ef", recording)
+    result = search_witness_g2(SearchBounds(5, 4))
+    assert result.search_complete
+    assert len(reports) == result.instances_examined == 550
+    for report in reports:
+        p = report.problem
+        assert p.players == tuple(f"p{i + 1}" for i in range(p.n))
+        assert p.days == tuple(f"d{k + 1}" for k in range(p.m))
+        assert p.group_size == 2 and list(p.avail) == sorted(p.avail)
+        leaves = list(all_feasible_assignments(p, full_games_only=True))
+        first = next(
+            pos for pos, x in enumerate(leaves) if envy_report(x, p).is_strongly_envy_free
+        )
+        assert report.first_ef_witness == leaves[first]
+        assert report.scanned == first + 1
+        assert report.efficient_count == len(leaves)
+        assert (report.min_envy_pairs, report.conclusive) == (0, True)
+
+
 def test_g2_search_dedup_skips_oversized_pools():
     result = search_witness_g2(SearchBounds(5, 5, per_size_cap=1000))
     assert not result.search_complete
@@ -341,6 +376,14 @@ def _int_to_matrix(value: int, n: int, m: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
+def _problem_from_matrix(matrix) -> Problem:
+    """A g = 2 instance labelled as the search labels its candidates."""
+    n, m = len(matrix), len(matrix[0])
+    return Problem(
+        tuple(f"p{i + 1}" for i in range(n)), tuple(f"d{k + 1}" for k in range(m)), matrix, 2
+    )
+
+
 def _candidates_raw(n: int, m: int):
     """Every irreducible g = 2 matrix of n players and m days, in ascending
     order of its row-major reading: the reference the search's canonical
@@ -368,8 +411,8 @@ def _reference_levels(n, max_days):
 
 
 def test_orderly_levels_match_plain_orderly_generation():
-    """The zero-row lift and the own-order test change no level, up to
-    (7,4); no entry is made twice."""
+    """The zero-row lift, the own-order test and the child's chain built
+    from its parent's change no level, up to (7,4); no entry is made twice."""
     reference = None
     for n, k, level in _levels(7, 4):
         if k == 1:
@@ -384,7 +427,7 @@ def test_own_order_test_rejects_only_non_canonical_children():
     rejected = 0
     for n, k, level in _levels(6, 3):
         for rows, columns in level:
-            own = _own_chain(columns, n)
+            own = _own_chain(columns, n)[0]
             for col in _children(rows):
                 if _reads_below_own(own, col):
                     rejected += 1
