@@ -4,8 +4,17 @@ The fairness profile (G_1, ..., G_m) of a full-game assignment, read as a
 base-(n+1) number, equals the total reward of the corresponding flow when a
 player's j-th game pays (n+1)^(m-j).  Maximizing that reward over all
 full-game assignments is therefore exactly the lexicographic maximization of
-the whole profile, in one min-cost flow: rewards per player fall as j grows,
-so the parallel unit arcs to the sink form a concave gain.
+the whole profile, in one min-cost flow.  Rewards per player fall as j
+grows, so each player's gain is concave, and one arc to the sink priced at
+the marginal reward carries it (Ahuja, Magnanti & Orlin, *Network Flows*,
+1993, chapter 14): for a player with g games it costs -(n+1)^(m-g-1), the
+reward of the next game, and its reverse costs (n+1)^(m-g), the reward of
+the last one.  The costs move one game along whenever a unit crosses the
+arc.  This is exact: of m parallel unit arcs, one per game, with distinct
+costs, only the cheapest unused one and the reverse of the last used one
+can have the least reduced cost, so no other ever lies on a shortest path,
+a zero-reduced-cost path or a cycle of :meth:`Residual.reroute`, and their
+reduced costs stay >= 0 whenever these two arcs' do.
 
 Costs are Python integers, so the big lexicographic weights are exact.  The
 solve is primal-dual (Ahuja, Magnanti & Orlin, *Network Flows*, 1993,
@@ -18,9 +27,11 @@ along each source -> sink path of zero-reduced-cost arcs it finds.  Such a
 path costs ``pi[sink] - pi[source]``, the least any path can, so each unit
 is a shortest augmenting path and the flow stays min-cost for its value.
 A push opens only the reverses of arcs of reduced cost 0, whose reduced
-cost is 0 as well, so the potentials stay valid through the phase and
-after it.  Phases repeat until every quota is met; the network is a DAG,
-so exact starting potentials are known without a Bellman-Ford pass.
+cost is 0 as well, and moves a sink arc's costs one game along, which
+makes the direction just crossed dearer, so the potentials stay valid
+through the phase and after it.  Phases repeat until every quota is met;
+the network is a DAG, so exact starting potentials are known without a
+Bellman-Ford pass.
 
 The solved network is handed back as a :class:`Residual` that the lex
 tie-break edits cell by cell.  An optimal flow can avoid an arc exactly when
@@ -31,6 +42,7 @@ cycle keeps the flow optimal and the potentials valid.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Optional, Sequence
@@ -42,15 +54,22 @@ class Residual:
     Arc ``e`` and its reverse ``e ^ 1`` are stored side by side.  Each
     available cell ``(player, day)`` is one unit arc from its day node to its
     player node; closing an arc (capacity 0) pins the cell's current state.
+    Arcs from ``gain0`` on are the players' marginal-cost arcs to the sink:
+    for a player with g games the arc has capacity m - g and costs
+    -base^(m-g-1), the next game's reward, and its reverse has capacity g
+    and costs base^(m-g), the last game's.  With no game yet, or all m, one
+    direction has capacity 0 and no game to price; nothing reads its cost.
     """
 
-    def __init__(self, nodes: int):
+    def __init__(self, nodes: int, base: int):
         self.head: list[list[int]] = [[] for _ in range(nodes)]
         self.to: list[int] = []
         self.cap: list[int] = []
         self.cost: list[int] = []
         self.pi = [0] * nodes
         self.cell_arc: dict[tuple[int, int], int] = {}
+        self.base = base
+        self.gain0 = sys.maxsize  # no sink arcs until the builder adds them
 
     def add(self, u: int, v: int, cap: int, cost: int) -> int:
         idx = len(self.to)
@@ -65,8 +84,14 @@ class Residual:
         return idx
 
     def _push(self, e: int) -> None:
-        self.cap[e] -= 1
-        self.cap[e ^ 1] += 1
+        cap, cost = self.cap, self.cost
+        cap[e] -= 1
+        cap[e ^ 1] += 1
+        if e >= self.gain0:  # a sink arc: move its costs one game along
+            c = cost[e]
+            cost[e ^ 1] = -c
+            # a game more pays base times less; a game fewer, base times more
+            cost[e] = c // self.base if c < 0 else c * self.base
 
     def uses(self, cell: tuple[int, int]) -> bool:
         """Whether the flow runs through a cell not yet fixed or forbidden."""
@@ -219,7 +244,10 @@ def solve_stage(avail: Sequence[Sequence[int]], quotas: Sequence[int]) -> FlowRe
     over full-game assignments: the stage-m problem, whose weights encode
     every earlier stage because G_t <= n < n+1.
 
-    Raises ValueError when the day quotas cannot be met.
+    The network runs source -> day (capacity the day's quota), day ->
+    player (one unit arc per available cell) and player -> sink (one
+    marginal-cost arc of capacity m per player, added last): m + cells + n
+    arcs.  Raises ValueError when the day quotas cannot be met.
     """
     n = len(avail)
     m = len(quotas)
@@ -230,7 +258,7 @@ def solve_stage(avail: Sequence[Sequence[int]], quotas: Sequence[int]) -> FlowRe
     day0 = 1
     player0 = day0 + m
     sink = player0 + n
-    net = Residual(sink + 1)
+    net = Residual(sink + 1, base)
 
     for k in range(m):
         net.add(source, day0 + k, quotas[k], 0)
@@ -238,12 +266,13 @@ def solve_stage(avail: Sequence[Sequence[int]], quotas: Sequence[int]) -> FlowRe
         for k in range(m):
             if avail[i][k]:
                 net.cell_arc[i, k] = net.add(day0 + k, player0 + i, 1, 0)
+    first_game = base ** (m - 1)
+    net.gain0 = len(net.to)
     for i in range(n):
-        for level in range(1, m + 1):
-            net.add(player0 + i, sink, 1, -(base ** (m - level)))
+        net.add(player0 + i, sink, m, -first_game)
     # Exact distances on the DAG: every path to a player costs 0, and the
-    # cheapest way on to the sink is a first-game arc.
-    net.pi[sink] = -(base ** (m - 1))
+    # way on to the sink costs the first game's reward.
+    net.pi[sink] = -first_game
 
     # Primal-dual phases until every quota is met: one Dijkstra per distance
     # level, then every unit that fits on its zero-reduced-cost paths.

@@ -1,9 +1,10 @@
 """CSV formats for availability and assignment matrices.
 
 Layout: header ``player,<day1>,...,<dayM>``, one row per player with 0/1
-cells.  UTF-8; a leading BOM and LF or CRLF accepted on input; output is
-always LF with no trailing separators and no BOM.  Derived totals are never
-stored, only recomputed, so inconsistent totals cannot enter data files.
+cells.  UTF-8; a leading BOM, LF or CRLF, and empty or whitespace-only
+lines anywhere are accepted on input; output is always LF with no trailing
+separators and no BOM.  Derived totals are never stored, only recomputed,
+so inconsistent totals cannot enter data files.
 """
 
 from __future__ import annotations
@@ -21,8 +22,14 @@ def parse_matrix_csv(text: str) -> tuple[list[str], list[str], list[list[int]]]:
     Raises ValidationError naming the offending cell on any malformed input.
     """
     reader = csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline=""))
+    # an empty line or a line of spaces is skipped wherever it stands
+    lines = (
+        (lineno, record)
+        for lineno, record in enumerate(reader, start=1)
+        if len(record) > 1 or (record and record[0].strip())
+    )
     try:
-        header = next(reader)
+        _, header = next(lines)
     except StopIteration:
         raise ValidationError("empty file: expected a header row") from None
     if len(header) < 2:
@@ -35,9 +42,7 @@ def parse_matrix_csv(text: str) -> tuple[list[str], list[str], list[list[int]]]:
 
     players: list[str] = []
     rows: list[list[int]] = []
-    for lineno, record in enumerate(reader, start=2):
-        if not record or (len(record) == 1 and not record[0].strip()):
-            continue  # an empty line or a line of spaces
+    for lineno, record in lines:
         if len(record) != len(days) + 1:
             raise ValidationError(
                 f"line {lineno}: expected {len(days) + 1} fields, got {len(record)}"

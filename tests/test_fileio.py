@@ -89,6 +89,20 @@ def test_header_and_blank_lines_tolerate_whitespace():
     )
 
 
+def test_blank_lines_before_the_header_are_skipped():
+    """An empty or whitespace-only line before the header is skipped as it is
+    after it, and later errors still cite the file's own line numbers."""
+    plain = parse_matrix_csv("player,Mon\na,1\n")
+    assert parse_matrix_csv("\nplayer,Mon\na,1\n") == plain
+    assert parse_matrix_csv("  \nplayer,Mon\na,1\n") == plain
+    with pytest.raises(ValidationError, match=r"line 5.*'d2'"):
+        parse_matrix_csv("\n \t\nplayer,d1,d2\na,1,1\nb,1,x\n")
+    with pytest.raises(ValidationError, match="line 4: expected 2 fields"):
+        parse_matrix_csv(" \nplayer,d1\n\na,1,1\n")
+    with pytest.raises(ValidationError, match="empty file"):
+        parse_matrix_csv("\n  \n")
+
+
 def test_duplicate_names_rejected_via_validate():
     with pytest.raises(ValidationError, match="duplicate"):
         parse_problem("player,d1\na,1\na,1\n", 2)

@@ -326,10 +326,11 @@ def test_random_draw_is_a_reservoir_over_the_oracle_enumeration():
 # --------------------------------------------------------------------------- #
 
 def _flow_instances():
-    """The fixtures, 50 seeded random instances and the pinned club sheets
-    from 60x7 to 120x7.  Every other random instance is left unreduced, so
-    that the solve meets nodes no residual path reaches: a player with no
-    available day, a day too short for a game."""
+    """The fixtures, 50 seeded random instances, the pinned club sheets from
+    60x7 to 120x7 and a sheet where one player plays every day.  Every other
+    random instance is left unreduced, so that the solve meets nodes no
+    residual path reaches: a player with no available day, a day too short
+    for a game."""
     out = [reduce_problem(fixtures.table1())[0], fixtures.table2()]
     rng = random.Random(20261019)
     while len(out) < 52:
@@ -340,13 +341,18 @@ def _flow_instances():
     for seed, n, m, _ in _PINNED_LEX:
         if n >= 60:
             out.append(reduce_problem(_club(seed, n, m))[0])
+    out.append(make_problem([[1, 1, 1], [1, 1, 1], [1, 0, 0]], g=2))
     return out
 
 
 def test_profile_flow_leaves_valid_potentials():
     """After the solve, every residual arc has reduced cost >= 0, which is
     what makes ``Residual.reroute`` exact; the flow meets every quota and its
-    games attain the reported profile."""
+    games attain the reported profile.  The network has one arc per day,
+    per available cell and per player, and a player with g games has a sink
+    arc of capacity m - g costing -(n+1)^(m-g-1), whose reverse costs
+    (n+1)^(m-g); a direction of capacity 0 has no game to price."""
+    plays_every_day = 0
     for p in _flow_instances():
         quotas = day_quotas(p)
         result = _flow.solve_stage(p.avail, quotas)
@@ -363,6 +369,35 @@ def test_profile_flow_leaves_valid_potentials():
         games = Assignment(tuple(map(tuple, matrix)))
         assert games.day_totals() == tuple(quotas)
         assert g_vector(games).counts == result.gvector
+
+        assert len(net.to) == 2 * (p.m + len(net.cell_arc) + p.n)
+        base, m, player0 = p.n + 1, p.m, 1 + p.m
+        sink = player0 + p.n
+        for i, g in enumerate(map(sum, matrix)):
+            e = net.gain0 + 2 * i
+            assert (net.to[e ^ 1], net.to[e]) == (player0 + i, sink)
+            assert (net.cap[e], net.cap[e ^ 1]) == (m - g, g), (p, i)
+            if g > 0:
+                assert net.cost[e ^ 1] == base ** (m - g), (p, i)
+            if g < m:
+                assert net.cost[e] == -(base ** (m - g - 1)), (p, i)
+            plays_every_day += g == m
+    assert plays_every_day
+
+
+def test_profile_flow_matches_brute_force_on_random_instances():
+    """The flow's profile is the exhaustive oracle's on seeded random reduced
+    instances with g in {2, 3, 4}."""
+    rng = random.Random(20261020)
+    checked = 0
+    while checked < 400:
+        red, _ = reduce_problem(random_problem(rng, max_n=9, max_m=5))
+        if red.is_empty:
+            continue
+        oracle_g, _ = brute_force_fair(red)
+        result = _flow.solve_stage(red.avail, day_quotas(red))
+        assert result.gvector == oracle_g.counts, red
+        checked += 1
 
 
 @pytest.mark.parametrize(
