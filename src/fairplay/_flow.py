@@ -31,7 +31,8 @@ cost is 0 as well, and moves a sink arc's costs one game along, which
 makes the direction just crossed dearer, so the potentials stay valid
 through the phase and after it.  Phases repeat until every quota is met;
 the network is a DAG, so exact starting potentials are known without a
-Bellman-Ford pass.
+Bellman-Ford pass.  They give every arc reduced cost 0, so the first phase
+needs no Dijkstra and pushes at once.
 
 The solved network is handed back as a :class:`Residual` that the lex
 tie-break edits cell by cell.  An optimal flow can avoid an arc exactly when
@@ -274,10 +275,12 @@ def solve_stage(avail: Sequence[Sequence[int]], quotas: Sequence[int]) -> FlowRe
     # way on to the sink costs the first game's reward.
     net.pi[sink] = -first_game
 
-    # Primal-dual phases until every quota is met: one Dijkstra per distance
-    # level, then every unit that fits on its zero-reduced-cost paths.
+    # Primal-dual phases until every quota is met: every unit that fits on
+    # the zero-reduced-cost paths, then one Dijkstra per distance level.
+    # The DAG potentials give every arc reduced cost 0, so the first phase
+    # pushes at once: its Dijkstra would add 0 everywhere.
     augmentations = sum(quotas)
-    pushed = relaxations = 0
+    pushed, relaxations = net.push_zero_paths(source, sink)
     while pushed < augmentations:
         relaxations += net.raise_potentials(source, sink)
         units, examined = net.push_zero_paths(source, sink)

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
-from itertools import islice
+from itertools import compress, islice
+from json.encoder import encode_basestring_ascii
 
 from fairplay import __version__
 from fairplay.fileio import (
@@ -60,10 +60,15 @@ EXIT_INCONCLUSIVE = 6
 def _restrict(x: Assignment, original: Problem, reduced: Problem) -> Assignment:
     """Project an assignment on the original problem down to the reduced
     core.  Feasible assignments never use removed players or days, so this
-    loses nothing."""
-    pmap = [original.player_index(name) for name in reduced.players]
-    dmap = [original.days.index(label) for label in reduced.days]
-    return Assignment(tuple(tuple(x.matrix[i][k] for k in dmap) for i in pmap))
+    loses nothing.  Returns ``x`` itself when ``reduced is original``."""
+    if reduced is original:
+        return x
+    rows = dict(zip(original.players, x.matrix))
+    col = {label: k for k, label in enumerate(original.days)}
+    pick = [col[label] for label in reduced.days]
+    return Assignment(tuple(
+        tuple(map(rows[name].__getitem__, pick)) for name in reduced.players
+    ))
 
 
 def cmd_reduce(args) -> int:
@@ -86,37 +91,63 @@ def cmd_reduce(args) -> int:
     return EXIT_OK
 
 
-def _solve_json(p, reduced, report) -> str:
-    core = _restrict(report.assignment, p, reduced)
-    envy = envy_report(core, reduced)
+def _json(value, indent: str = "") -> str:
+    """The bytes of ``json.dumps(value, sort_keys=True, indent=2)`` for a
+    value built of dicts with str keys, lists or tuples, ints and strs.
+    ``json.dumps`` runs its pure-Python encoder whenever it indents; this
+    writer skips the cases a solve payload never holds."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = (
+            f"{encode_basestring_ascii(key)}: {_json(item, inner)}"
+            for key, item in sorted(value.items())
+        )
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    items = (_json(item, inner) for item in value)
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+
+
+def _solve_json(p: Problem, reduced: Problem, report) -> str:
+    """The JSON of a solve of the reduced core: ``g_vector`` and the envy
+    pairs are the core's own, the matrix and games cover the whole sheet."""
+    envy = envy_report(report.assignment, reduced)
+    full = zero_extend(report.assignment, p, reduced)
     payload = {
-        "days": list(p.days),
+        "days": p.days,
         "envy_pairs": [
-            [e.envious, e.envied, e.avail_envious, e.avail_envied,
-             e.games_envious, e.games_envied]
+            (e.envious, e.envied, e.avail_envious, e.avail_envied,
+             e.games_envious, e.games_envied)
             for e in envy.pairs
         ],
-        "g_vector": list(g_vector(core).counts),
-        "games_per_player": list(games_per_player(report.assignment)),
-        "matrix": [list(row) for row in report.assignment.matrix],
-        "players": list(p.players),
+        "g_vector": report.g_vector.counts,
+        "games_per_player": games_per_player(full),
+        "matrix": full.matrix,
+        "players": p.players,
         "total_games": report.total_games,
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return _json(payload) + "\n"
 
 
-def _solve_table(p, reduced, report) -> str:
+def _solve_table(p: Problem, reduced: Problem, report) -> str:
+    """The table of a solve of the reduced core, day lines over the whole
+    sheet."""
     g = p.group_size
-    core = _restrict(report.assignment, p, reduced)
+    full = zero_extend(report.assignment, p, reduced)
     lines = [
         f"fair assignment: {report.total_games} games of {g} over "
         f"{reduced.m} of {p.m} days",
         "fairness profile (reduced core): "
-        + " ".join(str(c) for c in g_vector(core).counts),
+        + " ".join(str(c) for c in report.g_vector.counts),
         "",
     ]
-    for k, day in enumerate(p.days):
-        assigned = [p.players[i] for i in range(p.n) if report.assignment.matrix[i][k]]
+    for day, column in zip(p.days, zip(*full.matrix)):
+        assigned = list(compress(p.players, column))
         if not assigned:
             lines.append(f"{day}: no game")
             continue
@@ -125,12 +156,14 @@ def _solve_table(p, reduced, report) -> str:
             lines.append(f"  game {j // g + 1}: " + ", ".join(assigned[j:j + g]))
     lines.append("")
     lines.append("games per player:")
-    for name, games in zip(p.players, games_per_player(report.assignment)):
+    for name, games in zip(p.players, games_per_player(full)):
         lines.append(f"  {name}: {games}")
     return "\n".join(lines) + "\n"
 
 
 def cmd_solve(args) -> int:
+    """Reduce the sheet once, solve its core, and print the core's answer
+    with removed players and days zero-extended."""
     if args.tie_break == "random" and args.seed is None:
         print("error: --tie-break random requires --seed", file=sys.stderr)
         return EXIT_FLAG
@@ -141,7 +174,7 @@ def cmd_solve(args) -> int:
         else TieBreakPolicy.lex()
     )
     reduced, _ = reduce_problem(p)
-    report = solve_fair(p, policy)
+    report = solve_fair(reduced, policy)
     if args.format == "json":
         sys.stdout.write(_solve_json(p, reduced, report))
     else:

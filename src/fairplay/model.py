@@ -8,7 +8,10 @@ operations are safe to call concurrently on shared data.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress
+from operator import le
 from typing import NamedTuple, Optional, Sequence
 
 
@@ -74,7 +77,7 @@ class ReductionLog:
 
     ``rounds`` counts the alternating day/player passes that removed
     anything; a pass that finds nothing to remove ends the process and is
-    not counted.
+    not counted.  One pass reaches the fixed point, so it is 0 or 1.
     """
 
     removed_days: tuple[tuple[int, str], ...]
@@ -224,13 +227,14 @@ def validate_problem(
                 f"dimension mismatch: row {i} ({players[i]!r}) has {len(row)} cells, "
                 f"expected {len(days)}"
             )
-        for k, cell in enumerate(row):
-            if cell not in (0, 1):
-                raise ValidationError(
-                    f"non-binary entry at row {i} ({players[i]!r}), "
-                    f"column {k} ({days[k]!r}): {cell!r}"
-                )
-        rows.append(tuple(int(cell) for cell in row))
+        if row.count(0) + row.count(1) != len(row):  # find the cell to name
+            for k, cell in enumerate(row):
+                if cell not in (0, 1):
+                    raise ValidationError(
+                        f"non-binary entry at row {i} ({players[i]!r}), "
+                        f"column {k} ({days[k]!r}): {cell!r}"
+                    )
+        rows.append(tuple(map(int, row)))
 
     return Problem(tuple(players), tuple(days), tuple(rows), group_size)
 
@@ -239,49 +243,31 @@ def reduce_problem(p: Problem) -> tuple[Problem, ReductionLog]:
     """Strip days that cannot host a single game and players left with no
     days, alternating until a fixed point.
 
-    Survivor order is preserved.  The result can be empty; that is a legal
-    outcome, visible via ``Problem.is_empty``.
+    One round reaches it: a removed player is unavailable on every kept
+    day, so removing them lowers no kept day's count.  Survivor order is
+    preserved.  When nothing is removed the result is ``p`` itself, so
+    callers can test ``reduced is p``.  The result can be empty; that is a
+    legal outcome, visible via ``Problem.is_empty``.
     """
     g = p.group_size
-    player_idx = list(range(p.n))
-    day_idx = list(range(p.m))
-    removed_days: list[tuple[int, str]] = []
-    removed_players: list[tuple[int, str]] = []
-    rounds = 0
-
-    while True:
-        changed = False
-        round_no = rounds + 1
-
-        keep_days = []
-        for k in day_idx:
-            if sum(p.avail[i][k] for i in player_idx) < g:
-                removed_days.append((round_no, p.days[k]))
-                changed = True
-            else:
-                keep_days.append(k)
-        day_idx = keep_days
-
-        keep_players = []
-        for i in player_idx:
-            if all(p.avail[i][k] == 0 for k in day_idx):
-                removed_players.append((round_no, p.players[i]))
-                changed = True
-            else:
-                keep_players.append(i)
-        player_idx = keep_players
-
-        if not changed:
-            break
-        rounds = round_no
-
+    counts = p.day_counts()
+    keep_day = [c >= g for c in counts]
+    keep_player = [any(compress(row, keep_day)) for row in p.avail]
+    if all(keep_day) and all(keep_player):
+        return p, ReductionLog((), (), 0)
     reduced = Problem(
-        players=tuple(p.players[i] for i in player_idx),
-        days=tuple(p.days[k] for k in day_idx),
-        avail=tuple(tuple(p.avail[i][k] for k in day_idx) for i in player_idx),
+        players=tuple(compress(p.players, keep_player)),
+        days=tuple(compress(p.days, keep_day)),
+        avail=tuple(
+            tuple(compress(row, keep_day)) for row in compress(p.avail, keep_player)
+        ),
         group_size=g,
     )
-    log = ReductionLog(tuple(removed_days), tuple(removed_players), rounds)
+    log = ReductionLog(
+        tuple((1, day) for day, kept in zip(p.days, keep_day) if not kept),
+        tuple((1, name) for name, kept in zip(p.players, keep_player) if not kept),
+        1,
+    )
     return reduced, log
 
 
@@ -305,9 +291,14 @@ def is_feasible(x: Assignment, p: Problem) -> Feasibility:
         raise ValidationError(
             f"shape mismatch: assignment {x.n}x{x.m} vs problem {p.n}x{p.m}"
         )
-    for i in range(p.n):
-        for k in range(p.m):
-            cell = x.matrix[i][k]
+    m = p.m
+    for i, (row, offered) in enumerate(zip(x.matrix, p.avail)):
+        # a row of 0/1 cells on offered days needs no cell loop
+        if (len(row) == m and row.count(0) + row.count(1) == m
+                and all(map(le, row, offered))):
+            continue
+        for k in range(m):
+            cell = row[k]
             if cell not in (0, 1):
                 raise ValidationError(
                     f"non-binary entry at row {i} ({p.players[i]!r}), "
@@ -324,7 +315,8 @@ def is_feasible(x: Assignment, p: Problem) -> Feasibility:
                         f"assigned on day {p.days[k]!r} but is not available",
                     ),
                 )
-    for k, total in enumerate(x.day_totals()):
+    # every row has at least m cells here, so zip sums the first m of each
+    for k, total in enumerate(map(sum, zip(*x.matrix))):
         if total % p.group_size != 0:
             return Feasibility(
                 False,
@@ -365,14 +357,14 @@ def is_efficient(x: Assignment, p: Problem) -> bool:
 
 def games_per_player(x: Assignment) -> tuple[int, ...]:
     """Row sums: how many games each player got."""
-    return tuple(sum(row) for row in x.matrix)
+    return tuple(map(sum, x.matrix))
 
 
 def g_vector(x: Assignment) -> GVector:
     """Count, for each threshold t = 1..m, the players with at least t games."""
-    games = games_per_player(x)
-    m = x.m
-    return GVector(tuple(sum(1 for d in games if d >= t) for t in range(1, m + 1)))
+    games = sorted(games_per_player(x))
+    n = len(games)
+    return GVector(tuple(n - bisect_left(games, t) for t in range(1, x.m + 1)))
 
 
 def compare_fairness(u: GVector, v: GVector) -> FairnessOrder:
@@ -397,33 +389,27 @@ def envy_report(x: Assignment, p: Problem) -> EnvyReport:
     feas = is_feasible(x, p)
     if not feas:
         raise InfeasibleAssignmentError(feas.violation.detail)
-    avail = p.availability_counts()
-    games = games_per_player(x)
-    pairs = []
-    for i in range(p.n):
-        for j in range(p.n):
-            if avail[i] > avail[j] and games[i] < games[j]:
-                pairs.append(
-                    EnvyPair(
-                        envious=p.players[i],
-                        envied=p.players[j],
-                        avail_envious=avail[i],
-                        avail_envied=avail[j],
-                        games_envious=games[i],
-                        games_envied=games[j],
-                    )
-                )
-    return EnvyReport(tuple(pairs))
+    players = tuple(zip(p.players, p.availability_counts(), games_per_player(x)))
+    return EnvyReport(tuple(
+        EnvyPair(envious, envied, avail_i, avail_j, games_i, games_j)
+        for envious, avail_i, games_i in players
+        for envied, avail_j, games_j in players
+        if avail_i > avail_j and games_i < games_j
+    ))
 
 
 def zero_extend(x: Assignment, original: Problem, reduced: Problem) -> Assignment:
     """Lift an assignment on a reduced problem back to the original shape,
-    filling removed players/days with zeros."""
-    pmap = [original.player_index(name) for name in reduced.players]
-    dmap = [original.days.index(label) for label in reduced.days]
-    full = [[0] * original.m for _ in range(original.n)]
-    for ri, oi in enumerate(pmap):
-        row = x.matrix[ri]
-        for rk, ok in enumerate(dmap):
-            full[oi][ok] = row[rk]
-    return Assignment(tuple(tuple(row) for row in full))
+    filling removed players/days with zeros.  Returns ``x`` itself when
+    ``reduced is original``."""
+    if reduced is original:
+        return x
+    rows = dict(zip(reduced.players, x.matrix))
+    col = {label: k for k, label in enumerate(reduced.days)}
+    # a removed day reads the zero appended after a row's last cell
+    pick = [col.get(label, reduced.m) for label in original.days]
+    zeros = (0,) * original.m
+    return Assignment(tuple(
+        tuple(map((*rows[name], 0).__getitem__, pick)) if name in rows else zeros
+        for name in original.players
+    ))

@@ -19,7 +19,9 @@ profile-optimal ones:
   scans use.
 
 Inputs need not be irreducible: the solver reduces internally and
-zero-extends the result, so removed players provably get no games.
+zero-extends the result, so removed players provably get no games.  An
+irreducible input costs one column-sum pass, since ``reduce_problem`` then
+returns it as is and ``zero_extend`` returns the core's assignment.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from operator import add
 from typing import Optional
 
@@ -191,6 +194,15 @@ class _Optima:
     depth in one orbit have equal counts.  The memo key is
     ``_scan.orbit_key`` over ``_scan.class_offsets(avail, day)``, the key the
     scans' orbit memo uses, whose docstring gives the argument.
+
+    The last day is counted in closed form.  A leaf attains the target
+    exactly when T_v players end with v games, T being the target's
+    multiset.  Of the a_v last-day players and b_v others with v games, the
+    number c_v the day raises to v + 1 is then forced: with c_{-1} = 0,
+    c_v = b_v + a_v + c_{v-1} - T_v.  The node counts the product of
+    C(a_v, c_v), or 0 unless every 0 <= c_v <= a_v; since no player has m
+    games before the last day, a_m = 0 makes the last c 0, and the c_v sum
+    to the day's quota.
     """
 
     def __init__(self, reduced: Problem, quotas: list[int], target: tuple[int, ...]):
@@ -205,13 +217,16 @@ class _Optima:
         for k in range(m - 1, -1, -1):
             suffix.append([s + row[k] for s, row in zip(suffix[-1], reduced.avail)])
         self.suffix = suffix[::-1]
-        self.offsets = [class_offsets(reduced.avail, k) for k in range(m + 1)]
-        self.memo: list[dict[tuple[int, ...], int]] = [{} for _ in range(m + 1)]
+        self.offsets = [class_offsets(reduced.avail, k) for k in range(m - 1)]
+        self.memo: list[dict[tuple[int, ...], int]] = [{} for _ in range(m - 1)]
         self.games = [0] * n
+        # wanted[v]: players the target leaves with exactly v games
+        at_least = (n, *target, 0)
+        self.wanted = [at_least[v] - at_least[v + 1] for v in range(m + 1)]
+        self.leaf = [v for v, count in enumerate(self.wanted) for _ in range(count)]
+        self.last_avail = [row[m - 1] for row in reduced.avail]
 
     def _optimistic_ok(self, day: int) -> bool:
-        # at day m this holds exactly when the games attain the target,
-        # which no assignment exceeds
         ub = sorted(map(add, self.games, self.suffix[day]))
         for t, want in enumerate(self.target, 1):
             gt = self.n - bisect_left(ub, t)
@@ -219,22 +234,38 @@ class _Optima:
                 return gt > want
         return True
 
+    def _count_last_day(self) -> int:
+        on = [0] * (self.m + 1)  # a_v
+        total = [0] * (self.m + 1)  # a_v + b_v
+        for g, available in zip(self.games, self.last_avail):
+            total[g] += 1
+            on[g] += available
+        found = 1
+        raised = 0
+        for a, count, want in zip(on, total, self.wanted):
+            raised = count + raised - want
+            if not 0 <= raised <= a:
+                return 0
+            found *= comb(a, raised)
+        return found
+
     def count(self, day: int) -> int:
+        if day == self.m:
+            return int(sorted(self.games) == self.leaf)
+        if day == self.m - 1:
+            return self._count_last_day()
         games = self.games
         key = orbit_key(games, self.offsets[day])
         found = self.memo[day].get(key)
         if found is None:
             found = 0
             if self._optimistic_ok(day):
-                if day == self.m:
-                    found = 1
-                else:
-                    for combo in self.day_combos[day]:
-                        for i in combo:
-                            games[i] += 1
-                        found += self.count(day + 1)
-                        for i in combo:
-                            games[i] -= 1
+                for combo in self.day_combos[day]:
+                    for i in combo:
+                        games[i] += 1
+                    found += self.count(day + 1)
+                    for i in combo:
+                        games[i] -= 1
             self.memo[day][key] = found
         return found
 

@@ -1,11 +1,13 @@
 """Command-line behavior: output contracts and exit codes."""
 
+import hashlib
 import json
+import random
 
 import pytest
 
 from fairplay import impossibility
-from fairplay.cli import main
+from fairplay.cli import _json, main
 from fairplay.fileio import parse_problem
 from fairplay.fixtures import fixture_path
 from fairplay.model import g_vector, reduce_problem, Assignment
@@ -145,6 +147,144 @@ def test_solve_random_without_seed_exits_3(capsys):
     )
     assert code == 3
     assert "--seed" in err
+
+
+def _reducing_sheet(seed):
+    """Seeded g = 4 sheet of 12-18 players x 4-6 days, half of them
+    available, where two players offer no day at all; on odd seeds one day
+    has only two players.  Sheet 2 names its players with non-ASCII
+    letters, quotes, backslashes and a comma."""
+    rng = random.Random(seed)
+    n, m = rng.randint(12, 18), rng.randint(4, 6)
+    rows = [[int(rng.random() < 0.5) for _ in range(m)] for _ in range(n)]
+    for i in rng.sample(range(n), 2):
+        rows[i] = [0] * m
+    if seed % 2:
+        k = rng.randrange(m)
+        for i, row in enumerate(rows):
+            row[k] = int(i < 2)
+    names = [f"p{i + 1}" for i in range(n)]
+    if seed == 2:
+        names[:5] = ["Zoë", '"JJ" Smith', "back\\slash", "日本", "Lee, Ann"]
+    header = "player," + ",".join(f"d{k + 1}" for k in range(m))
+    body = [
+        '"' + name.replace('"', '""') + '",' + ",".join(map(str, row))
+        for name, row in zip(names, rows)
+    ]
+    return "\n".join([header, *body]) + "\n"
+
+
+_SOLVE_FLAGS = {
+    "json-lex": ("--format", "json"),
+    "json-random7": ("--format", "json", "--tie-break", "random", "--seed", "7"),
+    "table-lex": ("--format", "table"),
+    "table-random7": ("--format", "table", "--tie-break", "random", "--seed", "7"),
+}
+
+# SHA-256 of the UTF-8 stdout of ``solve --group-size 4`` with each of
+# _SOLVE_FLAGS on _reducing_sheet(seed), as printed by the CLI that solved
+# the whole sheet, zero-extended the result and restricted it back to the
+# reduced core for the profile and the envy pairs.
+_PINNED_SOLVE = {
+    1: {
+        "json-lex": "599a40f12801c39b1c1360f7c9bcaef8a55c19c4782f4adb87f8cff9b6d0e116",
+        "json-random7": "22b44922a9218967f019df6a1cf3c0f1b871dc279c8357f3517fd97cff1f65c4",
+        "table-lex": "cc1ae6742ed400d917ad48eb06e5f14d9209efbf6301427763dd94f815cb8663",
+        "table-random7": "9b43ec03d3c3b876aa7245d89ada61eaf134979448a97e3062b102344874ce5c",
+    },
+    2: {
+        "json-lex": "3a6d557faa045c3d550370878ed0650c80984b8468d05d77d893a509f4c12bbc",
+        "json-random7": "5a08fedeb4b83b2ca62f0e53a0d18ec32f434a32c3286b9197ad0292e97b7d63",
+        "table-lex": "fedf8c023b0ccd8947baa6976fdbf7198792f0ee02af7e99b7981dccce611d06",
+        "table-random7": "a229d7923e0230bef3ba792dbf8da033f3a068213a389005eedc0c9f4b4ce4b8",
+    },
+    3: {
+        "json-lex": "6e5b7a6f7cd29ae409e4806124d6e191f70aedf6501880e54aef2f1e6b8d6159",
+        "json-random7": "fe98bd30b54720b7f7b4fa2c100b6b1fa1b939532e356cc2b880211893974079",
+        "table-lex": "b06051d415c687a63c15d0b1bf83d053e3266c4b790b9bd0d7d024038edb2f04",
+        "table-random7": "8b5c835b33771ad22826b2869205847ea6abb660500f3870e0e63381c59132c4",
+    },
+    6: {
+        "json-lex": "8e0fb0ac1723447e868847cefb79a27b60163c292b542efec8bc61191ee980c6",
+        "json-random7": "047a3b1e8ac4bd07d382a82c48dd0d56d60eaa5c9c874a8e47448501ee216820",
+        "table-lex": "a8c15187e6f45bde7f4f698c223feb7665b8e1a10932362e88890bf2ba76c6dc",
+        "table-random7": "f8e5a57d5d0fcf21ec50d8da94df2a86b4ee9764d7a084ffbb14d4ac8ed56174",
+    },
+    7: {
+        "json-lex": "f09db5243b14ef27bf13f9983a9cfafcdf7df62e61bfb45ef864546e6833a7fc",
+        "json-random7": "4b94d48c57df759a7a5d43e242753c7f29eadf02baa8a63445ae66901be109a6",
+        "table-lex": "c7a32c74f9c23424d74e2c28d1b789abfcd4915909b65bd47d81c95fe7a44bab",
+        "table-random7": "bf922f72c1962a784df828389134d09410a460672511454e1f4a443fecdf0440",
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_PINNED_SOLVE))
+def test_solve_output_is_pinned_on_sheets_that_reduce(capsys, tmp_path, seed):
+    text = _reducing_sheet(seed)
+    _, log = reduce_problem(parse_problem(text, 4))
+    assert len(log.removed_players) >= 2
+    assert bool(log.removed_days) == bool(seed % 2)
+    sheet = tmp_path / "sheet.csv"
+    sheet.write_text(text, encoding="utf-8")
+    digests = {}
+    for name, flags in _SOLVE_FLAGS.items():
+        code, out, err = run(
+            capsys, "solve", "--input", str(sheet), "--group-size", "4", *flags
+        )
+        assert (code, err) == (0, "")
+        digests[name] = hashlib.sha256(out.encode()).hexdigest()
+    assert digests == _PINNED_SOLVE[seed]
+
+
+def _random_payload(rng):
+    """A payload shaped like a solve's, with names drawn from ASCII,
+    non-ASCII letters, quotes, backslashes and control characters, and
+    empty lists and dicts at random."""
+    alphabet = 'ab Z09"\\/\t\néü日本\U0001F3BE,'
+    def name():
+        return "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 6)))
+
+    n, m = rng.randint(0, 6), rng.randint(0, 4)
+    return {
+        "days": [name() for _ in range(m)],
+        "envy_pairs": [
+            [name(), name(), rng.randint(0, 9), rng.randint(0, 9),
+             rng.randint(-1, 9), rng.randint(0, 10**20)]
+            for _ in range(rng.choice((0, 0, 3)))
+        ],
+        "g_vector": [rng.randint(0, n) for _ in range(m)],
+        "matrix": [[rng.randint(0, 1) for _ in range(m)] for _ in range(n)],
+        "nested": {name(): {} for _ in range(rng.randint(0, 2))},
+        "players": [name() for _ in range(n)],
+        "total_games": rng.randint(0, 50),
+    }
+
+
+def test_json_writer_matches_json_dumps():
+    rng = random.Random(20261019)
+    for _ in range(300):
+        payload = _random_payload(rng)
+        assert _json(payload) == json.dumps(payload, sort_keys=True, indent=2)
+    assert _json({}) == "{}" and _json([]) == "[]"
+    assert _json(((1, 2), ())) == json.dumps([[1, 2], []], indent=2)
+
+
+def test_solve_json_reads_back_to_the_same_bytes(capsys, tmp_path):
+    """Every JSON the CLI prints, on the pinned sheets and on a sheet that
+    reduces to nothing (listed last), is what ``json.dumps`` writes for its
+    own parse."""
+    sheets = [_reducing_sheet(seed) for seed in _PINNED_SOLVE]
+    sheets.append("player,d1,d2\na,1,0\nb,0,1\n")
+    sheet = tmp_path / "sheet.csv"
+    for text in sheets:
+        sheet.write_text(text, encoding="utf-8")
+        code, out, _ = run(
+            capsys, "solve", "--input", str(sheet), "--group-size", "4", "--format", "json"
+        )
+        assert code == 0
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+    assert json.loads(out)["g_vector"] == [] and json.loads(out)["envy_pairs"] == []
 
 
 # --------------------------------------------------------------------------- #

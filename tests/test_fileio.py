@@ -78,6 +78,16 @@ def test_malformed_cell_error_names_the_cell():
         parse_problem("player,d1,d2\na,1,1\nb,1,x\n", 2)
 
 
+def test_cells_read_only_0_or_1_after_stripping():
+    """A cell is 0 or 1 once its spaces are stripped; no other spelling that
+    ``int`` would read passes, and the error names the first such cell."""
+    assert parse_matrix_csv("player,d1,d2\na, 1,0 \nb,1,0\n")[2] == [[1, 0], [1, 0]]
+    for cell in ("01", "+1", "1.0", "true", " ", "1_0"):
+        with pytest.raises(ValidationError) as exc:
+            parse_matrix_csv(f"player,d1,d2\na,1,{cell}\nb,x,1\n")
+        assert str(exc.value) == f"line 2, column 'd2': cell {cell.strip()!r} is not 0 or 1"
+
+
 def test_header_and_blank_lines_tolerate_whitespace():
     """Whitespace around the header's first cell is stripped as it is around
     every other label, and a line of spaces is skipped like an empty one."""

@@ -71,6 +71,20 @@ def test_validation_errors(players, days, matrix, g, fragment):
         validate_problem(players, days, matrix, g)
 
 
+@pytest.mark.parametrize("cell,stored", [(True, 1), (1.0, 1), (False, 0), (0.0, 0), (1, 1)])
+def test_validate_problem_stores_cells_equal_to_0_or_1_as_ints(cell, stored):
+    p = validate_problem(["a", "b"], ["x", "y"], [[1, 0], [1, cell]], 2)
+    assert p.avail == ((1, 0), (1, stored))
+    assert type(p.avail[1][1]) is int
+
+
+@pytest.mark.parametrize("cell", [2, 0.5, "1", -1, None])
+def test_validate_problem_names_the_first_non_binary_cell(cell):
+    with pytest.raises(ValidationError) as exc:
+        validate_problem(["a", "b"], ["x", "y"], [[1, True], [1.0, cell]], 2)
+    assert str(exc.value) == f"non-binary entry at row 1 ('b'), column 1 ('y'): {cell!r}"
+
+
 def test_player_index_names_known_players_and_raises_on_unknown():
     p = fixtures.table2()
     assert p.player_index("e") == p.players.index("e")
@@ -133,6 +147,16 @@ def test_reduce_days_then_players_converges_in_one_round(rng):
     for _ in range(200):
         _, log = reduce_problem(random_problem(rng))
         assert log.rounds <= 1
+
+
+def test_reduce_returns_its_input_exactly_when_nothing_is_removed(rng):
+    for _ in range(200):
+        p = random_problem(rng)
+        reduced, log = reduce_problem(p)
+        assert (reduced is p) == (not log.removed_anything), p
+        if reduced is p:
+            x = Assignment(tuple((0,) * p.m for _ in range(p.n)))
+            assert zero_extend(x, p, reduced) is x
 
 
 def test_reduce_is_idempotent_on_random_instances(rng):
@@ -203,6 +227,37 @@ def test_availability_violation_is_detected():
     assert not verdict.ok
     assert verdict.violation.constraint == "availability"
     assert verdict.violation.player == "p1"
+
+
+@pytest.mark.parametrize(
+    "matrix,detail",
+    [
+        (((True, 0), (1.0, 0)), None),
+        (((1.0, 0), (True, 1.0)), "day-total constraint violated: day 'd2' has 1.0 "
+         "assigned players, not a multiple of 2"),
+        (((1, 1.0), (1, 1)), "availability constraint violated: player 'p1' "
+         "assigned on day 'd2' but is not available"),
+        (((1, True), (1, 1)), "availability constraint violated: player 'p1' "
+         "assigned on day 'd2' but is not available"),
+        (((1.0, 0), (0, 0)), "day-total constraint violated: day 'd1' has 1.0 "
+         "assigned players, not a multiple of 2"),
+    ],
+)
+def test_feasibility_of_cells_equal_to_0_or_1(matrix, detail):
+    """Cells equal to 0 or 1 are judged by their value, ``True`` and ``1.0``
+    as 1, and an unavailable day rejects them as it rejects a 1."""
+    p = make_problem([[1, 0], [1, 1]], g=2)
+    verdict = is_feasible(Assignment(matrix), p)
+    assert verdict.ok == (detail is None)
+    assert (verdict.violation and verdict.violation.detail) == detail
+
+
+@pytest.mark.parametrize("cell", [2, 0.5, "1"])
+def test_feasibility_names_the_first_non_binary_cell(cell):
+    p = make_problem([[1, 0], [1, 1]], g=2)
+    with pytest.raises(ValidationError) as exc:
+        is_feasible(Assignment(((1, 0), (1.0, cell))), p)
+    assert str(exc.value) == f"non-binary entry at row 1 ('p2'), column 1 ('d2'): {cell!r}"
 
 
 def test_shape_mismatch_raises():
