@@ -44,9 +44,8 @@ cycle keeps the flow optimal and the potentials valid.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 
 class Residual:
@@ -226,8 +225,7 @@ class Residual:
                 nxt[u] += 1
 
 
-@dataclass
-class FlowResult:
+class FlowResult(NamedTuple):
     """Outcome of the profile solve.
 
     ``residual`` is the optimal flow's residual network; the lex tie-break

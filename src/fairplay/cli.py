@@ -47,7 +47,7 @@ from fairplay.oracle import (
     enumerate_efficient,
     verify_no_fair_ef,
 )
-from fairplay.solver import TieBreakPolicy, solve_fair
+from fairplay.solver import TieBreakPolicy, _solve_irreducible
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -174,7 +174,7 @@ def cmd_solve(args) -> int:
         else TieBreakPolicy.lex()
     )
     reduced, _ = reduce_problem(p)
-    report = solve_fair(reduced, policy)
+    report = _solve_irreducible(reduced, policy)
     if args.format == "json":
         sys.stdout.write(_solve_json(p, reduced, report))
     else:

@@ -8,19 +8,20 @@ split into games of four), plus a corrected variant with Keith I's Tuesday
 cell cleared; the correction also restores that row's stated games total.
 """
 
-from importlib import resources
 from pathlib import Path
 
 from fairplay.fileio import parse_assignment, parse_problem
 from fairplay.model import Assignment, Problem
 
 
-def fixture_text(name: str) -> str:
-    return (resources.files(__package__) / name).read_text(encoding="utf-8")
-
-
 def fixture_path(name: str) -> Path:
-    return Path(str(resources.files(__package__) / name))
+    """The bundled file ``name``, next to this module; the package is read
+    from the file system, not from a zip archive."""
+    return Path(__file__).with_name(name)
+
+
+def fixture_text(name: str) -> str:
+    return fixture_path(name).read_text(encoding="utf-8")
 
 
 def table1(group_size: int = 4) -> Problem:

@@ -25,9 +25,8 @@ cap; the pool is only this gate, not what the search generates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from fairplay.model import Problem
 from fairplay.oracle import (
@@ -41,8 +40,14 @@ _WITNESS_DAYS = ("Mon", "Tues", "Wed", "Thur", "Frid")
 DEFAULT_PER_SIZE_CAP = 2_000_000
 
 
-@dataclass(frozen=True)
-class SearchBounds:
+class _SearchBoundsFields(NamedTuple):
+    max_players: int
+    max_days: int
+    per_instance_budget: int = DEFAULT_MAX_ASSIGNMENTS
+    per_size_cap: int = DEFAULT_PER_SIZE_CAP
+
+
+class SearchBounds(_SearchBoundsFields):
     """Limits for the g=2 witness search.
 
     Sizes whose candidate pool exceeds ``per_size_cap`` are skipped and
@@ -51,21 +56,23 @@ class SearchBounds:
     canonical matrices searched are far fewer).
     """
 
-    max_players: int
-    max_days: int
-    per_instance_budget: int = DEFAULT_MAX_ASSIGNMENTS
-    per_size_cap: int = DEFAULT_PER_SIZE_CAP
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.max_players < 1 or self.max_days < 1:
             raise ValueError("bounds must be >= 1")
         _require_budget(self.per_instance_budget)
         if self.per_size_cap < 1:
             raise ValueError("per_size_cap must be >= 1")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "SearchBounds":  # so _replace validates too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class G2SearchResult:
+class G2SearchResult(NamedTuple):
     """Outcome of a bounded g=2 witness search."""
 
     witness: Optional[WitnessReport]

@@ -2,14 +2,17 @@
 that define feasibility, efficiency, leximin fairness, and strong envy.
 
 Everything here is an immutable value plus pure functions over values, so all
-operations are safe to call concurrently on shared data.
+operations are safe to call concurrently on shared data.  The values are
+``typing.NamedTuple`` records: they compare and hash as the tuples of their
+fields and are copied with ``_replace``.  They are named tuples rather
+than dataclasses because ``dataclasses`` imports ``inspect``, slow to import
+and needed by nothing else on the way to ``fairplay.cli``.
 """
 
 from __future__ import annotations
 
 import enum
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import compress
 from operator import le
 from typing import NamedTuple, Optional, Sequence
@@ -27,8 +30,7 @@ class InfeasibleAssignmentError(ValueError):
 # Value types
 # --------------------------------------------------------------------------- #
 
-@dataclass(frozen=True)
-class Problem:
+class Problem(NamedTuple):
     """A scheduling instance: who can play on which day, and how many players
     one game needs.
 
@@ -71,8 +73,7 @@ class Problem:
             raise KeyError(f"unknown player {name!r}") from None
 
 
-@dataclass(frozen=True)
-class ReductionLog:
+class ReductionLog(NamedTuple):
     """Record of what :func:`reduce_problem` removed, in removal order.
 
     ``rounds`` counts the alternating day/player passes that removed
@@ -89,8 +90,7 @@ class ReductionLog:
         return bool(self.removed_days or self.removed_players)
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(NamedTuple):
     """A binary play matrix aligned index-for-index with a Problem."""
 
     matrix: tuple[tuple[int, ...], ...]
@@ -110,8 +110,7 @@ class Assignment:
         return tuple(sum(row[k] for row in self.matrix) for k in range(self.m))
 
 
-@dataclass(frozen=True)
-class GVector:
+class GVector(NamedTuple):
     """Fairness profile: ``counts[t-1]`` is the number of players with at
     least ``t`` games.  Always non-increasing."""
 
@@ -127,8 +126,7 @@ class FairnessOrder(enum.Enum):
     EQUAL = "equal"
 
 
-@dataclass(frozen=True)
-class EnvyPair:
+class EnvyPair(NamedTuple):
     """One strong-envy violation: ``envious`` has strictly more available
     days than ``envied`` yet strictly fewer games."""
 
@@ -140,8 +138,7 @@ class EnvyPair:
     games_envied: int
 
 
-@dataclass(frozen=True)
-class EnvyReport:
+class EnvyReport(NamedTuple):
     pairs: tuple[EnvyPair, ...]
 
     @property

@@ -20,9 +20,8 @@ an answer that needs more raises ``BudgetExceededError`` or reads inconclusive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations, compress, islice, product
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from fairplay._scan import scan_fair, scan_verify
 from fairplay.model import (
@@ -143,8 +142,7 @@ def brute_force_fair(
     return GVector(best_g), _assignment_from_choice(p, combos, best_choice)
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     """Result of exhaustively checking one instance for a full-game,
     strongly envy-free assignment.
 

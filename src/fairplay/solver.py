@@ -18,21 +18,21 @@ profile-optimal ones:
   The DP merges nodes with ``_scan``'s orbit key, the one the oracle's
   scans use.
 
-Inputs need not be irreducible: the solver reduces internally and
+Inputs need not be irreducible: :func:`solve_fair` reduces and
 zero-extends the result, so removed players provably get no games.  An
 irreducible input costs one column-sum pass, since ``reduce_problem`` then
-returns it as is and ``zero_extend`` returns the core's assignment.
+returns it as is.  ``_solve_irreducible`` solves a core without that pass;
+``fairplay solve``, which has reduced its sheet already, calls it directly.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from operator import add
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from fairplay import _flow
 from fairplay._scan import class_offsets, orbit_key
@@ -47,22 +47,31 @@ from fairplay.model import (
 )
 
 
-@dataclass(frozen=True)
-class TieBreakPolicy:
+class _TieBreakFields(NamedTuple):
+    mode: str = "lex"
+    seed: Optional[int] = None
+
+
+class TieBreakPolicy(_TieBreakFields):
     """How to choose among assignments with the optimal fairness profile.
 
     ``lex`` is deterministic and ignores the seed; ``random`` requires one.
     The same (problem, policy) pair always yields the same assignment.
     """
 
-    mode: str = "lex"
-    seed: Optional[int] = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.mode not in ("lex", "random"):
             raise ValueError(f"unknown tie-break mode {self.mode!r}")
         if self.mode == "random" and self.seed is None:
             raise ValueError("random tie-break requires a seed")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "TieBreakPolicy":  # so _replace validates too
+        return cls(*iterable)
 
     @classmethod
     def lex(cls) -> "TieBreakPolicy":
@@ -73,8 +82,7 @@ class TieBreakPolicy:
         return cls("random", seed)
 
 
-@dataclass(frozen=True)
-class SolveReport:
+class SolveReport(NamedTuple):
     assignment: Assignment
     g_vector: GVector
     total_games: int
@@ -83,27 +91,32 @@ class SolveReport:
 def solve_fair(p: Problem, tie_break: TieBreakPolicy | None = None) -> SolveReport:
     """Compute an assignment whose fairness profile is the exact
     lexicographic maximum over all feasible assignments."""
-    tie_break = tie_break or TieBreakPolicy.lex()
     reduced, _ = reduce_problem(p)
+    report = _solve_irreducible(reduced, tie_break or TieBreakPolicy.lex())
+    assignment = zero_extend(report.assignment, p, reduced)
+    return SolveReport(assignment, g_vector(assignment), report.total_games)
 
-    if reduced.is_empty:
-        empty = Assignment(tuple((0,) * p.m for _ in range(p.n)))
-        return SolveReport(empty, g_vector(empty) if p.n else GVector(()), 0)
 
-    quotas = day_quotas(reduced)
-    best = _flow.solve_stage(reduced.avail, quotas)
+def _solve_irreducible(core: Problem, tie_break: TieBreakPolicy) -> SolveReport:
+    """:func:`solve_fair` on an irreducible problem, which it skips reducing:
+    the core that ``reduce_problem`` returns, empty or not."""
+    if core.is_empty:
+        empty = Assignment(tuple((0,) * core.m for _ in range(core.n)))
+        return SolveReport(empty, GVector(()), 0)
+
+    quotas = day_quotas(core)
+    best = _flow.solve_stage(core.avail, quotas)
     target = best.gvector
 
     if tie_break.mode == "lex":
-        inner = _realize_lex_min(reduced, quotas, target, best)
+        inner = _realize_lex_min(core, quotas, target, best)
     else:
-        inner = _realize_random(reduced, quotas, target, tie_break.seed)
+        inner = _realize_random(core, quotas, target, tie_break.seed)
 
-    assignment = zero_extend(inner, p, reduced)
     return SolveReport(
-        assignment=assignment,
-        g_vector=g_vector(assignment),
-        total_games=assignment.total_slots() // p.group_size,
+        assignment=inner,
+        g_vector=g_vector(inner),
+        total_games=inner.total_slots() // core.group_size,
     )
 
 

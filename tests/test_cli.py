@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from fairplay import impossibility
+from fairplay import cli, impossibility, solver
 from fairplay.cli import _json, main
 from fairplay.fileio import parse_problem
 from fairplay.fixtures import fixture_path
@@ -235,6 +235,29 @@ def test_solve_output_is_pinned_on_sheets_that_reduce(capsys, tmp_path, seed):
         assert (code, err) == (0, "")
         digests[name] = hashlib.sha256(out.encode()).hexdigest()
     assert digests == _PINNED_SOLVE[seed]
+
+
+@pytest.mark.parametrize("sheet", ["table1", "table2", "reducing"])
+def test_solve_reduces_its_sheet_once(capsys, monkeypatch, tmp_path, sheet):
+    """``fairplay solve`` reduces the sheet in the CLI and solves that core
+    without the solver reducing it again."""
+    path = {"table1": T1, "table2": T2}.get(sheet)
+    if path is None:
+        path = tmp_path / "sheet.csv"
+        path.write_text(_reducing_sheet(1), encoding="utf-8")
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return reduce_problem(p)
+
+    monkeypatch.setattr(cli, "reduce_problem", counted)
+    monkeypatch.setattr(solver, "reduce_problem", counted)
+    for flags in _SOLVE_FLAGS.values():
+        calls.clear()
+        code, _, _ = run(capsys, "solve", "--input", str(path), "--group-size", "4", *flags)
+        assert code == 0
+        assert len(calls) == 1, flags
 
 
 def _random_payload(rng):

@@ -1,12 +1,18 @@
 """Package structure: the public names, no unused imports, the
 independence of the exhaustive routes from the flow solver they
-cross-check, and the one wrapper through which each scan is reached."""
+cross-check, the one wrapper through which each scan is reached, the
+records' value semantics, and the modules ``import fairplay.cli`` loads."""
 
 import ast
+import pickle
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import fairplay
-from fairplay import oracle, solver
+from fairplay import _flow, oracle, solver
 
 SRC = Path(fairplay.__file__).parent
 TESTS = Path(__file__).parent
@@ -133,3 +139,132 @@ def test_removed_names_are_not_exported():
         assert name not in fairplay.__all__
         for module in (fairplay, solver, oracle):
             assert not hasattr(module, name), (module.__name__, name)
+
+
+def _record_cases():
+    """``(class, keyword arguments, a field, another value for it, repr)``
+    for each exported record and for ``_flow.FlowResult``.  Records are
+    built from keyword arguments only, so nothing here depends on how they
+    are implemented."""
+    problem = dict(players=("a", "b"), days=("Mon",), avail=((1,), (1,)), group_size=2)
+    p = fairplay.Problem(**problem)
+    x = fairplay.Assignment(matrix=((1,), (1,)))
+    g = fairplay.GVector(counts=(2,))
+    pair = dict(envious="a", envied="b", avail_envious=2, avail_envied=1,
+                games_envious=0, games_envied=1)
+    witness = dict(problem=p, efficient_count=1, first_ef_witness=x, min_envy_pairs=0,
+                   scanned=1, conclusive=True)
+    p_repr = "Problem(players=('a', 'b'), days=('Mon',), avail=((1,), (1,)), group_size=2)"
+    x_repr = "Assignment(matrix=((1,), (1,)))"
+    pair_repr = ("EnvyPair(envious='a', envied='b', avail_envious=2, avail_envied=1, "
+                 "games_envious=0, games_envied=1)")
+    witness_repr = (f"WitnessReport(problem={p_repr}, efficient_count=1, "
+                    f"first_ef_witness={x_repr}, min_envy_pairs=0, scanned=1, "
+                    f"conclusive=True)")
+    return [
+        (fairplay.Problem, problem, "group_size", 3, p_repr),
+        (fairplay.ReductionLog,
+         dict(removed_days=((1, "Tue"),), removed_players=(), rounds=1), "rounds", 0,
+         "ReductionLog(removed_days=((1, 'Tue'),), removed_players=(), rounds=1)"),
+        (fairplay.Assignment, dict(matrix=((1,), (1,))), "matrix", ((0,), (0,)), x_repr),
+        (fairplay.GVector, dict(counts=(2,)), "counts", (1,), "GVector(counts=(2,))"),
+        (fairplay.EnvyPair, pair, "games_envied", 2, pair_repr),
+        (fairplay.EnvyReport, dict(pairs=(fairplay.EnvyPair(**pair),)), "pairs", (),
+         f"EnvyReport(pairs=({pair_repr},))"),
+        (fairplay.WitnessReport, witness, "scanned", 2, witness_repr),
+        (fairplay.TieBreakPolicy, dict(mode="random", seed=7), "seed", 8,
+         "TieBreakPolicy(mode='random', seed=7)"),
+        (fairplay.SolveReport, dict(assignment=x, g_vector=g, total_games=1),
+         "total_games", 2,
+         f"SolveReport(assignment={x_repr}, g_vector=GVector(counts=(2,)), total_games=1)"),
+        (fairplay.SearchBounds,
+         dict(max_players=4, max_days=3, per_instance_budget=5, per_size_cap=6),
+         "max_days", 2,
+         "SearchBounds(max_players=4, max_days=3, per_instance_budget=5, per_size_cap=6)"),
+        (fairplay.G2SearchResult,
+         dict(witness=fairplay.WitnessReport(**witness), instances_examined=3,
+              instances_inconclusive=0, sizes_searched=((2, 1),), sizes_skipped=()),
+         "instances_inconclusive", 1,
+         f"G2SearchResult(witness={witness_repr}, instances_examined=3, "
+         f"instances_inconclusive=0, sizes_searched=((2, 1),), sizes_skipped=())"),
+        (_flow.FlowResult, dict(gvector=(2,), residual=None, augmentations=2, relaxations=3),
+         "relaxations", 4,
+         "FlowResult(gvector=(2,), residual=None, augmentations=2, relaxations=3)"),
+    ]
+
+
+def test_records_are_immutable_values_with_field_reprs():
+    """Equal fields give equal records with equal hashes, one changed field
+    an unequal one; the repr reads ``Name(field=value, ...)``; fields cannot
+    be assigned; a pickle round trip returns an equal record."""
+    cases = _record_cases()
+    records = {
+        name for name in fairplay.__all__
+        if isinstance(getattr(fairplay, name), type)
+        and not issubclass(getattr(fairplay, name), Exception)
+        and name != "FairnessOrder"
+    }
+    assert {cls.__name__ for cls, *_ in cases} == records | {"FlowResult"}
+    for cls, fields, field, other, text in cases:
+        record = cls(**fields)
+        assert repr(record) == text
+        assert getattr(record, field) == fields[field]
+        same = cls(**fields)
+        changed = cls(**{**fields, field: other})
+        assert same == record and not same != record
+        assert changed != record
+        assert pickle.loads(pickle.dumps(record)) == record
+        if cls.__name__ == "FlowResult":
+            continue  # not hashed or frozen before it became a named tuple
+        assert hash(same) == hash(record)
+        with pytest.raises(AttributeError):
+            setattr(record, field, other)
+
+def test_record_defaults_and_validation_messages():
+    bounds = fairplay.SearchBounds(3, 4)
+    assert (bounds.per_instance_budget, bounds.per_size_cap) == (10_000_000, 2_000_000)
+    assert fairplay.TieBreakPolicy().mode == "lex"
+    assert fairplay.TieBreakPolicy() == fairplay.TieBreakPolicy.lex()
+    assert fairplay.TieBreakPolicy().seed is None
+    assert fairplay.TieBreakPolicy.seeded(5) == fairplay.TieBreakPolicy("random", 5)
+    for make, message in (
+        (lambda: fairplay.SearchBounds(0, 1), "bounds must be >= 1"),
+        (lambda: fairplay.SearchBounds(1, 0), "bounds must be >= 1"),
+        (lambda: fairplay.SearchBounds(1, 1, 0), "budget cap must be >= 1"),
+        (lambda: fairplay.SearchBounds(1, 1, per_size_cap=0),
+         "per_size_cap must be >= 1"),
+        (lambda: fairplay.TieBreakPolicy("x"), "unknown tie-break mode 'x'"),
+        (lambda: fairplay.TieBreakPolicy("random"), "random tie-break requires a seed"),
+    ):
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == message
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_importlib_resources():
+    """``import fairplay.cli`` in a fresh interpreter whose ``site`` preloads
+    nothing (``-S``) leaves these slow-to-import modules unloaded."""
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import fairplay.cli; "
+        "print(' '.join(sorted({'dataclasses', 'inspect', 'importlib.resources'}"
+        " & set(sys.modules))))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(SRC.parent)],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.split() == []
+
+
+def test_replace_copies_records_and_validates_the_checked_ones():
+    policy = fairplay.TieBreakPolicy.seeded(5)
+    assert policy._replace(seed=6) == fairplay.TieBreakPolicy("random", 6)
+    assert fairplay.SearchBounds(3, 4)._asdict() == {
+        "max_players": 3, "max_days": 4,
+        "per_instance_budget": 10_000_000, "per_size_cap": 2_000_000,
+    }
+    assert fairplay.Problem._fields == ("players", "days", "avail", "group_size")
+    with pytest.raises(ValueError, match="random tie-break requires a seed"):
+        policy._replace(seed=None)
+    with pytest.raises(ValueError, match="bounds must be >= 1"):
+        fairplay.SearchBounds(3, 4)._replace(max_days=0)
