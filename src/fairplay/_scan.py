@@ -31,6 +31,24 @@ hold the same values below them; :func:`orbit_key` is that sorted vector
 and :func:`class_offsets` marks the classes, for any number of days.  The
 random tie-break's DP (``solver._Optima``) keys its memo the same way.
 
+Leaf cache.  The same argument inside one last-day node: take two of its
+leaves whose chosen players agree as a multiset of (availability block,
+games so far).  A permutation within those classes maps one leaf's games
+vector onto the other's and keeps every availability count, so both
+leaves have the same number of envy pairs, whether or not the day's list
+is a complete family.  :func:`leaf_codes` turns that multiset into one
+integer key, and the envy scan keeps, per node, a dict from key to count,
+so it counts each class of leaves once.  A count that the ``min_envy`` cap
+cut short is cached as it is: it equals the cap of its time and the cap
+only falls, so the cached count fails the ``count < min_envy`` test, as
+the full count would.  The scan picks its fold once, from the instance:
+it caches only when the last day offers more subsets than there are
+players, and otherwise keeps the plain fold, since a node with few leaves
+has few to share a class.  At g = 2 a day with a players offers 1 or a
+subsets, so the g = 2 search always runs the plain fold.
+``solver._Optima`` caches the closed-form counts below its depth m-2
+nodes by the same rule, tagging players by last-day availability.
+
 Budget rule.  ``oracle._efficient_lists`` truncates only a prefix of days,
 so days d..m-1 are complete exactly when the leaves below a depth-d node
 fit in the budget, and the walk memoizes depth d (for 0 < d < m-1, when
@@ -91,6 +109,16 @@ def orbit_key(games, offsets):
     """The games vector sorted within the classes of one depth's
     ``offsets``, as a tuple: equal exactly for nodes in one orbit."""
     return tuple(sorted(map(add, games, offsets)))
+
+
+def leaf_codes(tags, m, size):
+    """One code per player and games count g < m, ``1 << (shift * (tag * m
+    + g))`` with ``shift`` the bit length of ``size``, for the leaf cache:
+    summed over a subset of ``size`` players, the codes count its players
+    per (tag, games) in fields that never carry, so two subsets' sums are
+    equal exactly when they agree as a multiset of (tag, games)."""
+    shift = size.bit_length()
+    return [[1 << shift * (tag * m + g) for g in range(m)] for tag in tags]
 
 
 def _walk(combos, n, budget, avail, fold, bound=None):
@@ -313,5 +341,30 @@ def scan_verify(combos, n, avail, budget):
                     return pos
         return -1
 
+    def cached_fold(games, choice, limit):
+        nonlocal ef_choice, min_envy
+        counts = {}  # leaf key -> its envy count, capped as first counted
+        for pos in range(limit):
+            combo = last[pos]
+            key = sum([codes[i][games[i]] for i in combo])
+            count = counts.get(key)
+            if count is None:
+                for i in combo:
+                    games[i] += 1
+                count = counts[key] = _count_envy_pairs(games, order, starts, min_envy)
+                for i in combo:
+                    games[i] -= 1
+            if count < min_envy:
+                min_envy = count
+                if count == 0:
+                    choice[-1] = pos
+                    ef_choice = tuple(choice)
+                    return pos
+        return -1
+
+    if len(last) > n:  # the leaf cache's rule, see the module docstring
+        blocks = {a: b for b, a in enumerate(sorted(set(avail)))}
+        codes = leaf_codes([blocks[a] for a in avail], len(combos), len(last[0]))
+        fold = cached_fold
     scanned, stopped = _walk(combos, n, budget, avail, fold)
     return scanned, ef_choice is not None or not stopped, ef_choice, min_envy

@@ -16,7 +16,8 @@ profile-optimal ones:
   the rank of the optimum it would keep, and unranking walks the days
   straight to it, so the draw is the reservoir's without its full walk.
   The DP merges nodes with ``_scan``'s orbit key, the one the oracle's
-  scans use.
+  scans use, and counts each class of last-day nodes once with the scans'
+  leaf cache.
 
 Inputs need not be irreducible: :func:`solve_fair` reduces and
 zero-extends the result, so removed players provably get no games.  An
@@ -35,7 +36,7 @@ from operator import add
 from typing import NamedTuple, Optional
 
 from fairplay import _flow
-from fairplay._scan import class_offsets, orbit_key
+from fairplay._scan import class_offsets, leaf_codes, orbit_key
 from fairplay.model import (
     Assignment,
     GVector,
@@ -216,6 +217,14 @@ class _Optima:
     C(a_v, c_v), or 0 unless every 0 <= c_v <= a_v; since no player has m
     games before the last day, a_m = 0 makes the last c 0, and the c_v sum
     to the day's quota.
+
+    That count reads only the multiset of (last-day availability, games)
+    over the players, so below a node at depth m-2 two subsets of day m-2
+    whose players agree as a multiset of (last-day availability, games)
+    lead to equal counts.  When day m-2 offers more subsets than there are
+    players, ``_count_second_last_day`` counts each such class once, keyed
+    by ``_scan.leaf_codes`` (the leaf cache of the ``_scan`` docstring).
+    The cache lives inside one memoized node and leaves the memo as it is.
     """
 
     def __init__(self, reduced: Problem, quotas: list[int], target: tuple[int, ...]):
@@ -238,6 +247,9 @@ class _Optima:
         self.wanted = [at_least[v] - at_least[v + 1] for v in range(m + 1)]
         self.leaf = [v for v, count in enumerate(self.wanted) for _ in range(count)]
         self.last_avail = [row[m - 1] for row in reduced.avail]
+        self.codes = None
+        if m > 1 and len(self.day_combos[m - 2]) > n:
+            self.codes = leaf_codes(self.last_avail, m, quotas[m - 2])
 
     def _optimistic_ok(self, day: int) -> bool:
         ub = sorted(map(add, self.games, self.suffix[day]))
@@ -273,13 +285,35 @@ class _Optima:
         if found is None:
             found = 0
             if self._optimistic_ok(day):
-                for combo in self.day_combos[day]:
-                    for i in combo:
-                        games[i] += 1
-                    found += self.count(day + 1)
-                    for i in combo:
-                        games[i] -= 1
+                if day == self.m - 2 and self.codes is not None:
+                    found = self._count_second_last_day()
+                else:
+                    for combo in self.day_combos[day]:
+                        for i in combo:
+                            games[i] += 1
+                        found += self.count(day + 1)
+                        for i in combo:
+                            games[i] -= 1
             self.memo[day][key] = found
+        return found
+
+    def _count_second_last_day(self) -> int:
+        """``count(m - 2)`` with a leaf cache: children whose chosen players
+        agree as a multiset of (last-day availability, games) have equal
+        closed-form counts, so each such class is counted once."""
+        games, codes = self.games, self.codes
+        below = {}  # leaf key -> the closed-form count of its last-day node
+        found = 0
+        for combo in self.day_combos[self.m - 2]:
+            leaf_key = sum([codes[i][games[i]] for i in combo])
+            count = below.get(leaf_key)
+            if count is None:
+                for i in combo:
+                    games[i] += 1
+                count = below[leaf_key] = self._count_last_day()
+                for i in combo:
+                    games[i] -= 1
+            found += count
         return found
 
     def unrank(self, rank: int) -> Assignment:

@@ -422,6 +422,33 @@ def test_verify_g2_with_skipped_sizes_exits_6(capsys):
     assert "skipped sizes" in out
 
 
+_VERIFY_6 = (
+    "instance: 17 players x 5 days, group size 6\n"
+    "efficient assignments: 98611128\n"
+)
+
+
+@pytest.mark.parametrize(
+    "budget, code, tail",
+    [
+        (None, 6, "examined: 10000000\ninconclusive: enumeration budget exhausted\n"),
+        (
+            "98611128",
+            0,
+            "examined: 98611128\nimpossibility demonstrated: no efficient assignment "
+            "is strongly envy-free (minimum envy pairs: 12)\n",
+        ),
+    ],
+    ids=["default-budget", "full-budget"],
+)
+def test_verify_g6_output_is_pinned(capsys, budget, code, tail):
+    """The witness of g = 6 under the default budget of 10^7 and under a
+    budget of all its leaves: the whole stdout and the exit code are
+    pinned, so a change in what either envy fold finds shows here."""
+    argv = ["verify", "--group-size", "6"] + (["--budget", budget] if budget else [])
+    assert run(capsys, *argv) == (code, _VERIFY_6 + tail, "")
+
+
 def test_verify_budget_inconclusive_exits_6(capsys):
     code, out, _ = run(
         capsys, "verify", "--group-size", "4", "--budget", "100"

@@ -218,3 +218,112 @@ def test_empty_inputs():
     assert scan_fair([[]], 3, 10) == (0, True, None, None)
     assert scan_verify([], 0, (), 10) == (0, True, None, -1)
     assert scan_verify([[]], 3, (1, 1, 1), 10) == (0, True, None, -1)
+
+
+# --------------------------------------------------------------------------- #
+# the leaf cache: instances whose last day offers more subsets than players
+# --------------------------------------------------------------------------- #
+
+def _cached_instances(rng):
+    """Instances on which ``scan_verify`` caches envy counts per last-day
+    node, each with its rows shuffled.  First five perturbed witnesses of
+    g = 3: the witness itself, grown by a player on one of its two forced
+    days (three availability blocks) or on both, and with a forced player
+    split in two halves.  None has an envy-free leaf, so the scan covers
+    every leaf while ``min_envy`` falls.  Then six random instances of
+    three or more availability blocks, drawn with a dense last day."""
+    left, right = [(1, 1, 0, 0, 0)] * 2, [(0, 0, 1, 1, 1)] * 5
+    grown = [
+        left + extra + right
+        for extra in (
+            [(1, 1, 0, 0, 0)],
+            [(1, 1, 0, 0, 0), (0, 1, 0, 0, 0)],
+            [(1, 1, 0, 0, 0), (1, 0, 0, 0, 0)],
+            [(1, 1, 0, 0, 0), (1, 1, 0, 0, 0)],
+            [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0)],
+        )
+    ]
+    out = []
+    for rows in grown:
+        rows = list(rows)
+        rng.shuffle(rows)
+        out.append(make_problem(rows, 3))
+    while len(out) < len(grown) + 6:
+        n, m = rng.randint(5, 8), rng.randint(3, 5)
+        rows = [
+            tuple(int(rng.random() < 0.6) for _ in range(m - 1)) + (int(rng.random() < 0.9),)
+            for _ in range(n)
+        ]
+        p, _ = reduce_problem(make_problem(rows, rng.choice((2, 3))))
+        if p.is_empty or len(set(p.availability_counts())) < 3:
+            continue
+        combos, leaves = _efficient_lists(p, FULL)
+        if len(combos[-1]) > p.n and len(combos[-1]) < leaves <= 20_000:
+            out.append(p)
+    return out
+
+
+@pytest.fixture(scope="module")
+def cached_references():
+    refs = [Reference(p) for p in _cached_instances(random.Random(20261019))]
+    for ref in refs:
+        assert len(_efficient_lists(ref.p, FULL)[0][-1]) > ref.p.n
+    return refs
+
+
+def _expected_verify(ref, cap):
+    """``scan_verify``'s answer under a budget of ``cap`` leaves, read off
+    the brute-force envy counts: scanned, conclusive, first EF leaf and the
+    minimum envy."""
+    seen = ref.envy[:cap]
+    if 0 in seen:
+        first = seen.index(0)
+        return first + 1, True, ref.leaves[first], 0
+    return len(seen), cap >= len(ref.leaves), None, min(seen)
+
+
+def _verify_leaf(ref, cap):
+    combos = _efficient_lists(ref.p, cap + 1)[0]
+    scanned, conclusive, choice, min_envy = scan_verify(combos, ref.p.n, ref.avail, cap)
+    leaf = None if choice is None else _assignment_from_choice(ref.p, combos, choice)
+    return scanned, conclusive, leaf, min_envy
+
+
+def test_cached_envy_fold_matches_brute_force(cached_references):
+    """The full budget and budgets that cut inside a last-day node: a
+    third and two thirds of the leaves, moved half a node off the node
+    boundary, and one leaf short of the end."""
+    blocks = [len(set(ref.avail)) for ref in cached_references]
+    assert max(blocks) >= 3 and sum(b >= 3 for b in blocks) >= 8
+    for ref in cached_references:
+        width = len(_efficient_lists(ref.p, FULL)[0][-1])
+        total = len(ref.leaves)
+        caps = {FULL, total - 1}
+        caps.update(max(1, total * k // 3 // width * width + width // 2) for k in (1, 2))
+        for cap in sorted(caps):
+            assert cap >= total or cap % width, (ref.p, cap)
+            assert _verify_leaf(ref, cap) == _expected_verify(ref, cap), (ref.p, cap)
+
+
+def test_cached_envy_fold_reuses_counts_cut_short(cached_references, monkeypatch):
+    """On the perturbed witnesses, which have no envy-free leaf, the fold
+    counts envy once per leaf class, not once per leaf, and some of the
+    counts it caches were cut short by the cap: the scan still ends on the
+    brute-force minimum."""
+    capped = []
+    count_envy_pairs = _scan._count_envy_pairs
+
+    def recording(games, order, starts, cap):
+        count = count_envy_pairs(games, order, starts, cap)
+        capped.append(count < count_envy_pairs(games, order, starts, len(games) ** 2 + 1))
+        return count
+
+    monkeypatch.setattr(_scan, "_count_envy_pairs", recording)
+    folded = count_folded(monkeypatch)
+    for ref in cached_references[:5]:
+        assert ref.first_ef is None
+        capped.clear()
+        folded.clear()
+        assert _verify_leaf(ref, FULL) == _expected_verify(ref, FULL)
+        assert len(capped) < sum(folded) // 2
+        assert any(capped)

@@ -321,6 +321,67 @@ def test_random_draw_is_a_reservoir_over_the_oracle_enumeration():
             assert drawn == zero_extend(kept, p, red), (p, seed)
 
 
+def _optima(p, cached=True):
+    """``_Optima`` over the reduced ``p`` and its optimal profile, with its
+    leaf cache at depth m - 2 switched off unless ``cached``."""
+    red, _ = reduce_problem(p)
+    quotas = day_quotas(red)
+    optima = _Optima(red, quotas, _flow.solve_stage(red.avail, quotas).gvector)
+    if not cached:
+        optima.codes = None
+    return optima
+
+
+def _dense_second_last_day_instances(rng, count):
+    """Reduced instances of 3-5 days whose day m - 2 offers more subsets
+    than there are players, so ``_Optima`` caches the closed-form counts
+    below it, with at most a few thousand full-game assignments."""
+    out = []
+    while len(out) < count:
+        n, m = rng.randint(4, 9), rng.randint(3, 5)
+        rows = [
+            [int(rng.random() < (0.9 if k == m - 2 else 0.55)) for k in range(m)]
+            for _ in range(n)
+        ]
+        red, _ = reduce_problem(make_problem(rows, rng.choice((2, 3))))
+        if red.is_empty or red.m < 2 or not 1 < count_efficient(red) <= 5_000:
+            continue
+        if _optima(red).codes is not None:
+            out.append(red)
+    return out
+
+
+def test_cached_optima_count_matches_brute_force():
+    """The count of optima with the leaf cache equals the number of the
+    oracle's enumerated assignments with the optimal profile, and the draw
+    is the reservoir's over that enumeration."""
+    for red in _dense_second_last_day_instances(random.Random(20261020), 25):
+        leaves = [(g_vector(a).counts, a) for a in enumerate_efficient(red)]
+        opt = max(counts for counts, _ in leaves)
+        optima = [a for counts, a in leaves if counts == opt]
+        assert _optima(red).count(0) == len(optima), red
+        for seed in (0, 1):
+            rng = random.Random(seed)
+            kept = None
+            for seen, a in enumerate(optima, 1):
+                if rng.randrange(seen) == 0:
+                    kept = a
+            assert solve_fair(red, TieBreakPolicy.seeded(seed)).assignment == kept, (red, seed)
+
+
+@pytest.mark.parametrize("name, states", [("club-1-30x5", 56), ("club-4-30x5", 48)])
+def test_leaf_cache_keeps_the_optima_memo(name, states):
+    """The leaf cache at depth m - 2 leaves the memo as the uncached DP
+    builds it, state for state: a cache key that took the memo key's place
+    would store each state under the wrong key.  Both pinned sheets cache,
+    so ``_PINNED_RANDOM`` draws through the cache."""
+    cached, plain = _optima(_RANDOM_INSTANCES[name]()), _optima(_RANDOM_INSTANCES[name](), False)
+    assert cached.codes is not None
+    assert cached.count(0) == plain.count(0)
+    assert cached.memo == plain.memo
+    assert sum(map(len, cached.memo)) == states
+
+
 # --------------------------------------------------------------------------- #
 # the profile flow
 # --------------------------------------------------------------------------- #
