@@ -43,11 +43,13 @@ cut short is cached as it is: it equals the cap of its time and the cap
 only falls, so the cached count fails the ``count < min_envy`` test, as
 the full count would.  The scan picks its fold once, from the instance:
 it caches only when the last day offers more subsets than there are
-players, and otherwise keeps the plain fold, since a node with few leaves
-has few to share a class.  At g = 2 a day with a players offers 1 or a
-subsets, so the g = 2 search always runs the plain fold.
-``solver._Optima`` caches the closed-form counts below its depth m-2
-nodes by the same rule, tagging players by last-day availability.
+players, and otherwise keeps the plain fold.  With few subsets per node
+few leaves share a class, and building a leaf's key costs about what its
+envy count does: caching on every instance made the benchmark's
+g2-search workload, whose last days offer 1 or a subsets to a players,
+18% slower (2 vCPUs, Python 3.11) and gained nothing elsewhere beyond
+run-to-run noise.  ``solver._Optima`` caches the closed-form counts
+below every depth m-2 node, tagging players by last-day availability.
 
 Budget rule.  ``oracle._efficient_lists`` truncates only a prefix of days,
 so days d..m-1 are complete exactly when the leaves below a depth-d node

@@ -221,10 +221,10 @@ class _Optima:
     That count reads only the multiset of (last-day availability, games)
     over the players, so below a node at depth m-2 two subsets of day m-2
     whose players agree as a multiset of (last-day availability, games)
-    lead to equal counts.  When day m-2 offers more subsets than there are
-    players, ``_count_second_last_day`` counts each such class once, keyed
-    by ``_scan.leaf_codes`` (the leaf cache of the ``_scan`` docstring).
-    The cache lives inside one memoized node and leaves the memo as it is.
+    lead to equal counts.  ``_count_second_last_day`` counts each such
+    class once, keyed by ``_scan.leaf_codes`` (the leaf cache of the
+    ``_scan`` docstring).  The cache lives inside one memoized node and
+    leaves the memo as it is.
     """
 
     def __init__(self, reduced: Problem, quotas: list[int], target: tuple[int, ...]):
@@ -247,8 +247,7 @@ class _Optima:
         self.wanted = [at_least[v] - at_least[v + 1] for v in range(m + 1)]
         self.leaf = [v for v, count in enumerate(self.wanted) for _ in range(count)]
         self.last_avail = [row[m - 1] for row in reduced.avail]
-        self.codes = None
-        if m > 1 and len(self.day_combos[m - 2]) > n:
+        if m > 1:
             self.codes = leaf_codes(self.last_avail, m, quotas[m - 2])
 
     def _optimistic_ok(self, day: int) -> bool:
@@ -285,7 +284,7 @@ class _Optima:
         if found is None:
             found = 0
             if self._optimistic_ok(day):
-                if day == self.m - 2 and self.codes is not None:
+                if day == self.m - 2:
                     found = self._count_second_last_day()
                 else:
                     for combo in self.day_combos[day]:

@@ -323,19 +323,31 @@ def test_random_draw_is_a_reservoir_over_the_oracle_enumeration():
 
 def _optima(p, cached=True):
     """``_Optima`` over the reduced ``p`` and its optimal profile, with its
-    leaf cache at depth m - 2 switched off unless ``cached``."""
+    leaf cache at depth m - 2 switched off unless ``cached``: uncached, a
+    depth m - 2 node sums the closed-form count of each child in turn."""
     red, _ = reduce_problem(p)
     quotas = day_quotas(red)
     optima = _Optima(red, quotas, _flow.solve_stage(red.avail, quotas).gvector)
     if not cached:
-        optima.codes = None
+
+        def count_second_last_day():
+            games, found = optima.games, 0
+            for combo in optima.day_combos[optima.m - 2]:
+                for i in combo:
+                    games[i] += 1
+                found += optima._count_last_day()
+                for i in combo:
+                    games[i] -= 1
+            return found
+
+        optima._count_second_last_day = count_second_last_day
     return optima
 
 
 def _dense_second_last_day_instances(rng, count):
     """Reduced instances of 3-5 days whose day m - 2 offers more subsets
-    than there are players, so ``_Optima`` caches the closed-form counts
-    below it, with at most a few thousand full-game assignments."""
+    than there are players, so many of ``_Optima``'s depth m - 2 children
+    share a leaf class, with at most a few thousand full-game assignments."""
     out = []
     while len(out) < count:
         n, m = rng.randint(4, 9), rng.randint(3, 5)
@@ -346,7 +358,7 @@ def _dense_second_last_day_instances(rng, count):
         red, _ = reduce_problem(make_problem(rows, rng.choice((2, 3))))
         if red.is_empty or red.m < 2 or not 1 < count_efficient(red) <= 5_000:
             continue
-        if _optima(red).codes is not None:
+        if len(_optima(red).day_combos[red.m - 2]) > red.n:
             out.append(red)
     return out
 
@@ -373,10 +385,8 @@ def test_cached_optima_count_matches_brute_force():
 def test_leaf_cache_keeps_the_optima_memo(name, states):
     """The leaf cache at depth m - 2 leaves the memo as the uncached DP
     builds it, state for state: a cache key that took the memo key's place
-    would store each state under the wrong key.  Both pinned sheets cache,
-    so ``_PINNED_RANDOM`` draws through the cache."""
+    would store each state under the wrong key."""
     cached, plain = _optima(_RANDOM_INSTANCES[name]()), _optima(_RANDOM_INSTANCES[name](), False)
-    assert cached.codes is not None
     assert cached.count(0) == plain.count(0)
     assert cached.memo == plain.memo
     assert sum(map(len, cached.memo)) == states
