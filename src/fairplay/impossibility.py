@@ -14,12 +14,11 @@ reports exactly what it covered.
 The search visits one matrix per class under row and column permutations:
 the canonical ones, grown a column at a time by orderly generation, so no
 class is made twice and no dedup set is kept.  The matrices with a zero row
-are taken from the level with one player fewer, and each child is first
-tested against its parent's own column order, which rejects most
-non-canonical children before the full canonicity test runs.  A size is
-searched only when its candidate pool, an estimate counted over row
-multisets (C(2^m - 1 + n - 1, n) for n players and m days), is within the
-cap; the pool is only this gate, not what the search generates.
+are taken from the level with one player fewer, and the canonicity greedy
+runs once per parent: each child is tested against its parent's frontiers.
+A size is searched only when its candidate pool, an estimate counted over
+row multisets (C(2^m - 1 + n - 1, n) for n players and m days), is within
+the cap; the pool is only this gate, not what the search generates.
 """
 
 from __future__ import annotations
@@ -137,53 +136,51 @@ def _split(cells: tuple[int, ...], col: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _least_order(columns: tuple[int, ...], n: int, own: list | None = None):
-    """The greedy behind :func:`canonical_form`, shared with the canonicity
-    test of :func:`_orderly_levels`: a column order whose reading is least,
-    where ``columns`` are bit masks over the n rows.
+def _least_order(columns: tuple[int, ...], n: int) -> tuple[list, list]:
+    """The greedy behind :func:`canonical_form` and the canonicity test of
+    :func:`_orderly_levels`: the column orders whose reading is least, where
+    ``columns`` are bit masks over the n rows.
 
     Branch and prune over column orders: per depth, keep exactly the prefixes
     whose sorted reading (the rows' prefix values, ascending) is least.  A
     prefix is held as its chosen columns and the ordered partition of the
     rows into equal prefix values; prefixes with equal entries have identical
     completions.  Every kept prefix has the same sorted reading, hence the
-    same cell sizes, so an extension's reading is fixed by the number of
-    rows reading 1 in each cell, and fewer 1s in the first cell that differs
-    reads lower.
+    same cell sizes, so an extension's reading is fixed by its key, the
+    number of rows reading 1 in each cell, and fewer 1s in the first cell
+    that differs reads lower.
 
-    With ``own``, the columns' own order as :func:`_own_chain` gives it,
-    return None as soon as any prefix reads below it at its depth.  When the
-    rows ascend, the own order reads the matrix's own prefixes and survives
-    while nothing reads lower, so a result other than None says exactly
-    ``canonical_form(M) == M``.
+    Return the frontiers of depths 0, ..., k, dicts from each kept prefix's
+    ``(used, cells)`` (``used`` masks the columns) to its column order, and
+    the least key of each depth 0, ..., k-1, which the next frontier reads.
     """
-    frontier = {(0, ((1 << n) - 1,)): ()}
-    for depth in range(len(columns)):
-        best = None if own is None else own[depth][1]
+    frontiers = [{(0, ((1 << n) - 1,)): ()}]
+    keys = []
+    for _ in columns:
+        best = None
         entries: dict[tuple, tuple[int, ...]] = {}
-        for (used, cells), order in frontier.items():
+        for (used, cells), order in frontiers[-1].items():
             for c, col in enumerate(columns):
                 if used >> c & 1:
                     continue
                 key = tuple([(cell & col).bit_count() for cell in cells])
                 if best is None or key < best:
-                    if own is not None:
-                        return None
                     best = key
                     entries = {}
                 if key == best:
                     entries[(used | 1 << c, _split(cells, col))] = order + (c,)
-        frontier = entries
-    return next(iter(frontier.values()))
+        frontiers.append(entries)
+        keys.append(best)
+    return frontiers, keys
 
 
 def canonical_form(matrix: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
     """Least representative of a binary matrix under row and column
     permutations: minimal column-major reading with rows sorted ascending.
 
-    Branch and prune over column-order prefixes: per depth, keep exactly the
-    prefixes whose sorted prefix reading is minimal.  Reading prefixes are
-    stable as columns are appended, so the pruning is exact.
+    Any column order that :func:`_least_order` keeps to the last depth reads
+    it.  Reading prefixes are stable as columns are appended, so keeping
+    only the least prefixes per depth is exact.
     """
     n = len(matrix)
     if n == 0:
@@ -191,7 +188,8 @@ def canonical_form(matrix: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...]
     m = len(matrix[0])
     if m == 0:
         return tuple(() for _ in range(n))
-    order = _least_order(_column_masks(matrix), n)
+    frontiers, _ = _least_order(_column_masks(matrix), n)
+    order = next(iter(frontiers[-1].values()))
     return tuple(sorted(tuple(row[c] for c in order) for row in matrix))
 
 
@@ -203,26 +201,42 @@ def _column_masks(matrix) -> tuple[int, ...]:
     )
 
 
-def _own_chain(columns: tuple[int, ...], n: int) -> tuple[list, tuple[int, ...]]:
-    """A matrix's own column order, depth by depth: the ordered partition of
-    the rows that its first d columns make, and the key (1s per cell) that
-    column d reads on it; and the partition that all its columns make."""
-    own = []
-    cells = ((1 << n) - 1,)
+def _canonical_child_test(columns: tuple[int, ...], n: int):
+    """Run the greedy once on a canonical matrix P, given by its column masks
+    over ascending rows, and return the test of whether a new last column
+    that keeps the rows ascending makes a canonical child ("Parent
+    frontiers" in :func:`_orderly_levels`)."""
+    frontiers, keys = _least_order(columns, n)
+    last = len(columns)
+    new = 1 << last  # c's bit in ``used``
+    blocks = ((1 << n) - 1,)
     for col in columns:
-        own.append((cells, tuple([(cell & col).bit_count() for cell in cells])))
-        cells = _split(cells, col)
-    return own, cells
+        blocks = _split(blocks, col)
 
+    def accepts(c: int) -> bool:
+        survivors = set()
+        for d, frontier in enumerate(frontiers):
+            own = keys[d] if d < last else tuple([(cell & c).bit_count() for cell in blocks])
+            kept = set()
+            for used, cells in frontier:
+                key = tuple([(cell & c).bit_count() for cell in cells])
+                if key < own:
+                    return False
+                if key == own and d < last:
+                    kept.add((used | new, _split(cells, c)))
+            for used, cells in survivors:
+                for j, col in enumerate(columns):
+                    if used >> j & 1:
+                        continue
+                    key = tuple([(cell & col).bit_count() for cell in cells])
+                    if key < own:
+                        return False
+                    if key == own and d < last:
+                        kept.add((used | 1 << j, _split(cells, col)))
+            survivors = kept
+        return True
 
-def _reads_below_own(own: list, col: int) -> bool:
-    """Whether a new column reads below a matrix's own order, as
-    :func:`_own_chain` gives it, at some depth.  The canonicity test of
-    :func:`_orderly_levels` then aborts on the matrix with that column added."""
-    for cells, key in own:
-        if tuple([(cell & col).bit_count() for cell in cells]) < key:
-            return True
-    return False
+    return accepts
 
 
 def _children(rows: tuple[int, ...]):
@@ -283,17 +297,16 @@ def _orderly_levels(n: int, below: list):
     on top: rows ``(0,) + r``, columns ``c << 1`` (row i moves to bit
     i + 1).  :func:`_children` makes only the others.
 
-    Own column order first.  While the greedy on a child has not aborted,
-    its frontier at each depth d below the parent's column count holds the
-    child's own prefix of d columns, whose cells are the partition the
-    parent's first d columns make, and the new column c is unused there.
-    So if c's key on that partition reads below the key of column d, the
-    greedy aborts on the child: this test is the greedy's abort restricted
-    to the own prefix, and it rejects no canonical child.  The parent's
-    partitions and keys (:func:`_own_chain`) are built once, and only the
-    children that pass run the full greedy, against the child's own order:
-    the parent's chain plus the new column's key on the parent's last
-    partition.
+    Parent frontiers.  The greedy runs once per parent P with k columns,
+    keeping each depth's frontier and least key, and each child M = P + c
+    is tested against them (:func:`_canonical_child_test`).  Since M's rows
+    ascend, M is canonical exactly when no prefix reads below M's own key
+    at any depth d = 0, ..., k: P's least key for d < k, as P is canonical,
+    and at d = k c's key on P's last own partition, the blocks of equal
+    rows.  While none does, M's least keys are P's, so the prefixes kept on
+    M at depth d are P's frontier and the survivors holding c.  Only P's
+    depth d frontier extended by c, and those survivors extended by P's
+    unused columns, can then read below; P's own extensions cannot.
     """
     level = [((0,) * n, ())]
     for k in range(len(below)):
@@ -301,15 +314,11 @@ def _orderly_levels(n: int, below: list):
         grown = [((0,) + rows, tuple([c << 1 for c in cols])) for rows, cols in lifted]
         del lifted
         for rows, columns in level:
-            own, cells = _own_chain(columns, n)
+            accepts = _canonical_child_test(columns, n)
             for col in _children(rows):
-                if _reads_below_own(own, col):
-                    continue
-                child = columns + (col,)
-                key = tuple([(cell & col).bit_count() for cell in cells])
-                if _least_order(child, n, own + [(cells, key)]) is not None:
+                if accepts(col):
                     child_rows = tuple([2 * r + (col >> i & 1) for i, r in enumerate(rows)])
-                    grown.append((child_rows, child))
+                    grown.append((child_rows, columns + (col,)))
         level = grown
         yield level
 

@@ -11,12 +11,10 @@ from fairplay import fixtures, impossibility
 from fairplay.impossibility import (
     SearchBounds,
     _candidates_dedup,
+    _canonical_child_test,
     _children,
     _column_masks,
-    _least_order,
     _orderly_levels,
-    _own_chain,
-    _reads_below_own,
     build_table2,
     build_witness,
     canonical_form,
@@ -24,6 +22,7 @@ from fairplay.impossibility import (
 )
 from fairplay.model import Problem, envy_report, is_irreducible, reduce_problem
 from fairplay.oracle import (
+    WitnessReport,
     brute_force_fair,
     enumerate_efficient,
     exists_efficient_strongly_ef,
@@ -217,15 +216,16 @@ def test_canonical_form_distinguishes_nonisomorphic_matrices():
 
 def _is_canonical(columns, n):
     """Whether the n-row matrix whose columns are ``columns`` (bit masks over
-    rows sorted ascending) equals its canonical form, by the greedy run
-    against the matrix's own column order, as the search runs it on a child."""
-    return _least_order(columns, n, _own_chain(columns, n)[0]) is not None
+    its rows) equals its canonical form."""
+    matrix = tuple(tuple(col >> i & 1 for col in columns) for i in range(n))
+    return canonical_form(matrix) == matrix
 
 
 def test_is_canonical_agrees_with_canonical_form(rng):
-    """The early-abort test against the full greedy, on row-sorted matrices
-    built with repeated rows and repeated columns, and on their canonical
-    forms."""
+    """The parent-frontier test against canonical_form, on the children of
+    canonical forms of matrices built with repeated rows and repeated
+    columns: a new column of random bits or a copy of a parent column,
+    sorted within blocks of equal rows so the rows ascend."""
     outcomes = set()
     for _ in range(300):
         n = rng.randint(1, 6)
@@ -235,10 +235,16 @@ def test_is_canonical_agrees_with_canonical_form(rng):
         ]
         picks = [rng.randrange(m) for _ in range(m)]
         rows = [rng.choice(distinct) for _ in range(n)]
-        matrix = tuple(tuple(row[c] for c in picks) for row in rows)
-        for mat in (tuple(sorted(matrix)), canonical_form(matrix)):
-            expected = canonical_form(mat) == mat
-            assert _is_canonical(_column_masks(mat), n) == expected, mat
+        parent = canonical_form(tuple(tuple(row[c] for c in picks) for row in rows))
+        accepts = _canonical_child_test(_column_masks(parent), n)
+        for bits in (
+            [rng.randint(0, 1) for _ in range(n)],
+            [row[rng.randrange(m)] for row in parent],
+        ):
+            child = tuple(sorted(row + (b,) for row, b in zip(parent, bits)))
+            assert tuple(row[:-1] for row in child) == parent
+            expected = canonical_form(child) == child
+            assert accepts(_column_masks(child)[-1]) == expected, child
             outcomes.add(expected)
     assert outcomes == {True, False}
 
@@ -411,8 +417,8 @@ def _reference_levels(n, max_days):
 
 
 def test_orderly_levels_match_plain_orderly_generation():
-    """The zero-row lift, the own-order test and the child's chain built
-    from its parent's change no level, up to (7,4); no entry is made twice."""
+    """The zero-row lift and the parent-frontier test change no level, up
+    to (7,4); no entry is made twice."""
     reference = None
     for n, k, level in _levels(7, 4):
         if k == 1:
@@ -421,18 +427,66 @@ def test_orderly_levels_match_plain_orderly_generation():
         assert set(level) == next(reference), (n, k)
 
 
-def test_own_order_test_rejects_only_non_canonical_children():
-    """A part of the greedy's abort: every child up to (6,4) that reads
-    below its parent's own column order fails the full test."""
-    rejected = 0
-    for n, k, level in _levels(6, 3):
+def test_parent_frontier_test_accepts_exactly_the_canonical_children():
+    """Every child that _children makes from every level entry, up to (6,4)
+    and (5,5): the test accepts it exactly when it equals its canonical
+    form."""
+    accepted = rejected = 0
+    for n, k, level in _levels(6, 4):
+        if (n, k) == (6, 4):
+            continue
         for rows, columns in level:
-            own = _own_chain(columns, n)[0]
+            accepts = _canonical_child_test(columns, n)
             for col in _children(rows):
-                if _reads_below_own(own, col):
-                    rejected += 1
-                    assert not _is_canonical(columns + (col,), n), (rows, col)
-    assert rejected > 1000
+                canonical = _is_canonical(columns + (col,), n)
+                assert accepts(col) == canonical, (rows, col)
+                accepted += canonical
+                rejected += not canonical
+    assert accepted > 0 and rejected > 1000
+
+
+def test_orderly_levels_are_pinned_up_to_the_default_search(monkeypatch):
+    """Entries and candidates (entries with no zero row) per (n, k) of every
+    level the default search makes, 22,148 candidates over 32 sizes, and
+    of (5,6) under a cap of 10^7: the counts of plain orderly generation."""
+    sizes = {}
+
+    def recording(n, below):
+        for k, level in enumerate(_orderly_levels(n, below), 1):
+            sizes[n, k] = len(level), sum(1 for rows, _ in level if rows[0])
+            yield level
+
+    def scan_stub(p, max_assignments):  # a conclusive report with a stand-in witness
+        return WitnessReport(p, 1, first_ef_witness=(), min_envy_pairs=0, scanned=1,
+                             conclusive=True)
+
+    monkeypatch.setattr(impossibility, "_orderly_levels", recording)
+    monkeypatch.setattr(impossibility, "verify_no_fair_ef", scan_stub)
+    assert search_witness_g2(SearchBounds(7, 6)).instances_examined == 22_148
+    entries = {
+        2: [1, 1, 1, 1, 1, 1],
+        3: [2, 4, 7, 11, 16, 23],
+        4: [3, 10, 30, 83, 208, 495],
+        5: [4, 19, 91, 436, 1991],
+        6: [5, 32, 229, 1808, 14819],
+        7: [6, 49, 500, 6279],
+    }
+    candidates = {
+        2: [1, 1, 1, 1, 1, 1],
+        3: [1, 3, 6, 10, 15, 22],
+        4: [1, 6, 23, 72, 192, 472],
+        5: [1, 9, 61, 353, 1783],
+        6: [1, 13, 138, 1372, 12828],
+        7: [1, 17, 271, 4471],
+    }
+    assert sizes == {
+        (n, k): (entries[n][k - 1], candidates[n][k - 1])
+        for n in entries
+        for k in range(1, len(entries[n]) + 1)
+    }
+    sizes.clear()
+    search_witness_g2(SearchBounds(5, 6, per_size_cap=10**7))
+    assert sizes[5, 6] == (8651, 8156)
 
 
 def test_dedup_candidates_are_the_canonical_forms_of_raw_candidates():
