@@ -318,11 +318,20 @@ def scan_verify(combos, n, avail, budget):
     The scan ends at the first envy-free leaf, which it counts, so that
     leaf is number ``scanned`` in odometer order and ``min_envy`` is 0;
     ``conclusive`` is True when one was found or every leaf was covered.
+    The first leaf, every day's first subset, is counted before any walk
+    is set up, and when it is envy-free the scan returns the walk's answer
+    for it at once: most tiny instances of the g = 2 search end there.
     """
     if not combos or not all(combos):
         return 0, True, None, _NO_LEAVES
     last = combos[-1]
     order, starts = _prep_envy_order(n, avail)
+    games = [0] * n
+    for subsets in combos:
+        for i in subsets[0]:
+            games[i] += 1
+    if not _count_envy_pairs(games, order, starts, 1):
+        return 1, True, (0,) * len(combos), 0  # the walk's answer at this leaf
     ef_choice = None
     min_envy = n * n + 1
 

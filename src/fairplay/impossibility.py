@@ -1,7 +1,8 @@
 """Witness instances where no assignment is both full-game and strongly
-envy-free, and the bounded g = 2 search for one.  Each instance is
-certified by :func:`fairplay.oracle.verify_no_fair_ef`, the exhaustive
-strong-envy scan.
+envy-free, and the bounded g = 2 search for one.  A witness is certified
+by :func:`fairplay.oracle.verify_no_fair_ef`, the exhaustive strong-envy
+scan; the search runs that scan, ``scan_verify``, on each candidate's day
+lists directly and builds the full report only for a witness.
 
 For group sizes g >= 3 a fixed family works: g players who force both of the
 first two days, and 2g-1 players sharing three more days.  The three shared
@@ -24,9 +25,10 @@ the cap; the pool is only this gate, not what the search generates.
 from __future__ import annotations
 
 import math
-from itertools import product
+from itertools import combinations, compress, product
 from typing import NamedTuple, Optional
 
+from fairplay._scan import scan_verify
 from fairplay.model import Problem
 from fairplay.oracle import (
     DEFAULT_MAX_ASSIGNMENTS,
@@ -334,6 +336,13 @@ def search_witness_g2(bounds: SearchBounds) -> G2SearchResult:
     report, whose ``problem`` is the instance.  ``search_complete`` is True
     only when no size was skipped and no instance was inconclusive, so a
     negative result states its exact coverage.
+
+    Each candidate gets one ``scan_verify`` call on its days' full subset
+    lists, each built once per search from the day's players, and the
+    availability counts read as row sums; under the same budget it answers
+    as :func:`verify_no_fair_ef` would.  Only a witness, a conclusive scan
+    with no envy-free assignment, is labelled p1.. and d1.. and gets that
+    full report.
     """
     examined = 0
     inconclusive = 0
@@ -342,6 +351,10 @@ def search_witness_g2(bounds: SearchBounds) -> G2SearchResult:
     # the instances' labels, p1..pn and d1..dm, sliced per size
     names = tuple(f"p{i + 1}" for i in range(bounds.max_players))
     labels = tuple(f"d{k + 1}" for k in range(bounds.max_days))
+    everyone = range(bounds.max_players)
+    # a day's column -> all subsets of its players of the day's quota, in
+    # lexicographic order: 1 or c of them for c players, never more than n
+    day_lists: dict[tuple[int, ...], list] = {}
 
     levels: list = [[]] * bounds.max_days  # one row fits no column of weight >= 2
     for n in range(2, bounds.max_players + 1):
@@ -355,17 +368,26 @@ def search_witness_g2(bounds: SearchBounds) -> G2SearchResult:
         for m, level in enumerate(_orderly_levels(n, below), 1):
             levels.append(level)
             searched.append((n, m))
-            size_labels = names[:n], labels[:m]
             for matrix in _candidates_dedup(level, m):
                 examined += 1
-                p = Problem(*size_labels, matrix, 2)
-                report = verify_no_fair_ef(p, bounds.per_instance_budget)
-                if not report.conclusive:
+                # no zero row and every column of weight >= 2: irreducible
+                # at g = 2, so the scan needs no Problem and no check
+                combos = []
+                for col in zip(*matrix):
+                    subsets = day_lists.get(col)
+                    if subsets is None:
+                        players = tuple(compress(everyone, col))
+                        subsets = day_lists[col] = list(
+                            combinations(players, len(players) & ~1))
+                    combos.append(subsets)
+                _, conclusive, choice, _ = scan_verify(
+                    combos, n, list(map(sum, matrix)), bounds.per_instance_budget)
+                if not conclusive:
                     inconclusive += 1
-                    continue
-                if not report.ef_found:
+                elif choice is None:
+                    p = Problem(names[:n], labels[:m], matrix, 2)
                     return G2SearchResult(
-                        witness=report,
+                        witness=verify_no_fair_ef(p, bounds.per_instance_budget),
                         instances_examined=examined,
                         instances_inconclusive=inconclusive,
                         sizes_searched=tuple(searched),

@@ -383,13 +383,17 @@ def test_verify_g2_bounds_2_2_exits_5(capsys):
 
 
 def test_verify_g2_prints_the_first_witness(capsys, monkeypatch):
-    """No witness lies within reach, so the search's verifier is made to
-    read the first (2,2) candidate, the all-ones matrix, as one."""
-    verify = impossibility.verify_no_fair_ef
+    """No witness lies within reach, so the search's scan is made to read
+    the first (2,2) candidate, the all-ones matrix, as one, and the
+    verifier to report it."""
+    scan = impossibility.scan_verify
+
+    def fake_scan(combos, n, avail, budget):
+        if len(combos) < 2:
+            return scan(combos, n, avail, budget)
+        return 1, True, None, 3
 
     def fake(p, budget):
-        if p.m < 2:
-            return verify(p, budget)
         return WitnessReport(
             problem=p,
             efficient_count=1,
@@ -399,6 +403,7 @@ def test_verify_g2_prints_the_first_witness(capsys, monkeypatch):
             conclusive=True,
         )
 
+    monkeypatch.setattr(impossibility, "scan_verify", fake_scan)
     monkeypatch.setattr(impossibility, "verify_no_fair_ef", fake)
     code, out, err = run(capsys, "verify", "--group-size", "2", "--bounds", "2,2")
     assert (code, err) == (0, "")

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import all_feasible_assignments, make_problem, random_problem
 from fairplay import fixtures, impossibility
+from fairplay._scan import scan_verify
 from fairplay.impossibility import (
     SearchBounds,
     _candidates_dedup,
@@ -22,7 +23,7 @@ from fairplay.impossibility import (
 )
 from fairplay.model import Problem, envy_report, is_irreducible, reduce_problem
 from fairplay.oracle import (
-    WitnessReport,
+    _assignment_from_choice,
     brute_force_fair,
     enumerate_efficient,
     exists_efficient_strongly_ef,
@@ -316,32 +317,100 @@ def test_g2_search_at_4_4_completes_without_witness():
 
 
 def test_g2_search_reports_match_the_independent_enumerator(monkeypatch):
-    """Every report the search makes up to (5,4), its 550 candidates, against
+    """Every scan the search makes up to (5,4), its 550 candidates, against
     conftest's enumerator and the model's envy audit, through the search's
-    own route: the instance it built and the report it read."""
-    reports = []
+    own route: the day lists and availability counts it scanned and the
+    answer it read."""
+    scans = []
 
-    def recording(p, max_assignments):
-        reports.append(verify_no_fair_ef(p, max_assignments))
-        return reports[-1]
+    def recording(combos, n, avail, budget):
+        scans.append((combos, n, avail, scan_verify(combos, n, avail, budget)))
+        return scans[-1][-1]
 
-    monkeypatch.setattr(impossibility, "verify_no_fair_ef", recording)
+    monkeypatch.setattr(impossibility, "scan_verify", recording)
     result = search_witness_g2(SearchBounds(5, 4))
     assert result.search_complete
-    assert len(reports) == result.instances_examined == 550
-    for report in reports:
-        p = report.problem
-        assert p.players == tuple(f"p{i + 1}" for i in range(p.n))
-        assert p.days == tuple(f"d{k + 1}" for k in range(p.m))
-        assert p.group_size == 2 and list(p.avail) == sorted(p.avail)
+    assert len(scans) == result.instances_examined == 550
+    for combos, n, avail, (scanned, conclusive, choice, min_envy) in scans:
+        # every player of a g = 2 day is in one of its subsets
+        on_day = [set().union(*subsets) for subsets in combos]
+        p = _problem_from_matrix(tuple(tuple(int(i in s) for s in on_day) for i in range(n)))
+        assert list(p.avail) == sorted(p.avail) and tuple(avail) == p.availability_counts()
         leaves = list(all_feasible_assignments(p, full_games_only=True))
         first = next(
             pos for pos, x in enumerate(leaves) if envy_report(x, p).is_strongly_envy_free
         )
-        assert report.first_ef_witness == leaves[first]
-        assert report.scanned == first + 1
-        assert report.efficient_count == len(leaves)
-        assert (report.min_envy_pairs, report.conclusive) == (0, True)
+        assert _assignment_from_choice(p, combos, choice) == leaves[first]
+        assert scanned == first + 1
+        assert math.prod(map(len, combos)) == len(leaves)
+        assert (min_envy, conclusive) == (0, True)
+
+
+def _reference_search(bounds):
+    """The search by the reference route: a labelled Problem and a
+    :func:`verify_no_fair_ef` report for every candidate, the first
+    conclusive report with no EF assignment its witness."""
+    examined = inconclusive = 0
+    searched, skipped = [], []
+    levels = [[]] * bounds.max_days
+    for n in range(2, bounds.max_players + 1):
+        days = sum(
+            math.comb((1 << m) - 1 + n - 1, n) <= bounds.per_size_cap
+            for m in range(1, bounds.max_days + 1)
+        )
+        below, levels = levels[:days], []
+        for m, level in enumerate(_orderly_levels(n, below), 1):
+            levels.append(level)
+            searched.append((n, m))
+            for matrix in _candidates_dedup(level, m):
+                examined += 1
+                report = verify_no_fair_ef(_problem_from_matrix(matrix), bounds.per_instance_budget)
+                if not report.conclusive:
+                    inconclusive += 1
+                elif not report.ef_found:
+                    return impossibility.G2SearchResult(
+                        report, examined, inconclusive, tuple(searched), tuple(skipped))
+        skipped.extend((n, m) for m in range(days + 1, bounds.max_days + 1))
+    return impossibility.G2SearchResult(
+        None, examined, inconclusive, tuple(searched), tuple(skipped))
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3, 7, 50, None])
+def test_g2_search_matches_a_report_per_candidate(budget):
+    """The search against a full report per candidate, field for field, at
+    (6,4), (5,5) and (4,6), under budgets that leave many candidates
+    inconclusive and under the default."""
+    inconclusive = 0
+    for players, days in ((6, 4), (5, 5), (4, 6)):
+        bounds = SearchBounds(players, days)
+        if budget is not None:
+            bounds = bounds._replace(per_instance_budget=budget)
+        result = search_witness_g2(bounds)
+        assert result == _reference_search(bounds), (players, days)
+        inconclusive += result.instances_inconclusive
+    assert (inconclusive > 0) == (budget is not None)
+
+
+@pytest.mark.parametrize("k", [1, 2, 91, 550])
+def test_g2_search_returns_the_full_report_of_its_witness(monkeypatch, k):
+    """A scan stubbed to read the k-th candidate up to (5,4) as conclusive
+    with no EF assignment: the search stops there and returns that
+    candidate's full report, labelled p1.. and d1.."""
+    calls = []
+
+    def stub(combos, n, avail, budget):
+        calls.append(1)
+        if len(calls) == k:
+            return 1, True, None, 3
+        return scan_verify(combos, n, avail, budget)
+
+    monkeypatch.setattr(impossibility, "scan_verify", stub)
+    result = search_witness_g2(SearchBounds(5, 4))
+    candidates = [matrix for _, _, size in _dedup_candidates(5, 4) for matrix in size]
+    assert len(candidates) == 550
+    assert result.witness == verify_no_fair_ef(_problem_from_matrix(candidates[k - 1]))
+    assert result.instances_examined == len(calls) == k
+    assert result.instances_inconclusive == 0
 
 
 def test_g2_search_dedup_skips_oversized_pools():
@@ -456,12 +525,11 @@ def test_orderly_levels_are_pinned_up_to_the_default_search(monkeypatch):
             sizes[n, k] = len(level), sum(1 for rows, _ in level if rows[0])
             yield level
 
-    def scan_stub(p, max_assignments):  # a conclusive report with a stand-in witness
-        return WitnessReport(p, 1, first_ef_witness=(), min_envy_pairs=0, scanned=1,
-                             conclusive=True)
+    def scan_stub(combos, n, avail, budget):  # an envy-free first leaf
+        return 1, True, (0,) * len(combos), 0
 
     monkeypatch.setattr(impossibility, "_orderly_levels", recording)
-    monkeypatch.setattr(impossibility, "verify_no_fair_ef", scan_stub)
+    monkeypatch.setattr(impossibility, "scan_verify", scan_stub)
     assert search_witness_g2(SearchBounds(7, 6)).instances_examined == 22_148
     entries = {
         2: [1, 1, 1, 1, 1, 1],

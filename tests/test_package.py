@@ -72,20 +72,25 @@ def _callers(name: str) -> set[tuple[str, str]]:
     return found
 
 
-def test_scans_have_one_caller_each_and_impossibility_reaches_them_through_it():
-    """Each exhaustive scan has one public wrapper in ``oracle``, and the
-    witness search certifies its candidates through that wrapper, not
-    through the scan kernel or the oracle's leaf helpers."""
+def test_scans_have_one_wrapper_each_and_the_g2_search_scans_directly():
+    """Each exhaustive scan has one public wrapper in ``oracle``.  The g = 2
+    search alone calls ``scan_verify`` itself, on the day lists it builds,
+    and reaches the oracle only through that wrapper: it imports nothing
+    else from the scan kernel and none of the oracle's leaf helpers."""
     assert _callers("scan_fair") == {("oracle", "brute_force_fair")}
-    assert _callers("scan_verify") == {("oracle", "verify_no_fair_ef")}
+    assert _callers("scan_verify") == {
+        ("oracle", "verify_no_fair_ef"),
+        ("impossibility", "search_witness_g2"),
+    }
     private = {"_efficient_lists", "_assignment_from_choice", "_require_irreducible"}
     tree = ast.parse((SRC / "impossibility.py").read_text(encoding="utf-8"))
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             assert all(a.name != "fairplay._scan" for a in node.names)
         elif isinstance(node, ast.ImportFrom):
-            assert node.module != "fairplay._scan"
             names = {alias.name for alias in node.names}
+            if node.module == "fairplay._scan":
+                assert names == {"scan_verify"}
             assert node.module != "fairplay" or "_scan" not in names
             assert not names & private, node.module
 

@@ -327,3 +327,44 @@ def test_cached_envy_fold_reuses_counts_cut_short(cached_references, monkeypatch
         assert _verify_leaf(ref, FULL) == _expected_verify(ref, FULL)
         assert len(capped) < sum(folded) // 2
         assert any(capped)
+
+
+# --------------------------------------------------------------------------- #
+# the first-leaf exit: an envy-free first leaf ends the scan before the walk
+# --------------------------------------------------------------------------- #
+
+def _first_leaf_instances(rng):
+    """Three random reduced instances of g = 2 or 3 per bucket: whether the
+    scan takes the cached fold (the last day offers more subsets than there
+    are players) and whether the first leaf is envy-free."""
+    buckets = {(cached, ef): [] for cached in (False, True) for ef in (False, True)}
+    while any(len(refs) < 3 for refs in buckets.values()):
+        n, m = rng.randint(4, 8), rng.randint(1, 4)
+        rows = [tuple(int(rng.random() < 0.6) for _ in range(m)) for _ in range(n)]
+        p, _ = reduce_problem(make_problem(rows, rng.choice((2, 3))))
+        if p.is_empty:
+            continue
+        combos, leaves = _efficient_lists(p, FULL)
+        if leaves <= 5000:
+            ref = Reference(p)
+            buckets[len(combos[-1]) > p.n, ref.envy[0] == 0].append(ref)
+    return buckets
+
+
+def test_first_leaf_exit_matches_brute_force(monkeypatch):
+    """Plain and cached folds, with and without an envy-free first leaf,
+    under a budget of one leaf and the full budget, on every day's full
+    list as the g = 2 search passes them: the scan answers as brute force
+    does, and only an envy-free first leaf spares the walk."""
+    folded = count_folded(monkeypatch)
+    for (_, ef), refs in _first_leaf_instances(random.Random(20261020)).items():
+        for ref in refs:
+            combos = _efficient_lists(ref.p, FULL)[0]
+            for cap in (1, FULL):
+                folded.clear()
+                scanned, conclusive, choice, min_envy = scan_verify(
+                    combos, ref.p.n, ref.avail, cap)
+                leaf = None if choice is None else _assignment_from_choice(ref.p, combos, choice)
+                assert (scanned, conclusive, leaf, min_envy) == _expected_verify(ref, cap), (
+                    ref.p, cap)
+                assert (folded == []) == ef, (ref.p, cap)
