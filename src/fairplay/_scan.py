@@ -31,25 +31,32 @@ hold the same values below them; :func:`orbit_key` is that sorted vector
 and :func:`class_offsets` marks the classes, for any number of days.  The
 random tie-break's DP (``solver._Optima``) keys its memo the same way.
 
-Leaf cache.  The same argument inside one last-day node: take two of its
-leaves whose chosen players agree as a multiset of (availability block,
-games so far).  A permutation within those classes maps one leaf's games
-vector onto the other's and keeps every availability count, so both
-leaves have the same number of envy pairs, whether or not the day's list
-is a complete family.  :func:`leaf_codes` turns that multiset into one
-integer key, and the envy scan keeps, per node, a dict from key to count,
-so it counts each class of leaves once.  A count that the ``min_envy`` cap
-cut short is cached as it is: it equals the cap of its time and the cap
-only falls, so the cached count fails the ``count < min_envy`` test, as
-the full count would.  The scan picks its fold once, from the instance:
-it caches only when the last day offers more subsets than there are
-players, and otherwise keeps the plain fold.  With few subsets per node
-few leaves share a class, and building a leaf's key costs about what its
-envy count does: caching on every instance made the benchmark's
-g2-search workload, whose last days offer 1 or a subsets to a players,
-18% slower (2 vCPUs, Python 3.11) and gained nothing elsewhere beyond
-run-to-run noise.  ``solver._Optima`` caches the closed-form counts
-below every depth m-2 node, tagging players by last-day availability.
+Class representatives.  The same argument inside one last-day node: tag
+each of the day's a players with its class, (availability count, games so
+far).  Two leaves that take as many players of each class, the same class
+vector, are mapped onto each other by a permutation within the classes,
+which keeps every availability count, so they have equal envy counts,
+whether or not the day's list is a complete family.  A class vector's
+least leaf in ``combinations`` order takes each class's first members, so
+the envy scan counts only these representatives.  It walks the day's
+players in index order, trying "take" before "skip", takes a player only
+while no earlier member of its class was skipped, and prunes when fewer
+players are still takeable than the quota q has left: so it meets each
+class vector once, in increasing rank.  Skipping position v after taking
+j players passes over the C(a-1-v, q-1-j) leaves that take v (the
+combinatorial number system; Knuth, TAOCP 7.2.1.3), which keeps the rank.
+The first envy-free leaf represents its class, so the first envy-free
+representative is the plain fold's stop, and the minimum over
+representatives is its ``min_envy``.  A budget cut inside a node ends the
+walk at the first rank that reaches the limit: a leaf below the limit has
+its representative below it too.  The scan folds representatives only
+when the last day offers more subsets than there are players, and
+otherwise keeps the plain fold: with few subsets per node few leaves
+share a class, and the walk costs more than the counts it saves.  Folding
+representatives on every scan made the benchmark's g2-search workload,
+whose last days offer 1 or a subsets to a players, 25% slower (2 vCPUs,
+Python 3.11).  ``solver._Optima`` caches the closed-form counts
+below every depth m-2 node by the same argument.
 
 Budget rule.  ``oracle._efficient_lists`` truncates only a prefix of days,
 so days d..m-1 are complete exactly when the leaves below a depth-d node
@@ -89,6 +96,7 @@ players and units, so the scan shares no code with the solver's flow.
 from __future__ import annotations
 
 from itertools import repeat
+from math import comb
 from operator import add
 
 _NO_LEAVES = -1
@@ -111,16 +119,6 @@ def orbit_key(games, offsets):
     """The games vector sorted within the classes of one depth's
     ``offsets``, as a tuple: equal exactly for nodes in one orbit."""
     return tuple(sorted(map(add, games, offsets)))
-
-
-def leaf_codes(tags, m, size):
-    """One code per player and games count g < m, ``1 << (shift * (tag * m
-    + g))`` with ``shift`` the bit length of ``size``, for the leaf cache:
-    summed over a subset of ``size`` players, the codes count its players
-    per (tag, games) in fields that never carry, so two subsets' sums are
-    equal exactly when they agree as a multiset of (tag, games)."""
-    shift = size.bit_length()
-    return [[1 << shift * (tag * m + g) for g in range(m)] for tag in tags]
 
 
 def _walk(combos, n, budget, avail, fold, bound=None):
@@ -352,30 +350,51 @@ def scan_verify(combos, n, avail, budget):
                     return pos
         return -1
 
-    def cached_fold(games, choice, limit):
-        nonlocal ef_choice, min_envy
-        counts = {}  # leaf key -> its envy count, capped as first counted
-        for pos in range(limit):
-            combo = last[pos]
-            key = sum([codes[i][games[i]] for i in combo])
-            count = counts.get(key)
-            if count is None:
-                for i in combo:
-                    games[i] += 1
-                count = counts[key] = _count_envy_pairs(games, order, starts, min_envy)
-                for i in combo:
-                    games[i] -= 1
-            if count < min_envy:
-                min_envy = count
-                if count == 0:
-                    choice[-1] = pos
-                    ef_choice = tuple(choice)
-                    return pos
-        return -1
+    def representative_fold(games, choice, limit):
+        tags = [games[p] + b for p, b in zip(players, base)]  # the classes
+        rest = [tags[v:].count(tags[v]) for v in range(a)]  # class-mates from v on
+        skipped = set()
 
-    if len(last) > n:  # the leaf cache's rule, see the module docstring
-        blocks = {a: b for b, a in enumerate(sorted(set(avail)))}
-        codes = leaf_codes([blocks[a] for a in avail], len(combos), len(last[0]))
-        fold = cached_fold
+        def visit(v, taken, rank, takeable):
+            # takeable, the players from v on whose class has no skipped
+            # member, is at least q - taken; returns a stop rank, -1 once
+            # the ranks reach the limit, or None to go on
+            nonlocal ef_choice, min_envy
+            if rank >= limit:
+                return -1
+            if taken == q:
+                count = _count_envy_pairs(games, order, starts, min_envy)
+                if count < min_envy:
+                    min_envy = count
+                    if count == 0:
+                        choice[-1] = rank
+                        ef_choice = tuple(choice)
+                        return rank
+                return None
+            tag = tags[v]
+            if tag in skipped:
+                return visit(v + 1, taken, rank + jump[v][taken], takeable)
+            games[players[v]] += 1
+            stop = visit(v + 1, taken + 1, rank, takeable - 1)
+            games[players[v]] -= 1
+            if stop is not None or takeable - rest[v] < q - taken:
+                return stop
+            skipped.add(tag)
+            stop = visit(v + 1, taken, rank + jump[v][taken], takeable - rest[v])
+            skipped.discard(tag)
+            return stop
+
+        stop = visit(0, 0, 0, a)
+        return -1 if stop is None else stop
+
+    if len(last) > n:  # the representatives' rule, see the module docstring
+        # then the list holds every player of the day: its first a - q + 1
+        # subsets already end in each of the last a - q + 1 players
+        players = sorted(set().union(*last))
+        a, q = len(players), len(last[0])
+        base = [avail[p] * len(combos) for p in players]  # games < m here
+        # jump[v][j]: the leaves that take position v after j others
+        jump = [[comb(a - 1 - v, q - 1 - j) for j in range(q)] for v in range(a)]
+        fold = representative_fold
     scanned, stopped = _walk(combos, n, budget, avail, fold)
     return scanned, ef_choice is not None or not stopped, ef_choice, min_envy

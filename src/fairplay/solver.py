@@ -16,8 +16,8 @@ profile-optimal ones:
   the rank of the optimum it would keep, and unranking walks the days
   straight to it, so the draw is the reservoir's without its full walk.
   The DP merges nodes with ``_scan``'s orbit key, the one the oracle's
-  scans use, and counts each class of last-day nodes once with the scans'
-  leaf cache.
+  scans use, and counts each class of last-day nodes once, keyed by which
+  (last-day availability, games) classes the day before raises.
 
 Inputs need not be irreducible: :func:`solve_fair` reduces and
 zero-extends the result, so removed players provably get no games.  An
@@ -36,7 +36,7 @@ from operator import add
 from typing import NamedTuple, Optional
 
 from fairplay import _flow
-from fairplay._scan import class_offsets, leaf_codes, orbit_key
+from fairplay._scan import class_offsets, orbit_key
 from fairplay.model import (
     Assignment,
     GVector,
@@ -195,6 +195,16 @@ def _realize_random(
     return optima.unrank(rank)
 
 
+def _leaf_codes(tags, m, size):
+    """One code per player and games count g < m, ``1 << (shift * (tag * m
+    + g))`` with ``shift`` the bit length of ``size``: summed over a subset
+    of ``size`` players, the codes count its players per (tag, games) in
+    fields that never carry, so two subsets' sums are equal exactly when
+    they agree as a multiset of (tag, games)."""
+    shift = size.bit_length()
+    return [[1 << shift * (tag * m + g) for g in range(m)] for tag in tags]
+
+
 class _Optima:
     """Counts and unranks the profile-optimal full-game assignments.
 
@@ -222,9 +232,9 @@ class _Optima:
     over the players, so below a node at depth m-2 two subsets of day m-2
     whose players agree as a multiset of (last-day availability, games)
     lead to equal counts.  ``_count_second_last_day`` counts each such
-    class once, keyed by ``_scan.leaf_codes`` (the leaf cache of the
-    ``_scan`` docstring).  The cache lives inside one memoized node and
-    leaves the memo as it is.
+    class once, keyed by :func:`_leaf_codes`; the argument is the one for
+    the envy scan's class representatives in the ``_scan`` docstring.  The
+    cache lives inside one memoized node and leaves the memo as it is.
     """
 
     def __init__(self, reduced: Problem, quotas: list[int], target: tuple[int, ...]):
@@ -248,7 +258,7 @@ class _Optima:
         self.leaf = [v for v, count in enumerate(self.wanted) for _ in range(count)]
         self.last_avail = [row[m - 1] for row in reduced.avail]
         if m > 1:
-            self.codes = leaf_codes(self.last_avail, m, quotas[m - 2])
+            self.codes = _leaf_codes(self.last_avail, m, quotas[m - 2])
 
     def _optimistic_ok(self, day: int) -> bool:
         ub = sorted(map(add, self.games, self.suffix[day]))

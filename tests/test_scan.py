@@ -7,6 +7,7 @@ the orbit memo skip subtrees, so every check below also holds the memo to
 the plain walk."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -14,7 +15,7 @@ from conftest import all_feasible_assignments, count_folded, make_problem, rando
 from fairplay import _scan, fixtures
 from fairplay._scan import scan_fair, scan_verify
 from fairplay.impossibility import build_witness
-from fairplay.model import envy_report, g_vector, reduce_problem
+from fairplay.model import day_quotas, envy_report, g_vector, reduce_problem
 from fairplay.oracle import _assignment_from_choice, _efficient_lists, verify_no_fair_ef
 
 FULL = 10**7
@@ -221,17 +222,19 @@ def test_empty_inputs():
 
 
 # --------------------------------------------------------------------------- #
-# the leaf cache: instances whose last day offers more subsets than players
+# the representative fold: instances whose last day offers more subsets
+# than players
 # --------------------------------------------------------------------------- #
 
-def _cached_instances(rng):
-    """Instances on which ``scan_verify`` caches envy counts per last-day
-    node, each with its rows shuffled.  First five perturbed witnesses of
-    g = 3: the witness itself, grown by a player on one of its two forced
-    days (three availability blocks) or on both, and with a forced player
-    split in two halves.  None has an envy-free leaf, so the scan covers
-    every leaf while ``min_envy`` falls.  Then six random instances of
-    three or more availability blocks, drawn with a dense last day."""
+def _representative_instances(rng):
+    """Instances on which ``scan_verify`` folds each last-day node over its
+    class representatives, each with its rows shuffled.  First five
+    perturbed witnesses of g = 3: the witness itself, grown by a player on
+    one of its two forced days (three availability blocks) or on both, and
+    with a forced player split in two halves.  None has an envy-free leaf,
+    so the scan covers every leaf while ``min_envy`` falls.  Then six random
+    instances of three or more availability blocks, drawn with a dense last
+    day."""
     left, right = [(1, 1, 0, 0, 0)] * 2, [(0, 0, 1, 1, 1)] * 5
     grown = [
         left + extra + right
@@ -264,8 +267,8 @@ def _cached_instances(rng):
 
 
 @pytest.fixture(scope="module")
-def cached_references():
-    refs = [Reference(p) for p in _cached_instances(random.Random(20261019))]
+def representative_references():
+    refs = [Reference(p) for p in _representative_instances(random.Random(20261019))]
     for ref in refs:
         assert len(_efficient_lists(ref.p, FULL)[0][-1]) > ref.p.n
     return refs
@@ -289,13 +292,13 @@ def _verify_leaf(ref, cap):
     return scanned, conclusive, leaf, min_envy
 
 
-def test_cached_envy_fold_matches_brute_force(cached_references):
+def test_representative_envy_fold_matches_brute_force(representative_references):
     """The full budget and budgets that cut inside a last-day node: a
     third and two thirds of the leaves, moved half a node off the node
     boundary, and one leaf short of the end."""
-    blocks = [len(set(ref.avail)) for ref in cached_references]
+    blocks = [len(set(ref.avail)) for ref in representative_references]
     assert max(blocks) >= 3 and sum(b >= 3 for b in blocks) >= 8
-    for ref in cached_references:
+    for ref in representative_references:
         width = len(_efficient_lists(ref.p, FULL)[0][-1])
         total = len(ref.leaves)
         caps = {FULL, total - 1}
@@ -305,11 +308,11 @@ def test_cached_envy_fold_matches_brute_force(cached_references):
             assert _verify_leaf(ref, cap) == _expected_verify(ref, cap), (ref.p, cap)
 
 
-def test_cached_envy_fold_reuses_counts_cut_short(cached_references, monkeypatch):
+def test_representative_envy_fold_reuses_counts_cut_short(representative_references, monkeypatch):
     """On the perturbed witnesses, which have no envy-free leaf, the fold
     counts envy once per leaf class, not once per leaf, and some of the
-    counts it caches were cut short by the cap: the scan still ends on the
-    brute-force minimum."""
+    counts were cut short by the cap: the scan still ends on the brute-force
+    minimum."""
     capped = []
     count_envy_pairs = _scan._count_envy_pairs
 
@@ -320,7 +323,7 @@ def test_cached_envy_fold_reuses_counts_cut_short(cached_references, monkeypatch
 
     monkeypatch.setattr(_scan, "_count_envy_pairs", recording)
     folded = count_folded(monkeypatch)
-    for ref in cached_references[:5]:
+    for ref in representative_references[:5]:
         assert ref.first_ef is None
         capped.clear()
         folded.clear()
@@ -329,15 +332,101 @@ def test_cached_envy_fold_reuses_counts_cut_short(cached_references, monkeypatch
         assert any(capped)
 
 
+def _dense_last_days(rng):
+    """Random reduced instances of 2-4 days whose last day offers more
+    subsets than there are players, three for each of 1-4 availability
+    blocks."""
+    by_blocks = {b: [] for b in range(1, 5)}
+    while any(len(ps) < 3 for ps in by_blocks.values()):
+        n, m = rng.randint(4, 9), rng.randint(2, 4)
+        rows = [
+            tuple(int(rng.random() < 0.5) for _ in range(m - 1)) + (int(rng.random() < 0.9),)
+            for _ in range(n)
+        ]
+        p, _ = reduce_problem(make_problem(rows, rng.choice((2, 3))))
+        if p.is_empty or len(set(p.availability_counts())) > 4:
+            continue
+        combos, leaves = _efficient_lists(p, FULL)
+        if len(combos[-1]) > p.n and leaves <= 20_000:
+            by_blocks[len(set(p.availability_counts()))].append(p)
+    return [p for ps in by_blocks.values() for p in ps]
+
+
+def _record_folds(monkeypatch):
+    """Patch the walk and the envy count so that each last-day node is
+    logged as ``(node games, limit, stop, counted leaves' games)``."""
+    nodes = []
+    walk, count_envy_pairs = _scan._walk, _scan._count_envy_pairs
+
+    def recording_walk(combos, n, budget, avail, fold, bound=None):
+        def logged(games, choice, limit):
+            nodes.append([list(games), limit, None, []])
+            nodes[-1][2] = fold(games, choice, limit)
+            return nodes[-1][2]
+
+        return walk(combos, n, budget, avail, logged, bound)
+
+    def recording_count(games, order, starts, cap):
+        if nodes and nodes[-1][2] is None:  # inside a fold
+            nodes[-1][3].append(list(games))
+        return count_envy_pairs(games, order, starts, cap)
+
+    monkeypatch.setattr(_scan, "_walk", recording_walk)
+    monkeypatch.setattr(_scan, "_count_envy_pairs", recording_count)
+    return nodes
+
+
+def test_envy_fold_counts_one_representative_per_class(representative_references, monkeypatch):
+    """Each last-day node counts envy at the least leaf of each class vector
+    (how many players the leaf takes of each (availability, games) class),
+    in increasing rank, and at every class vector whose least leaf ranks
+    below where the node stops, against brute force over the day's
+    ``combinations``.  The full budget, and budgets that cut inside the
+    first node and half way through the scan."""
+    nodes = _record_folds(monkeypatch)
+    problems = [ref.p for ref in representative_references]
+    problems += _dense_last_days(random.Random(20261021))
+    assert {len(set(p.availability_counts())) for p in problems} >= {1, 2, 3, 4}
+    folds = cuts = stops = 0
+    for p in problems:
+        avail = p.availability_counts()
+        day = [i for i in range(p.n) if p.avail[i][-1]]
+        subsets = list(combinations(day, day_quotas(p)[-1]))
+        combos, leaves = _efficient_lists(p, FULL)
+        middle = leaves // 2 // len(subsets) * len(subsets)
+        for cap in (FULL, len(subsets) // 2 + 1, middle + len(subsets) // 2 + 1):
+            nodes.clear()
+            scan_verify(combos, p.n, avail, cap)
+            for games, limit, stop, counted in nodes:
+                def vector(leaf):
+                    return tuple(sorted((avail[i], games[i]) for i in leaf))
+
+                least = {}  # class vector -> the rank of its least leaf
+                for rank, leaf in enumerate(subsets):
+                    least.setdefault(vector(leaf), rank)
+                ranks = []
+                for leaf_games in counted:
+                    leaf = tuple(i for i in range(p.n) if leaf_games[i] > games[i])
+                    ranks.append(subsets.index(leaf))
+                    assert least[vector(leaf)] == ranks[-1], (p, cap)
+                assert all(r < s for r, s in zip(ranks, ranks[1:])), (p, cap)
+                end = limit if stop < 0 else stop + 1
+                assert ranks == sorted(r for r in least.values() if r < end), (p, cap)
+                folds += 1
+                cuts += limit < len(subsets)
+                stops += stop >= 0
+    assert folds > 100 and cuts > 20 and stops > 20
+
+
 # --------------------------------------------------------------------------- #
 # the first-leaf exit: an envy-free first leaf ends the scan before the walk
 # --------------------------------------------------------------------------- #
 
 def _first_leaf_instances(rng):
     """Three random reduced instances of g = 2 or 3 per bucket: whether the
-    scan takes the cached fold (the last day offers more subsets than there
-    are players) and whether the first leaf is envy-free."""
-    buckets = {(cached, ef): [] for cached in (False, True) for ef in (False, True)}
+    scan takes the representative fold (the last day offers more subsets
+    than there are players) and whether the first leaf is envy-free."""
+    buckets = {(rep, ef): [] for rep in (False, True) for ef in (False, True)}
     while any(len(refs) < 3 for refs in buckets.values()):
         n, m = rng.randint(4, 8), rng.randint(1, 4)
         rows = [tuple(int(rng.random() < 0.6) for _ in range(m)) for _ in range(n)]
@@ -352,7 +441,7 @@ def _first_leaf_instances(rng):
 
 
 def test_first_leaf_exit_matches_brute_force(monkeypatch):
-    """Plain and cached folds, with and without an envy-free first leaf,
+    """Plain and representative folds, with and without an envy-free first leaf,
     under a budget of one leaf and the full budget, on every day's full
     list as the g = 2 search passes them: the scan answers as brute force
     does, and only an envy-free first leaf spares the walk."""
