@@ -82,20 +82,22 @@ with at least s games.  A leaf below the node adds Q of these units to the
 node's profile, so no leaf beats U, the node's profile plus the Q units of
 lowest number: taking them maximizes G_1, then G_2, and so on.  At depth
 m-1, U is the node's best leaf whenever that day's list is the complete
-family of same-size subsets.  Computing U takes O(n + m).  The walk skips a
-node when U is at most the best profile so far; a tie may be skipped, since
-the fold changes only on a strictly better leaf.  A skip counts
-``min(subtree, budget - scanned)`` leaves and ends the walk when the
+family of same-size subsets.  :func:`profile_bound` alone computes U, in
+O(n m), and tests U <= T for a target T that its caller may change.  The
+walk skips a node when U is at most the best profile so far; a tie may be
+skipped, since the fold changes only on a strictly better leaf.  A skip
+counts ``min(subtree, budget - scanned)`` leaves and ends the walk when the
 budget cuts it, as a memo skip does, so leaf counts and the first best
-choice stay those of the plain walk.  For the memo, a subtree
-whose parts the bound skipped still counts as scanned in full: those parts
-hold no leaf better than the best before them.  The bound only counts
-players and units, so the scan shares no code with the solver's flow.
+choice stay those of the plain walk.  For the memo, a subtree whose parts
+the bound skipped still counts as scanned in full: those parts hold no
+leaf better than the best before them.  ``solver._Optima`` drops a node
+with U < T, for integer vectors U <= T with 1 off its last entry.  The
+bound only counts players and units, so it shares no code with the flow.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import repeat, takewhile
 from math import comb
 from operator import add
 
@@ -230,6 +232,43 @@ def _count_envy_pairs(games, order, starts, cap):
     return count
 
 
+def profile_bound(combos, n, target):
+    """``bound(games, day)`` for the odometer over ``combos``: True when U,
+    the bound rule's profile at a depth-``day`` node, is at most
+    ``target``, a list the caller owns and may change between calls."""
+    reach = [[0] * n]  # reach[d][i]: days d..m-1 whose subsets hold player i
+    left = [0]  # left[d]: the players those days seat
+    for subsets in reversed(combos):
+        # the listed players: a lexicographic list opens with the subsets that
+        # differ from its first in the last player only, and these hold them all
+        head = subsets[0][:-1] if subsets else ()
+        on_day = set().union(*takewhile(lambda s: s[:-1] == head, subsets))
+        reach.append([r + (i in on_day) for i, r in enumerate(reach[-1])])
+        left.append(left[-1] + (len(subsets[0]) if subsets else 0))
+    reach.reverse()
+    left.reverse()
+
+    def bound(games, day):
+        # U of the bound rule, compared with target one entry at a time;
+        # the units t + 1 raise players from t games, so they add to entry t
+        most = list(map(add, games, reach[day]))  # the games each can reach
+        units = left[day]
+        low = capped = 0
+        for t, want in enumerate(target):
+            low += games.count(t)  # players with t games or fewer
+            capped += most.count(t)  # those of them that cannot reach t + 1
+            take = low - capped  # the units t + 1 taken, as far as they go
+            if take > units:
+                take = units
+            units -= take
+            u = n - low + take
+            if u != want:
+                return u < want
+        return True
+
+    return bound
+
+
 def scan_fair(combos, n, budget):
     """Lexicographically maximal fairness profile over all enumerated
     assignments, plus the first leaf attaining it.
@@ -272,37 +311,7 @@ def scan_fair(combos, n, budget):
                 cnt[games[i]] += 1
         return -1
 
-    # reach[d][i]: days d..m-1 whose subsets hold player i; left[d]: the
-    # players those days seat
-    reach = [[0] * n]
-    left = [0]
-    for subsets in reversed(combos):
-        on_day = set().union(*subsets)
-        reach.append([r + (i in on_day) for i, r in enumerate(reach[-1])])
-        left.append(left[-1] + (len(subsets[0]) if subsets else 0))
-    reach.reverse()
-    left.reverse()
-
-    def bound(games, day):
-        # U of the bound rule, compared with best one entry at a time; the
-        # units t + 1 raise players from t games, so they add to best[t]
-        at = [0] * (m + 1)  # at[t]: players with t games
-        top = [0] * (m + 1)  # top[t]: players who can reach t games at most
-        for g, r in zip(games, reach[day]):
-            at[g] += 1
-            top[g + r] += 1
-        units = left[day]
-        low = capped = 0
-        for t in range(m):
-            low += at[t]  # players with t games or fewer
-            capped += top[t]  # those of them that cannot reach t + 1
-            take = min(low - capped, units)  # the units t + 1 taken
-            units -= take
-            u = n - low + take
-            if u != best[t]:
-                return u < best[t]
-        return True
-
+    bound = profile_bound(combos, n, best)
     scanned, stopped = _walk(combos, n, budget, None, fold, bound)
     best_g = tuple(best) if best_choice is not None else None
     return scanned, not stopped, best_g, best_choice

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
-from pathlib import Path
+import os
 
 from fairplay.model import Assignment, Problem, ValidationError, validate_problem
 
@@ -71,8 +71,9 @@ def parse_problem(text: str, group_size: int) -> Problem:
     return validate_problem(players, days, rows, group_size)
 
 
-def parse_problem_file(path: str | Path, group_size: int) -> Problem:
-    return parse_problem(Path(path).read_text(encoding="utf-8"), group_size)
+def parse_problem_file(path: str | os.PathLike[str], group_size: int) -> Problem:
+    with open(path, encoding="utf-8") as fh:
+        return parse_problem(fh.read(), group_size)
 
 
 def parse_assignment(text: str, p: Problem) -> Assignment:
@@ -90,8 +91,9 @@ def parse_assignment(text: str, p: Problem) -> Assignment:
     return Assignment(tuple(tuple(row) for row in rows))
 
 
-def parse_assignment_file(path: str | Path, p: Problem) -> Assignment:
-    return parse_assignment(Path(path).read_text(encoding="utf-8"), p)
+def parse_assignment_file(path: str | os.PathLike[str], p: Problem) -> Assignment:
+    with open(path, encoding="utf-8") as fh:
+        return parse_assignment(fh.read(), p)
 
 
 def _serialize(players, days, matrix) -> str:

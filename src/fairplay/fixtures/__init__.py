@@ -8,15 +8,16 @@ split into games of four), plus a corrected variant with Keith I's Tuesday
 cell cleared; the correction also restores that row's stated games total.
 """
 
-from pathlib import Path
-
 from fairplay.fileio import parse_assignment, parse_problem
 from fairplay.model import Assignment, Problem
 
 
-def fixture_path(name: str) -> Path:
-    """The bundled file ``name``, next to this module; the package is read
-    from the file system, not from a zip archive."""
+def fixture_path(name: str):
+    """The bundled file ``name``, next to this module, as a ``pathlib.Path``;
+    the package is read from the file system, not from a zip archive.
+    ``pathlib`` loads on the first call, not with the package."""
+    from pathlib import Path
+
     return Path(__file__).with_name(name)
 
 

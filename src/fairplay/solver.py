@@ -16,8 +16,9 @@ profile-optimal ones:
   the rank of the optimum it would keep, and unranking walks the days
   straight to it, so the draw is the reservoir's without its full walk.
   The DP merges nodes with ``_scan``'s orbit key, the one the oracle's
-  scans use, and counts each class of last-day nodes once, keyed by which
-  (last-day availability, games) classes the day before raises.
+  scans use, skips every node that the fairness scan's bound shows cannot
+  reach the target, and counts each class of last-day nodes once, keyed by
+  which (last-day availability, games) classes the day before raises.
 
 Inputs need not be irreducible: :func:`solve_fair` reduces and
 zero-extends the result, so removed players provably get no games.  An
@@ -29,14 +30,12 @@ returns it as is.  ``_solve_irreducible`` solves a core without that pass;
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from itertools import combinations
 from math import comb
-from operator import add
 from typing import NamedTuple, Optional
 
 from fairplay import _flow
-from fairplay._scan import class_offsets, orbit_key
+from fairplay._scan import class_offsets, orbit_key, profile_bound
 from fairplay.model import (
     Assignment,
     GVector,
@@ -210,12 +209,12 @@ class _Optima:
 
     ``count(day)`` is the number of optimal completions below the node at
     depth ``day`` whose games so far are ``games``.  It is a memoized DP over
-    the days.  A node whose optimistic profile (every player also wins every
-    remaining available day) already falls short of the target counts 0.
-    Players with the same remaining row ``avail[i][day:]`` are
-    interchangeable below a node, because each day offers every subset of
-    its quota size and the profile ignores availability, so nodes of one
-    depth in one orbit have equal counts.  The memo key is
+    the days.  A node above the last day counts 0 when the fairness scan's
+    bound, ``_scan.profile_bound``, puts its U below the target: no leaf
+    below it reaches the target.  Players with the same remaining row
+    ``avail[i][day:]`` are interchangeable below a node, because each day
+    offers every subset of its quota size and the profile ignores
+    availability, so nodes of one depth in one orbit have equal counts.  The memo key is
     ``_scan.orbit_key`` over ``_scan.class_offsets(avail, day)``, the key the
     scans' orbit memo uses, whose docstring gives the argument.
 
@@ -239,16 +238,13 @@ class _Optima:
 
     def __init__(self, reduced: Problem, quotas: list[int], target: tuple[int, ...]):
         n, m = reduced.n, reduced.m
-        self.n, self.m, self.target = n, m, target
+        self.n, self.m = n, m
         self.day_combos = [
             list(combinations([i for i in range(n) if reduced.avail[i][k]], quotas[k]))
             for k in range(m)
         ]
-        # suffix[k][i]: games player i could still gain from day k onward
-        suffix = [[0] * n]
-        for k in range(m - 1, -1, -1):
-            suffix.append([s + row[k] for s, row in zip(suffix[-1], reduced.avail)])
-        self.suffix = suffix[::-1]
+        short = [*target[:-1], target[-1] - 1]  # U < target iff U <= short
+        self.hopeless = profile_bound(self.day_combos, n, short)
         self.offsets = [class_offsets(reduced.avail, k) for k in range(m - 1)]
         self.memo: list[dict[tuple[int, ...], int]] = [{} for _ in range(m - 1)]
         self.games = [0] * n
@@ -259,14 +255,6 @@ class _Optima:
         self.last_avail = [row[m - 1] for row in reduced.avail]
         if m > 1:
             self.codes = _leaf_codes(self.last_avail, m, quotas[m - 2])
-
-    def _optimistic_ok(self, day: int) -> bool:
-        ub = sorted(map(add, self.games, self.suffix[day]))
-        for t, want in enumerate(self.target, 1):
-            gt = self.n - bisect_left(ub, t)
-            if gt != want:
-                return gt > want
-        return True
 
     def _count_last_day(self) -> int:
         on = [0] * (self.m + 1)  # a_v
@@ -293,7 +281,7 @@ class _Optima:
         found = self.memo[day].get(key)
         if found is None:
             found = 0
-            if self._optimistic_ok(day):
+            if not self.hopeless(games, day):
                 if day == self.m - 2:
                     found = self._count_second_last_day()
                 else:

@@ -95,6 +95,13 @@ def test_scans_have_one_wrapper_each_and_the_g2_search_scans_directly():
             assert not names & private, node.module
 
 
+def test_the_profile_bound_is_written_once():
+    """U, the fairness bound, is computed by ``_scan.profile_bound`` alone:
+    the fairness scan builds it against its best profile and the random
+    tie-break's DP against its target, and nothing else builds one."""
+    assert _callers("profile_bound") == {("_scan", "scan_fair"), ("solver", "__init__")}
+
+
 def test_public_names_resolve_and_are_listed_once():
     assert len(set(fairplay.__all__)) == len(fairplay.__all__)
     for name in fairplay.__all__:
@@ -251,8 +258,8 @@ def test_cli_import_loads_no_dataclasses_inspect_or_importlib_resources():
     nothing (``-S``) leaves these slow-to-import modules unloaded."""
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import fairplay.cli; "
-        "print(' '.join(sorted({'dataclasses', 'inspect', 'importlib.resources'}"
-        " & set(sys.modules))))"
+        "print(' '.join(sorted({'dataclasses', 'inspect', 'importlib.resources',"
+        " 'pathlib'} & set(sys.modules))))"
     )
     out = subprocess.run(
         [sys.executable, "-S", "-c", code, str(SRC.parent)],

@@ -121,6 +121,49 @@ def test_scan_fair_finds_first_best_leaf(references):
         assert _assignment_from_choice(ref.p, combos, choice) == first_best
 
 
+def test_profile_bound_is_sound_and_tight_on_the_last_day(references):
+    """U, the bound rule's profile, read at every node of the full walk over
+    full lists and over lists cut for a third and two thirds of the leaves:
+    with the best listed leaf below the node minus 1 on its last entry as
+    the target, U is above it; at depth m-1 of full lists, U is that leaf.
+    The bound reads one target list, changed between calls."""
+    checked = tight = 0
+    for ref in references:
+        n, m, total = ref.p.n, ref.p.m, len(ref.leaves)
+        for cap in (total, max(1, total // 3), max(1, total * 2 // 3)):
+            combos = _efficient_lists(ref.p, cap + 1)[0]
+            target = [0] * m
+            bound = _scan.profile_bound(combos, n, target)
+            games = [0] * n
+
+            def visit(day):
+                """The best listed leaf below the node, which it checks."""
+                nonlocal checked, tight
+                if day == m:
+                    return tuple(sum(g >= s for g in games) for s in range(1, m + 1))
+                best = None
+                for combo in combos[day]:
+                    for i in combo:
+                        games[i] += 1
+                    below = visit(day + 1)
+                    for i in combo:
+                        games[i] -= 1
+                    best = below if best is None else max(best, below)
+                target[:] = best
+                target[-1] -= 1
+                assert not bound(games, day), (ref.p, cap, games, day)
+                checked += 1
+                if day == m - 1 and cap == total:
+                    target[-1] += 1
+                    assert bound(games, day), (ref.p, games, day)
+                    tight += 1
+                return best
+
+            best = visit(0)  # over every leaf when the lists are full
+            assert cap < total or best == max(ref.profiles)
+    assert checked > 50_000 and tight > 20_000
+
+
 def test_scan_first_ef_finds_first_envy_free_leaf(references):
     """The scan stops at the first envy-free leaf, counts it and returns its
     choice with a minimum envy of 0."""
