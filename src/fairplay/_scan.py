@@ -29,7 +29,7 @@ counts, so it is invariant under the transposition.  Two nodes of one
 depth whose games vectors agree after sorting within classes therefore
 hold the same values below them; :func:`orbit_key` is that sorted vector
 and :func:`class_offsets` marks the classes, for any number of days.  The
-random tie-break's DP (``solver._Optima``) keys its memo the same way.
+random tie-break's DP (``_optima._Optima``) keys its memo the same way.
 
 Class representatives.  The same argument inside one last-day node: tag
 each of the day's a players with its class, (availability count, games so
@@ -55,7 +55,7 @@ otherwise keeps the plain fold: with few subsets per node few leaves
 share a class, and the walk costs more than the counts it saves.  Folding
 representatives on every scan made the benchmark's g2-search workload,
 whose last days offer 1 or a subsets to a players, 25% slower (2 vCPUs,
-Python 3.11).  ``solver._Optima`` caches the closed-form counts
+Python 3.11).  ``_optima._Optima`` caches the closed-form counts
 below every depth m-2 node by the same argument.
 
 Budget rule.  ``oracle._efficient_lists`` truncates only a prefix of days,
@@ -90,7 +90,7 @@ counts ``min(subtree, budget - scanned)`` leaves and ends the walk when the
 budget cuts it, as a memo skip does, so leaf counts and the first best
 choice stay those of the plain walk.  For the memo, a subtree whose parts
 the bound skipped still counts as scanned in full: those parts hold no
-leaf better than the best before them.  ``solver._Optima`` drops a node
+leaf better than the best before them.  ``_optima._Optima`` drops a node
 with U < T, for integer vectors U <= T with 1 off its last entry.  The
 bound only counts players and units, so it shares no code with the flow.
 """

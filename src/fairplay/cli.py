@@ -4,6 +4,10 @@ Subcommands: reduce, solve, check, verify, enumerate.  Exit codes:
 0 success / impossibility demonstrated; 2 input error; 3 flag error;
 4 infeasible assignment; 5 bounded search exhausted without a witness;
 6 inconclusive (enumeration budget or skipped search sizes).
+
+``verify`` and ``enumerate`` import the exhaustive layers (``oracle``,
+``impossibility`` and their scan kernel) when they run, so ``reduce``,
+``solve`` and ``check`` never load them.
 """
 
 from __future__ import annotations
@@ -21,12 +25,6 @@ from fairplay.fileio import (
     serialize_assignment,
     serialize_problem,
 )
-from fairplay.impossibility import (
-    DEFAULT_PER_SIZE_CAP,
-    SearchBounds,
-    build_witness,
-    search_witness_g2,
-)
 from fairplay.model import (
     Assignment,
     Problem,
@@ -39,13 +37,6 @@ from fairplay.model import (
     max_total_games,
     reduce_problem,
     zero_extend,
-)
-from fairplay.oracle import (
-    DEFAULT_MAX_ASSIGNMENTS,
-    BudgetExceededError,
-    count_efficient,
-    enumerate_efficient,
-    verify_no_fair_ef,
 )
 from fairplay.solver import TieBreakPolicy, _solve_irreducible
 
@@ -218,6 +209,14 @@ def cmd_check(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from fairplay.impossibility import (
+        DEFAULT_PER_SIZE_CAP,
+        SearchBounds,
+        build_witness,
+        search_witness_g2,
+    )
+    from fairplay.oracle import DEFAULT_MAX_ASSIGNMENTS, verify_no_fair_ef
+
     budget = args.budget or DEFAULT_MAX_ASSIGNMENTS
     if args.group_size >= 3:
         p = build_witness(args.group_size)
@@ -241,7 +240,7 @@ def cmd_verify(args) -> int:
         args.bounds[0],
         args.bounds[1],
         per_instance_budget=budget,
-        per_size_cap=args.per_size_cap,
+        per_size_cap=args.per_size_cap or DEFAULT_PER_SIZE_CAP,
     )
     result = search_witness_g2(bounds)
     print(
@@ -269,6 +268,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    from fairplay.oracle import (
+        DEFAULT_MAX_ASSIGNMENTS,
+        BudgetExceededError,
+        count_efficient,
+        enumerate_efficient,
+    )
+
     p = parse_problem_file(args.input, args.group_size)
     reduced, _ = reduce_problem(p)
     budget_cap = args.budget or DEFAULT_MAX_ASSIGNMENTS
@@ -368,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--per-size-cap",
         type=_positive_int,
-        default=DEFAULT_PER_SIZE_CAP,
         help="skip search sizes whose candidate pool exceeds this (coverage "
         "becomes partial and the run inconclusive)",
     )

@@ -181,8 +181,9 @@ def validate_problem(
     """Check raw input and build a Problem.
 
     Raises ValidationError naming the offending row/column for every
-    structural defect: non-binary entries, duplicate or empty names,
-    dimension mismatches, or a group size below 2.
+    structural defect: non-binary entries, duplicate or empty names, names
+    with leading or trailing whitespace, dimension mismatches, or a group
+    size below 2.
     """
     if not isinstance(group_size, int) or group_size < 2:
         raise ValidationError(f"group size must be an integer >= 2, got {group_size!r}")
@@ -191,12 +192,21 @@ def validate_problem(
     if len(days) == 0:
         raise ValidationError("dimension mismatch: need at least one day")
 
+    # the CSV reader strips every cell, so a padded name could not round-trip
     for idx, name in enumerate(players):
         if not isinstance(name, str) or not name:
             raise ValidationError(f"row {idx}: empty player name")
+        if name != name.strip():
+            raise ValidationError(
+                f"row {idx}: player name {name!r} has leading or trailing whitespace"
+            )
     for idx, label in enumerate(days):
         if not isinstance(label, str) or not label:
             raise ValidationError(f"column {idx}: empty day label")
+        if label != label.strip():
+            raise ValidationError(
+                f"column {idx}: day label {label!r} has leading or trailing whitespace"
+            )
     seen: dict[str, int] = {}
     for idx, name in enumerate(players):
         if name in seen:

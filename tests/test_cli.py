@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -565,3 +569,46 @@ def test_enumerate_stream_reports_truncation_by_budget(capsys):
     assert (code, err) == (0, "")
     assert len(out.split("\n\n")) == 4
     assert out.startswith(cut)
+
+
+# --------------------------------------------------------------------------- #
+# cold runs
+# --------------------------------------------------------------------------- #
+
+_COLD_ARGVS = [
+    ["reduce", "--input", T1, "--group-size", "4"],
+    ["solve", "--input", T1, "--group-size", "4", "--format", "json"],
+    ["solve", "--input", T1, "--group-size", "4", "--tie-break", "random", "--seed", "7"],
+    ["check", "--input", T1, "--assignment", CORRECTED, "--group-size", "4"],
+    ["verify", "--group-size", "3"],
+    ["verify", "--group-size", "2", "--bounds", "3,3"],
+    ["enumerate", "--input", T2, "--group-size", "4"],
+    ["enumerate", "--input", T2, "--group-size", "4", "--format", "stream", "--limit", "2"],
+    ["--help"],
+    *([command, "--help"] for command in ("reduce", "solve", "check", "verify", "enumerate")),
+]
+
+
+@pytest.mark.parametrize(
+    "argv", _COLD_ARGVS, ids=lambda argv: " ".join(map(os.path.basename, argv))
+)
+def test_a_fresh_process_prints_what_main_prints(capsys, monkeypatch, argv):
+    """Each command and each ``--help`` gives the same stdout, stderr and
+    exit code in a fresh ``python -m fairplay.cli`` as through ``main`` in
+    this process, where every layer is loaded already: an import that a
+    command makes when it runs cannot be missing."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    src = Path(cli.__file__).parents[1]
+    env = {**os.environ, "COLUMNS": "80", "PYTHONPATH": str(src)}
+    cold = subprocess.run(
+        [sys.executable, "-m", "fairplay.cli", *argv],
+        capture_output=True, text=True, env=env,
+    )
+    assert (cold.returncode, cold.stdout, cold.stderr) == (
+        code, captured.out, captured.err
+    )

@@ -13,7 +13,7 @@ from fairplay.fileio import (
     serialize_assignment,
     serialize_problem,
 )
-from fairplay.model import ValidationError
+from fairplay.model import ValidationError, validate_problem
 
 
 def test_parse_table1():
@@ -156,3 +156,29 @@ def test_random_problems_round_trip(rng):
     for _ in range(100):
         p = random_problem(rng)
         assert parse_problem(serialize_problem(p), p.group_size) == p
+
+
+def test_names_round_trip_and_padded_names_are_rejected(rng):
+    """Names with inner spaces, commas, quotes and newlines survive a
+    serialize-parse round trip.  A name with outer whitespace could not,
+    since the reader strips every cell, so it is rejected up front, naming
+    its row or column."""
+    alphabet = "ab ,\"'\n"
+    for _ in range(100):
+        names = set()
+        while len(names) < 6:
+            name = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 6)))
+            names.add(f"x{name}y")
+        players = sorted(names)
+        days = [players.pop(), players.pop()]
+        rows = [[rng.randint(0, 1) for _ in days] for _ in players]
+        p = validate_problem(players, days, rows, 2)
+        assert parse_problem(serialize_problem(p), 2) == p
+    for players, days, fragment in (
+        (["Ann ", "Bob"], ["Mon", "Tue"], r"row 0: player name 'Ann '"),
+        (["Ann", "\nBob"], ["Mon", "Tue"], r"row 1: player name '\\nBob'"),
+        (["Ann", "Bob"], ["Mon", " Tue"], r"column 1: day label ' Tue'"),
+        (["Ann", "Bob"], ["\tMon", "Tue"], r"column 0: day label '\\tMon'"),
+    ):
+        with pytest.raises(ValidationError, match=fragment):
+            validate_problem(players, days, [[1, 1], [1, 1]], 2)

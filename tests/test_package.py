@@ -1,7 +1,8 @@
 """Package structure: the public names, no unused imports, the
 independence of the exhaustive routes from the flow solver they
 cross-check, the one wrapper through which each scan is reached, the
-records' value semantics, and the modules ``import fairplay.cli`` loads."""
+records' value semantics, the modules ``import fairplay.cli`` and each
+command load, and the package's exports that load on first use."""
 
 import ast
 import pickle
@@ -99,7 +100,7 @@ def test_the_profile_bound_is_written_once():
     """U, the fairness bound, is computed by ``_scan.profile_bound`` alone:
     the fairness scan builds it against its best profile and the random
     tie-break's DP against its target, and nothing else builds one."""
-    assert _callers("profile_bound") == {("_scan", "scan_fair"), ("solver", "__init__")}
+    assert _callers("profile_bound") == {("_scan", "scan_fair"), ("_optima", "__init__")}
 
 
 def test_public_names_resolve_and_are_listed_once():
@@ -253,19 +254,95 @@ def test_record_defaults_and_validation_messages():
         assert str(info.value) == message
 
 
-def test_cli_import_loads_no_dataclasses_inspect_or_importlib_resources():
-    """``import fairplay.cli`` in a fresh interpreter whose ``site`` preloads
-    nothing (``-S``) leaves these slow-to-import modules unloaded."""
-    code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import fairplay.cli; "
-        "print(' '.join(sorted({'dataclasses', 'inspect', 'importlib.resources',"
-        " 'pathlib'} & set(sys.modules))))"
-    )
-    out = subprocess.run(
-        [sys.executable, "-S", "-c", code, str(SRC.parent)],
+# modules that only ``verify``, ``enumerate`` or the random tie-break run
+_DEFERRED = {"fairplay.oracle", "fairplay.impossibility", "fairplay._scan",
+             "fairplay.fixtures", "fairplay._optima", "random"}
+
+
+def _fresh(code: str) -> str:
+    """The stdout of ``code`` in a fresh interpreter whose ``site`` preloads
+    nothing (``-S``), with the package's ``src`` first on ``sys.path``."""
+    return subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys; sys.path.insert(0, sys.argv[1])\n" + code, str(SRC.parent)],
         capture_output=True, text=True, check=True,
     ).stdout
-    assert out.split() == []
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_importlib_resources():
+    """``import fairplay.cli`` in a fresh interpreter leaves these
+    slow-to-import modules unloaded, and the layers ``solve`` never runs."""
+    code = (
+        "import fairplay.cli; "
+        "print(' '.join(sorted({'dataclasses', 'inspect', 'importlib.resources',"
+        f" 'pathlib', *{sorted(_DEFERRED)}}} & set(sys.modules))))"
+    )
+    assert _fresh(code).split() == []
+
+
+@pytest.mark.parametrize(
+    "argv,extra",
+    [
+        ([], set()),
+        (["solve", "--format", "json"], set()),
+        (["solve"], set()),
+        (["check", "--assignment",
+          str(SRC / "fixtures" / "table1_assignment_printed.csv")], set()),
+        (["reduce"], set()),
+        (["solve", "--tie-break", "random", "--seed", "7"],
+         {"fairplay._optima", "fairplay._scan", "random"}),
+    ],
+    ids=["import", "solve-json", "solve-table", "check", "reduce", "solve-random"],
+)
+def test_each_command_loads_only_its_layers(argv, extra):
+    """``import fairplay.cli`` loads exactly the package, the CLI, the file
+    formats, the model, the solver and the flow.  ``solve``, ``check`` and
+    ``reduce`` on table1 load nothing more; a random tie-break adds its DP,
+    the scan helpers the DP uses, and ``random``."""
+    code = "import fairplay.cli\n"
+    if argv:
+        table1 = str(SRC / "fixtures" / "table1.csv")
+        argv = [argv[0], "--input", table1, "--group-size", "4", *argv[1:]]
+        code += (
+            "import io; sys.stdout = io.StringIO()\n"
+            f"fairplay.cli.main({argv!r}); sys.stdout = sys.__stdout__\n"
+        )
+    code += ("print(' '.join(m for m in sys.modules"
+             " if m.startswith('fairplay') or m == 'random'))")
+    base = {"fairplay", "fairplay.cli", "fairplay.fileio", "fairplay.model",
+            "fairplay.solver", "fairplay._flow"}
+    assert sorted(_fresh(code).split()) == sorted(base | extra)
+
+
+def test_package_exports_load_on_first_use():
+    """``import fairplay`` loads no submodule; a star import binds every
+    public name, ``dir`` lists them, README's Library snippet runs as
+    written, and an unknown name raises ``AttributeError``."""
+    readme = (TESTS.parent / "README.md").read_text(encoding="utf-8")
+    snippet = readme.split("## Library", 1)[1].split("```python\n", 1)[1]
+    snippet = snippet.split("```", 1)[0]
+    out = _fresh(
+        "import fairplay\n"
+        "print(sorted(m for m in sys.modules if m.startswith('fairplay.')))\n"
+        "print(sorted(set(fairplay.__all__) - set(dir(fairplay))))\n"
+        "names = {}\n"
+        "exec('from fairplay import *', names)\n"
+        "print(sorted(set(fairplay.__all__) - set(names)))\n"
+        "try:\n"
+        "    fairplay.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+        f"exec({snippet!r}, {{}})\n"
+        "print('snippet ran')\n"
+    ).splitlines()
+    assert out == [
+        "[]",
+        "[]",
+        "[]",
+        "module 'fairplay' has no attribute 'no_such_name'",
+        "snippet ran",
+    ]
+    assert set(fairplay.__all__) == {*fairplay._EXPORTS, "fixtures"}
 
 
 def test_replace_copies_records_and_validates_the_checked_ones():

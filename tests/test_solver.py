@@ -23,11 +23,8 @@ from fairplay.oracle import (
     count_efficient,
     enumerate_efficient,
 )
-from fairplay.solver import (
-    TieBreakPolicy,
-    _Optima,
-    solve_fair,
-)
+from fairplay._optima import _Optima
+from fairplay.solver import TieBreakPolicy, solve_fair
 
 
 def test_tie_break_policy_validation():
