@@ -3,7 +3,8 @@ full-game assignments.
 
 ``_Optima`` counts the assignments that attain a target fairness profile
 with a memoized day-by-day DP, and unranks one of them by walking the days
-straight to it; ``solver._realize_random`` draws its rank.  The DP merges
+straight to it; ``solver._realize_random`` draws its rank with
+:func:`_reservoir_rank`.  The DP merges
 nodes with ``_scan``'s orbit key, the one the oracle's scans use, skips
 every node that the fairness scan's bound shows cannot reach the target,
 and counts each class of last-day nodes once, keyed by which (last-day
@@ -20,6 +21,28 @@ from math import comb
 
 from fairplay._scan import class_offsets, orbit_key, profile_bound
 from fairplay.model import Assignment, Problem
+
+
+def _reservoir_rank(rng, count):
+    """The last j in 1..``count`` for which ``rng.randrange(j)`` returns 0,
+    the optimum a reservoir sampler keeps, with ``rng`` left as those
+    ``count`` calls leave it.  On CPython 3.10-3.13 ``randrange(j)`` draws
+    ``getrandbits(j.bit_length())`` until the value is below j, so each
+    run of j of one bit length replays with one draw width and no call
+    overhead.  A test holds it to ``randrange`` itself."""
+    getrandbits = rng.getrandbits
+    rank, low = 0, 1
+    while low <= count:
+        bits = low.bit_length()
+        high = min(2 * low, count + 1)  # the j of this bit length
+        for j in range(low, high):
+            r = getrandbits(bits)
+            while r >= j:
+                r = getrandbits(bits)
+            if not r:
+                rank = j
+        low = high
+    return rank
 
 
 def _leaf_codes(tags, m, size):

@@ -58,6 +58,21 @@ whose last days offer 1 or a subsets to a players, 25% slower (2 vCPUs,
 Python 3.11).  ``_optima._Optima`` caches the closed-form counts
 below every depth m-2 node by the same argument.
 
+A representative's envy count is built along the walk, not recounted.  A
+leaf differs from its node only in its q chosen day players, one game up
+each, and every pair of players with unequal availability falls in one of
+three parts.  The node's ``base``: the pairs among the players off the
+day, plus each day player's pairs with them when it is skipped.  The day
+player's ``delta``: how many more of those pairs it has when it is taken.
+The ``cross`` pairs: two day players of unequal availability, read at the
+leaf's games.  Base and delta depend only on the node's games and a day
+player's class, so each class's part is counted once per node.  The walk
+carries base plus the deltas of the players it takes, and each leaf adds
+its cross pairs (:func:`_leaf_envy`).  Day players of equal availability
+never form a pair, so the count is exact, with no cap, and a leaf costs
+O(1 + |cross|) where the full count costs O(n^2).  ``cross`` is empty on
+the witnesses, whose day players all have availability 3.
+
 Budget rule.  ``oracle._efficient_lists`` truncates only a prefix of days,
 so days d..m-1 are complete exactly when the leaves below a depth-d node
 fit in the budget, and the walk memoizes depth d (for 0 < d < m-1, when
@@ -232,6 +247,17 @@ def _count_envy_pairs(games, order, starts, cap):
     return count
 
 
+def _leaf_envy(games, count, cross):
+    """Envy pairs at a representative leaf: ``count``, those with a player
+    off the last day, plus the ``cross`` pairs ``(higher, lower)`` of the
+    day's players of unequal availability that the leaf's ``games`` make
+    envy pairs."""
+    for h, l in cross:
+        if games[h] < games[l]:
+            count += 1
+    return count
+
+
 def profile_bound(combos, n, target):
     """``bound(games, day)`` for the odometer over ``combos``: True when U,
     the bound rule's profile at a depth-``day`` node, is at most
@@ -360,19 +386,50 @@ def scan_verify(combos, n, avail, budget):
         return -1
 
     def representative_fold(games, choice, limit):
-        tags = [games[p] + b for p, b in zip(players, base)]  # the classes
+        tags = [games[p] + t for p, t in zip(players, tier)]  # the classes
         rest = [tags[v:].count(tags[v]) for v in range(a)]  # class-mates from v on
+        # the envy count's node part (see the module docstring): the players
+        # off the day, whose games it leaves alone, by (availability, games)
+        off = {}
+        for key in zip(off_avail, map(games.__getitem__, others)):
+            off[key] = off.get(key, 0) + 1
+        off = off.items()
+
+        def pairs(av, g):
+            # an (av, g) day player's pairs with the players off the day when
+            # skipped, and how many more it has when taken, at g + 1
+            skip = step = 0
+            for (oa, og), c in off:
+                if oa > av:
+                    if og < g:
+                        skip += c
+                    elif og == g:
+                        step += c
+                elif oa < av and og > g:
+                    skip += c
+                    if og == g + 1:
+                        step -= c
+            return skip, step
+
+        base = sum(c * d for (oa, og), c in off for (pa, pg), d in off if oa > pa and og < pg)
+        by_class = {}  # tag -> pairs(its availability, its games)
+        for p, tag in zip(players, tags):
+            if tag not in by_class:
+                by_class[tag] = pairs(avail[p], games[p])
+            base += by_class[tag][0]
+        delta = [by_class[tag][1] for tag in tags]
         skipped = set()
 
-        def visit(v, taken, rank, takeable):
+        def visit(v, taken, rank, takeable, envy):
             # takeable, the players from v on whose class has no skipped
-            # member, is at least q - taken; returns a stop rank, -1 once
-            # the ranks reach the limit, or None to go on
+            # member, is at least q - taken; envy is base plus the deltas
+            # of the players taken; returns a stop rank, -1 once the ranks
+            # reach the limit, or None to go on
             nonlocal ef_choice, min_envy
             if rank >= limit:
                 return -1
             if taken == q:
-                count = _count_envy_pairs(games, order, starts, min_envy)
+                count = _leaf_envy(games, envy, cross)
                 if count < min_envy:
                     min_envy = count
                     if count == 0:
@@ -382,18 +439,18 @@ def scan_verify(combos, n, avail, budget):
                 return None
             tag = tags[v]
             if tag in skipped:
-                return visit(v + 1, taken, rank + jump[v][taken], takeable)
+                return visit(v + 1, taken, rank + jump[v][taken], takeable, envy)
             games[players[v]] += 1
-            stop = visit(v + 1, taken + 1, rank, takeable - 1)
+            stop = visit(v + 1, taken + 1, rank, takeable - 1, envy + delta[v])
             games[players[v]] -= 1
             if stop is not None or takeable - rest[v] < q - taken:
                 return stop
             skipped.add(tag)
-            stop = visit(v + 1, taken, rank + jump[v][taken], takeable - rest[v])
+            stop = visit(v + 1, taken, rank + jump[v][taken], takeable - rest[v], envy)
             skipped.discard(tag)
             return stop
 
-        stop = visit(0, 0, 0, a)
+        stop = visit(0, 0, 0, a, base)
         return -1 if stop is None else stop
 
     if len(last) > n:  # the representatives' rule, see the module docstring
@@ -401,9 +458,18 @@ def scan_verify(combos, n, avail, budget):
         # subsets already end in each of the last a - q + 1 players
         players = sorted(set().union(*last))
         a, q = len(players), len(last[0])
-        base = [avail[p] * len(combos) for p in players]  # games < m here
+        tier = [avail[p] * len(combos) for p in players]  # games < m here
         # jump[v][j]: the leaves that take position v after j others
         jump = [[comb(a - 1 - v, q - 1 - j) for j in range(q)] for v in range(a)]
+        others = sorted(set(range(n)).difference(players))
+        off_avail = [avail[i] for i in others]
+        # the day's pairs of players of unequal availability, higher first
+        cross = [
+            (h, l) if avail[h] > avail[l] else (l, h)
+            for v, h in enumerate(players)
+            for l in players[v + 1:]
+            if avail[h] != avail[l]
+        ]
         fold = representative_fold
     scanned, stopped = _walk(combos, n, budget, avail, fold)
     return scanned, ef_choice is not None or not stopped, ef_choice, min_envy

@@ -174,19 +174,16 @@ def _realize_random(
     ``random.Random(seed)`` for the j-th of them and keeps it on 0, without
     reading the assignment.  So with N optima it keeps number J, the last j
     in 1..N whose call returns 0.  This draws the same J in three steps:
-    count N (``_Optima``), replay the N calls, and unrank J.  The draw is
-    uniform over the optima and identical to the reservoir's for every seed,
-    without walking the assignments one by one.
+    count N (``_Optima``), replay the N calls' draws
+    (``_optima._reservoir_rank``), and unrank J.  The draw is uniform over
+    the optima and identical to the reservoir's for every seed, without
+    walking the assignments one by one.
     """
     import random
 
-    from fairplay._optima import _Optima
+    from fairplay._optima import _Optima, _reservoir_rank
 
     optima = _Optima(reduced, quotas, target)
-    rng = random.Random(seed)
-    rank = 0
-    for j in range(1, optima.count(0) + 1):
-        if rng.randrange(j) == 0:
-            rank = j
+    rank = _reservoir_rank(random.Random(seed), optima.count(0))
     assert rank > 0
     return optima.unrank(rank)

@@ -103,6 +103,14 @@ def test_the_profile_bound_is_written_once():
     assert _callers("profile_bound") == {("_scan", "scan_fair"), ("_optima", "__init__")}
 
 
+def test_the_full_envy_count_has_two_callers():
+    """``_scan._count_envy_pairs`` is the one full envy count: the first-leaf
+    test and the plain fold call it, while each representative leaf adds
+    its cross pairs to its node's part in ``_scan._leaf_envy``."""
+    assert _callers("_count_envy_pairs") == {("_scan", "scan_verify"), ("_scan", "fold")}
+    assert _callers("_leaf_envy") == {("_scan", "visit")}
+
+
 def test_public_names_resolve_and_are_listed_once():
     assert len(set(fairplay.__all__)) == len(fairplay.__all__)
     for name in fairplay.__all__:

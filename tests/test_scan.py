@@ -247,14 +247,10 @@ def test_default_budget_keeps_the_memo_on_witness_6(monkeypatch):
     at most one subtree of the last two days (462 x 462 leaves), the memo
     covers the rest, and the scan stops at exactly the budget,
     inconclusive."""
-    calls = []
-    count_envy_pairs = _scan._count_envy_pairs
-    monkeypatch.setattr(
-        _scan, "_count_envy_pairs", lambda *a: calls.append(1) or count_envy_pairs(*a)
-    )
+    leaves = _record_leaf_envy(monkeypatch)
     report = verify_no_fair_ef(build_witness(6))
     assert (report.scanned, report.conclusive, report.ef_found) == (10**7, False, False)
-    assert len(calls) <= 462 * 462
+    assert 0 < len(leaves) <= 462 * 462
 
 
 def test_empty_inputs():
@@ -351,28 +347,40 @@ def test_representative_envy_fold_matches_brute_force(representative_references)
             assert _verify_leaf(ref, cap) == _expected_verify(ref, cap), (ref.p, cap)
 
 
-def test_representative_envy_fold_reuses_counts_cut_short(representative_references, monkeypatch):
+def _record_leaf_envy(monkeypatch):
+    """Patch the representative fold's per-leaf count so that each counted
+    leaf is logged as ``(leaf games, node part, cross pairs, count)``."""
+    leaves = []
+    leaf_envy = _scan._leaf_envy
+
+    def recording(games, count, cross):
+        leaves.append((list(games), count, len(cross), leaf_envy(games, count, cross)))
+        return leaves[-1][-1]
+
+    monkeypatch.setattr(_scan, "_leaf_envy", recording)
+    return leaves
+
+
+def _assert_exact(p, leaves):
+    """Each logged count equals the full, uncapped envy count."""
+    order, starts = _scan._prep_envy_order(p.n, p.availability_counts())
+    for games, _, _, count in leaves:
+        assert count == _scan._count_envy_pairs(games, order, starts, p.n * p.n + 1), (p, games)
+
+
+def test_representative_envy_fold_reuses_exact_counts(representative_references, monkeypatch):
     """On the perturbed witnesses, which have no envy-free leaf, the fold
-    counts envy once per leaf class, not once per leaf, and some of the
-    counts were cut short by the cap: the scan still ends on the brute-force
-    minimum."""
-    capped = []
-    count_envy_pairs = _scan._count_envy_pairs
-
-    def recording(games, order, starts, cap):
-        count = count_envy_pairs(games, order, starts, cap)
-        capped.append(count < count_envy_pairs(games, order, starts, len(games) ** 2 + 1))
-        return count
-
-    monkeypatch.setattr(_scan, "_count_envy_pairs", recording)
+    counts envy once per leaf class, not once per leaf, each count is the
+    leaf's full envy count, and the scan ends on the brute-force minimum."""
+    leaves = _record_leaf_envy(monkeypatch)
     folded = count_folded(monkeypatch)
     for ref in representative_references[:5]:
         assert ref.first_ef is None
-        capped.clear()
+        leaves.clear()
         folded.clear()
         assert _verify_leaf(ref, FULL) == _expected_verify(ref, FULL)
-        assert len(capped) < sum(folded) // 2
-        assert any(capped)
+        assert 0 < len(leaves) < sum(folded) // 2
+        _assert_exact(ref.p, leaves)
 
 
 def _dense_last_days(rng):
@@ -395,11 +403,61 @@ def _dense_last_days(rng):
     return [p for ps in by_blocks.values() for p in ps]
 
 
+def _cross_block_days(rng):
+    """Endless random reduced instances of 3-5 days whose last day offers
+    more subsets than there are players and seats players of two or more
+    availability counts, so that pairs between the day's players can add
+    to a leaf's envy count."""
+    while True:
+        n, m = rng.randint(6, 10), rng.randint(3, 5)
+        density = rng.choice((0.3, 0.5, 0.7))
+        rows = [
+            tuple(int(rng.random() < density) for _ in range(m - 1)) + (int(rng.random() < 0.9),)
+            for _ in range(n)
+        ]
+        p, _ = reduce_problem(make_problem(rows, rng.choice((2, 3))))
+        if p.is_empty:
+            continue
+        avail = p.availability_counts()
+        combos, leaves = _efficient_lists(p, FULL)
+        day = {avail[i] for i in range(p.n) if p.avail[i][-1]}
+        if len(day) >= 2 and len(combos[-1]) > p.n and leaves <= 20_000:
+            yield p
+
+
+def test_representative_leaf_envy_is_exact(representative_references, monkeypatch):
+    """At every representative leaf, the node part plus the leaf's cross
+    pairs equals the full, uncapped envy count: on the representative
+    references, on dense last days of 1-4 availability blocks, and on last
+    days that seat two or more blocks until twelve of those have counted
+    20 leaves or more, where the cross pairs add to most counts."""
+    leaves = _record_leaf_envy(monkeypatch)
+
+    def check(p):
+        leaves.clear()
+        scan_verify(_efficient_lists(p, FULL)[0], p.n, p.availability_counts(), FULL)
+        _assert_exact(p, leaves)
+        return len(leaves), sum(count > base for _, base, _, count in leaves)
+
+    for family in ([ref.p for ref in representative_references],
+                   _dense_last_days(random.Random(20261021))):
+        assert sum(check(p)[0] for p in family) > 100
+    long_scans = counted = crossed = 0
+    for p in _cross_block_days(random.Random(20261022)):
+        found, added = check(p)
+        assert all(pairs for _, _, pairs, _ in leaves), p
+        counted, crossed = counted + found, crossed + added
+        long_scans += found >= 20
+        if long_scans == 12:
+            break
+    assert crossed > counted // 2 > 200, (counted, crossed)
+
+
 def _record_folds(monkeypatch):
-    """Patch the walk and the envy count so that each last-day node is
-    logged as ``(node games, limit, stop, counted leaves' games)``."""
+    """Patch the walk and the per-leaf envy count so that each last-day
+    node is logged as ``(node games, limit, stop, counted leaves' games)``."""
     nodes = []
-    walk, count_envy_pairs = _scan._walk, _scan._count_envy_pairs
+    walk, leaf_envy = _scan._walk, _scan._leaf_envy
 
     def recording_walk(combos, n, budget, avail, fold, bound=None):
         def logged(games, choice, limit):
@@ -409,13 +467,12 @@ def _record_folds(monkeypatch):
 
         return walk(combos, n, budget, avail, logged, bound)
 
-    def recording_count(games, order, starts, cap):
-        if nodes and nodes[-1][2] is None:  # inside a fold
-            nodes[-1][3].append(list(games))
-        return count_envy_pairs(games, order, starts, cap)
+    def recording_leaf(games, count, cross):
+        nodes[-1][3].append(list(games))
+        return leaf_envy(games, count, cross)
 
     monkeypatch.setattr(_scan, "_walk", recording_walk)
-    monkeypatch.setattr(_scan, "_count_envy_pairs", recording_count)
+    monkeypatch.setattr(_scan, "_leaf_envy", recording_leaf)
     return nodes
 
 

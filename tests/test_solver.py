@@ -23,7 +23,7 @@ from fairplay.oracle import (
     count_efficient,
     enumerate_efficient,
 )
-from fairplay._optima import _Optima
+from fairplay._optima import _Optima, _reservoir_rank
 from fairplay.solver import TieBreakPolicy, solve_fair
 
 
@@ -279,6 +279,23 @@ _PINNED_RANDOM = [
 def test_random_tie_break_is_pinned(name, seed, digest):
     x = solve_fair(_RANDOM_INSTANCES[name](), TieBreakPolicy.seeded(seed)).assignment
     assert _digest(x) == digest
+
+
+def test_reservoir_rank_replays_randrange():
+    """The replay keeps what ``randrange(j) == 0`` for j = 1..N keeps, for
+    every N up to 3,000 and three seeds, and at the bit-length boundaries
+    it leaves the generator where those calls leave it."""
+    boundaries = {1, 2, 3, 4, 7, 8, 9, 255, 256, 257, 2047, 2048, 2049, 3000}
+    for seed in (0, 1, 7):
+        rng, rank = random.Random(seed), 0
+        for count in range(1, 3001):
+            if rng.randrange(count) == 0:
+                rank = count
+            replay = random.Random(seed)
+            assert _reservoir_rank(replay, count) == rank, (seed, count)
+            if count in boundaries:
+                assert replay.getstate() == rng.getstate(), (seed, count)
+    assert _reservoir_rank(random.Random(0), 0) == 0
 
 
 def _repeated_row_instances(rng, count):
