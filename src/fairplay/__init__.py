@@ -58,45 +58,7 @@ _EXPORTS = {
 # the submodules that read as attributes of the package
 _SUBMODULES = {*_EXPORTS.values(), "_flow", "_scan", "fileio", "fixtures"}
 
-__all__ = [
-    "Assignment",
-    "BudgetExceededError",
-    "EnvyPair",
-    "EnvyReport",
-    "FairnessOrder",
-    "G2SearchResult",
-    "GVector",
-    "InfeasibleAssignmentError",
-    "Problem",
-    "ReductionLog",
-    "SearchBounds",
-    "SolveReport",
-    "TieBreakPolicy",
-    "ValidationError",
-    "WitnessReport",
-    "brute_force_fair",
-    "build_table2",
-    "build_witness",
-    "canonical_form",
-    "compare_fairness",
-    "count_efficient",
-    "enumerate_efficient",
-    "envy_report",
-    "exists_efficient_strongly_ef",
-    "fixtures",
-    "g_vector",
-    "games_per_player",
-    "is_efficient",
-    "is_feasible",
-    "is_irreducible",
-    "max_total_games",
-    "reduce_problem",
-    "search_witness_g2",
-    "solve_fair",
-    "validate_problem",
-    "verify_no_fair_ef",
-    "zero_extend",
-]
+__all__ = sorted([*_EXPORTS, "fixtures"])
 
 
 def __getattr__(name: str):

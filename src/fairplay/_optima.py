@@ -95,7 +95,7 @@ class _Optima:
             for k in range(m)
         ]
         short = [*target[:-1], target[-1] - 1]  # U < target iff U <= short
-        self.hopeless = profile_bound(self.day_combos, n, short)
+        self.hopeless = profile_bound(self.day_combos, reduced.avail, short)
         self.offsets = [class_offsets(reduced.avail, k) for k in range(m - 1)]
         self.memo: list[dict[tuple[int, ...], int]] = [{} for _ in range(m - 1)]
         self.games = [0] * n

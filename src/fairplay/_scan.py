@@ -15,48 +15,55 @@ subsets (fewer than all of them only when the budget runs out inside the
 node).  No leaf index is passed; a fold that needs a leaf records its
 choice.  It returns the position where it stopped, or -1 to go on.
 
+Every scan takes the problem's 0/1 availability ``rows`` next to its day
+lists, and reads each day's players and each player's availability count
+(the row's sum) from them alone.
+
 Orbit memo.  Below a node at depth d, players i and j are interchangeable
-when they share the remaining row ``avail[i][d:]``: each of days d..m-1
-offers both of them or neither.  Where a statistic reads availability (the
-envy scans), they must also share the availability count.  When each of
-those days' lists is the complete family of same-size subsets of the day's
-players, a transposition of two class-mates maps every such family onto
-itself, so it maps the subtree below a node, leaf for leaf, onto the
-subtree below the node whose games vector has their counts swapped.  Every
-statistic a scan folds (the fairness profile, strong envy-freeness, the
-number of envy pairs) reads only the games vector and the availability
-counts, so it is invariant under the transposition.  Two nodes of one
-depth whose games vectors agree after sorting within classes therefore
-hold the same values below them; :func:`orbit_key` is that sorted vector
-and :func:`class_offsets` marks the classes, for any number of days.  The
-random tie-break's DP (``_optima._Optima``) keys its memo the same way.
+when they share the remaining row ``rows[i][d:]``, so that each of days
+d..m-1 offers both of them or neither, and the availability count.  Every
+walk splits its classes by that count: the envy statistics read it, and
+for the fairness profile, which ignores it, the split only makes the
+classes finer.  When each of those days' lists is the complete family of
+same-size subsets of the day's players, a transposition of two
+class-mates maps every such family onto itself, so it maps the subtree
+below a node, leaf for leaf, onto the subtree below the node whose games
+vector has their counts swapped.  Every statistic a scan folds (the
+fairness profile, strong envy-freeness, the number of envy pairs) reads
+only the games vector and the availability counts, so it is invariant
+under the transposition.  Two nodes of one depth whose games vectors
+agree after sorting within classes therefore hold the same values below
+them; :func:`orbit_key` is that sorted vector and :func:`class_offsets`
+marks the classes, for any number of days.  The random tie-break's DP
+(``_optima._Optima``) keys its memo the same way, without the count,
+since the profile it counts ignores availability.
 
 Class representatives.  The same argument inside one last-day node: tag
-each of the day's a players with its class, (availability count, games so
-far).  Two leaves that take as many players of each class, the same class
-vector, are mapped onto each other by a permutation within the classes,
-which keeps every availability count, so they have equal envy counts,
-whether or not the day's list is a complete family.  A class vector's
-least leaf in ``combinations`` order takes each class's first members, so
-the envy scan counts only these representatives.  It walks the day's
-players in index order, trying "take" before "skip", takes a player only
-while no earlier member of its class was skipped, and prunes when fewer
-players are still takeable than the quota q has left: so it meets each
-class vector once, in increasing rank.  Skipping position v after taking
-j players passes over the C(a-1-v, q-1-j) leaves that take v (the
-combinatorial number system; Knuth, TAOCP 7.2.1.3), which keeps the rank.
-The first envy-free leaf represents its class, so the first envy-free
-representative is the plain fold's stop, and the minimum over
-representatives is its ``min_envy``.  A budget cut inside a node ends the
-walk at the first rank that reaches the limit: a leaf below the limit has
-its representative below it too.  The scan folds representatives only
-when the last day offers more subsets than there are players, and
-otherwise keeps the plain fold: with few subsets per node few leaves
-share a class, and the walk costs more than the counts it saves.  Folding
-representatives on every scan made the benchmark's g2-search workload,
-whose last days offer 1 or a subsets to a players, 25% slower (2 vCPUs,
-Python 3.11).  ``_optima._Optima`` caches the closed-form counts
-below every depth m-2 node by the same argument.
+each of the day's a players, those whose row offers the last day, with
+its class, (availability count, games so far).  Two leaves that take as
+many players of each class, the same class vector, are mapped onto each
+other by a permutation within the classes, which keeps every availability
+count, so they have equal envy counts, whether or not the day's list is a
+complete family.  A class vector's least leaf in ``combinations`` order
+takes each class's first members, so the envy scan counts only these
+representatives.  It walks the day's players in index order, trying
+"take" before "skip", takes a player only while no earlier member of its
+class was skipped, and prunes when fewer players are still takeable than
+the quota q has left: so it meets each class vector once, in increasing
+rank.  Skipping position v after taking j players passes over the
+C(a-1-v, q-1-j) leaves that take v (the combinatorial number system;
+Knuth, TAOCP 7.2.1.3), which keeps the rank.  The first envy-free leaf
+represents its class, so the first envy-free representative is the plain
+fold's stop, and the minimum over representatives is its ``min_envy``.  A
+budget cut inside a node ends the walk at the first rank that reaches the
+limit: a leaf below the limit has its representative below it too.  The
+scan folds representatives only when the last day offers more subsets
+than there are players, and otherwise keeps the plain fold: with few
+subsets per node few leaves share a class, and the walk costs more than
+the counts it saves.  Folding representatives on every scan made the
+benchmark's g2-search workload, whose last days offer 1 or a subsets to a
+players, 25% slower (2 vCPUs, Python 3.11).  ``_optima._Optima`` caches
+the closed-form counts below every depth m-2 node by the same argument.
 
 A representative's envy count is built along the walk, not recounted.  A
 leaf differs from its node only in its q chosen day players, one game up
@@ -90,29 +97,31 @@ such leaf.  Leaf counts, first-EF and first-best choices, and
 Bound rule.  The fairness scan also hands the walk a predicate that skips
 every node below which no leaf can beat the best profile so far (branch
 and bound, Land & Doig 1960).  At a depth-d node with games vector h, let
-r_i be the number of days d..m-1 whose subsets hold player i and Q the
-players those days seat.  Player i's candidate units are its games
-h_i + 1, ..., h_i + r_i, and unit s adds 1 to G_s, the number of players
-with at least s games.  A leaf below the node adds Q of these units to the
-node's profile, so no leaf beats U, the node's profile plus the Q units of
-lowest number: taking them maximizes G_1, then G_2, and so on.  At depth
-m-1, U is the node's best leaf whenever that day's list is the complete
-family of same-size subsets.  :func:`profile_bound` alone computes U, in
-O(n m), and tests U <= T for a target T that its caller may change.  The
-walk skips a node when U is at most the best profile so far; a tie may be
-skipped, since the fold changes only on a strictly better leaf.  A skip
-counts ``min(subtree, budget - scanned)`` leaves and ends the walk when the
-budget cuts it, as a memo skip does, so leaf counts and the first best
-choice stay those of the plain walk.  For the memo, a subtree whose parts
-the bound skipped still counts as scanned in full: those parts hold no
-leaf better than the best before them.  ``_optima._Optima`` drops a node
-with U < T, for integer vectors U <= T with 1 off its last entry.  The
-bound only counts players and units, so it shares no code with the flow.
+r_i be the number of days d..m-1 that offer player i, read from its row,
+and Q the players those days seat.  Player i's candidate units are its
+games h_i + 1, ..., h_i + r_i, and unit s adds 1 to G_s, the number of
+players with at least s games.  A leaf below the node adds Q of these
+units to the node's profile, so no leaf beats U, the node's profile plus
+the Q units of lowest number: taking them maximizes G_1, then G_2, and so
+on.  At depth m-1, U is the node's best leaf whenever that day's list is
+the complete family of same-size subsets.  A list cut by the budget holds
+fewer leaves but the same r_i, so U stays above every leaf it holds.
+:func:`profile_bound` alone computes U, in O(n m), and tests U <= T for a
+target T that its caller may change.  The walk skips a node when U is at
+most the best profile so far; a tie may be skipped, since the fold
+changes only on a strictly better leaf.  A skip counts ``min(subtree,
+budget - scanned)`` leaves and ends the walk when the budget cuts it, as
+a memo skip does, so leaf counts and the first best choice stay those of
+the plain walk.  For the memo, a subtree whose parts the bound skipped
+still counts as scanned in full: those parts hold no leaf better than the
+best before them.  ``_optima._Optima`` drops a node with U < T, for
+integer vectors U <= T with 1 off its last entry.  The bound only counts
+players and units, so it shares no code with the flow.
 """
 
 from __future__ import annotations
 
-from itertools import repeat, takewhile
+from itertools import repeat
 from math import comb
 from operator import add
 
@@ -138,14 +147,13 @@ def orbit_key(games, offsets):
     return tuple(sorted(map(add, games, offsets)))
 
 
-def _walk(combos, n, budget, avail, fold, bound=None):
-    """Walk the odometer over ``combos`` and hand each last-day node to
+def _walk(combos, rows, budget, fold, bound=None):
+    """Walk the odometer over ``combos``, the day lists of the problem
+    whose availability rows are ``rows``, and hand each last-day node to
     ``fold``; returns ``(scanned, stopped)``.
 
     ``stopped`` is True when the fold stopped the walk, which counts the leaf
     it stopped at, or when the budget ran out with a leaf left unscanned.
-    ``avail`` splits the memo's classes of interchangeable players
-    by availability count, or is None where the statistic ignores it.
     ``bound(games, day)``, when given, is True for a node whose subtree
     cannot change the fold, which the walk then skips.
     """
@@ -163,8 +171,7 @@ def _walk(combos, n, budget, avail, fold, bound=None):
     # from the first such subtree on: a scan that stops inside it, as most
     # tiny ones do, never pays for the classes
     seen = {}
-    rows = []  # the players' rows, built once for the first depth's classes
-    games = [0] * n
+    games = [0] * len(rows)
     choice = [0] * m
     scanned = 0
 
@@ -206,11 +213,8 @@ def _walk(combos, n, budget, avail, fold, bound=None):
                     return True
         if memo is not None:
             memo[1].add(key)
-        elif day in depths:
-            if not rows:
-                on_day = [set().union(*subsets) for subsets in combos]
-                rows.extend(tuple(i in s for s in on_day) for i in range(n))
-            offsets = class_offsets(rows, day, avail)
+        elif day in depths:  # classes split by availability count, the row sums
+            offsets = class_offsets(rows, day, list(map(sum, rows)))
             seen[day] = offsets, {orbit_key(games, offsets)}
         return False
 
@@ -258,20 +262,17 @@ def _leaf_envy(games, count, cross):
     return count
 
 
-def profile_bound(combos, n, target):
-    """``bound(games, day)`` for the odometer over ``combos``: True when U,
-    the bound rule's profile at a depth-``day`` node, is at most
-    ``target``, a list the caller owns and may change between calls."""
-    reach = [[0] * n]  # reach[d][i]: days d..m-1 whose subsets hold player i
-    left = [0]  # left[d]: the players those days seat
+def profile_bound(combos, rows, target):
+    """``bound(games, day)`` for the odometer over ``combos``, the day lists
+    of the problem whose availability rows are ``rows``: True when U, the
+    bound rule's profile at a depth-``day`` node, is at most ``target``, a
+    list the caller owns and may change between calls."""
+    n = len(rows)
+    # reach[d][i]: days d..m-1 that offer player i
+    reach = [[sum(row[d:]) for row in rows] for d in range(len(combos) + 1)]
+    left = [0]  # left[d]: the players days d..m-1 seat
     for subsets in reversed(combos):
-        # the listed players: a lexicographic list opens with the subsets that
-        # differ from its first in the last player only, and these hold them all
-        head = subsets[0][:-1] if subsets else ()
-        on_day = set().union(*takewhile(lambda s: s[:-1] == head, subsets))
-        reach.append([r + (i in on_day) for i, r in enumerate(reach[-1])])
         left.append(left[-1] + (len(subsets[0]) if subsets else 0))
-    reach.reverse()
     left.reverse()
 
     def bound(games, day):
@@ -295,15 +296,16 @@ def profile_bound(combos, n, target):
     return bound
 
 
-def scan_fair(combos, n, budget):
+def scan_fair(combos, rows, budget):
     """Lexicographically maximal fairness profile over all enumerated
-    assignments, plus the first leaf attaining it.
+    assignments, ``combos`` over the availability ``rows``, plus the first
+    leaf attaining it.
 
     Returns ``(scanned, complete, best_g, best_choice)`` where
     ``best_choice`` holds one subset index per day and ``complete`` is False
     iff the leaf budget ran out first.
     """
-    m = len(combos)
+    n, m = len(rows), len(combos)
     last = combos[-1] if combos else ()
     best = [-1] * m
     best_choice = None
@@ -337,15 +339,16 @@ def scan_fair(combos, n, budget):
                 cnt[games[i]] += 1
         return -1
 
-    bound = profile_bound(combos, n, best)
-    scanned, stopped = _walk(combos, n, budget, None, fold, bound)
+    bound = profile_bound(combos, rows, best)
+    scanned, stopped = _walk(combos, rows, budget, fold, bound)
     best_g = tuple(best) if best_choice is not None else None
     return scanned, not stopped, best_g, best_choice
 
 
-def scan_verify(combos, n, avail, budget):
-    """Scan the enumerated assignments for the first one with no
-    strong-envy violation, tracking the minimum violation-pair count seen.
+def scan_verify(combos, rows, budget):
+    """Scan the enumerated assignments, ``combos`` over the availability
+    ``rows``, for the first one with no strong-envy violation, tracking the
+    minimum violation-pair count seen.
 
     Returns ``(scanned, conclusive, first_ef_choice, min_envy)``.
     The scan ends at the first envy-free leaf, which it counts, so that
@@ -357,7 +360,8 @@ def scan_verify(combos, n, avail, budget):
     """
     if not combos or not all(combos):
         return 0, True, None, _NO_LEAVES
-    last = combos[-1]
+    n, last = len(rows), combos[-1]
+    avail = list(map(sum, rows))
     order, starts = _prep_envy_order(n, avail)
     games = [0] * n
     for subsets in combos:
@@ -453,15 +457,13 @@ def scan_verify(combos, n, avail, budget):
         stop = visit(0, 0, 0, a, base)
         return -1 if stop is None else stop
 
-    if len(last) > n:  # the representatives' rule, see the module docstring
-        # then the list holds every player of the day: its first a - q + 1
-        # subsets already end in each of the last a - q + 1 players
-        players = sorted(set().union(*last))
+    if len(last) > n:  # the representatives' speed rule, see the module docstring
+        players = [i for i, row in enumerate(rows) if row[-1]]
         a, q = len(players), len(last[0])
         tier = [avail[p] * len(combos) for p in players]  # games < m here
         # jump[v][j]: the leaves that take position v after j others
         jump = [[comb(a - 1 - v, q - 1 - j) for j in range(q)] for v in range(a)]
-        others = sorted(set(range(n)).difference(players))
+        others = [i for i, row in enumerate(rows) if not row[-1]]
         off_avail = [avail[i] for i in others]
         # the day's pairs of players of unequal availability, higher first
         cross = [
@@ -471,5 +473,5 @@ def scan_verify(combos, n, avail, budget):
             if avail[h] != avail[l]
         ]
         fold = representative_fold
-    scanned, stopped = _walk(combos, n, budget, avail, fold)
+    scanned, stopped = _walk(combos, rows, budget, fold)
     return scanned, ef_choice is not None or not stopped, ef_choice, min_envy

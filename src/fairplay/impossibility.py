@@ -338,8 +338,8 @@ def search_witness_g2(bounds: SearchBounds) -> G2SearchResult:
     negative result states its exact coverage.
 
     Each candidate gets one ``scan_verify`` call on its days' full subset
-    lists, each built once per search from the day's players, and the
-    availability counts read as row sums; under the same budget it answers
+    lists, each built once per search from the day's players, and on the
+    candidate matrix as its availability rows; under the same budget it answers
     as :func:`verify_no_fair_ef` would.  Only a witness, a conclusive scan
     with no envy-free assignment, is labelled p1.. and d1.. and gets that
     full report.
@@ -381,7 +381,7 @@ def search_witness_g2(bounds: SearchBounds) -> G2SearchResult:
                             combinations(players, len(players) & ~1))
                     combos.append(subsets)
                 _, conclusive, choice, _ = scan_verify(
-                    combos, n, list(map(sum, matrix)), bounds.per_instance_budget)
+                    combos, matrix, bounds.per_instance_budget)
                 if not conclusive:
                     inconclusive += 1
                 elif choice is None:

@@ -193,34 +193,23 @@ def validate_problem(
         raise ValidationError("dimension mismatch: need at least one day")
 
     # the CSV reader strips every cell, so a padded name could not round-trip
-    for idx, name in enumerate(players):
-        if not isinstance(name, str) or not name:
-            raise ValidationError(f"row {idx}: empty player name")
-        if name != name.strip():
-            raise ValidationError(
-                f"row {idx}: player name {name!r} has leading or trailing whitespace"
-            )
-    for idx, label in enumerate(days):
-        if not isinstance(label, str) or not label:
-            raise ValidationError(f"column {idx}: empty day label")
-        if label != label.strip():
-            raise ValidationError(
-                f"column {idx}: day label {label!r} has leading or trailing whitespace"
-            )
-    seen: dict[str, int] = {}
-    for idx, name in enumerate(players):
-        if name in seen:
-            raise ValidationError(
-                f"row {idx}: duplicate player name {name!r} (first at row {seen[name]})"
-            )
-        seen[name] = idx
-    seen = {}
-    for idx, label in enumerate(days):
-        if label in seen:
-            raise ValidationError(
-                f"column {idx}: duplicate day label {label!r} (first at column {seen[label]})"
-            )
-        seen[label] = idx
+    kinds = (("row", "player name", players), ("column", "day label", days))
+    for where, what, names in kinds:
+        for idx, name in enumerate(names):
+            if not isinstance(name, str) or not name:
+                raise ValidationError(f"{where} {idx}: empty {what}")
+            if name != name.strip():
+                raise ValidationError(
+                    f"{where} {idx}: {what} {name!r} has leading or trailing whitespace"
+                )
+    for where, what, names in kinds:
+        seen: dict[str, int] = {}
+        for idx, name in enumerate(names):
+            if name in seen:
+                raise ValidationError(
+                    f"{where} {idx}: duplicate {what} {name!r} (first at {where} {seen[name]})"
+                )
+            seen[name] = idx
 
     if len(matrix) != len(players):
         raise ValidationError(

@@ -132,7 +132,7 @@ def brute_force_fair(
         return GVector(()), Assignment(tuple(() for _ in range(p.n)))
     combos = _efficient_lists(p, max_assignments + 1)[0]
     scanned, complete, best_g, best_choice = scan_fair(
-        combos, p.n, max_assignments
+        combos, p.avail, max_assignments
     )
     if not complete:
         raise BudgetExceededError(
@@ -180,7 +180,7 @@ def verify_no_fair_ef(
         return WitnessReport(p, 0, Assignment(tuple(() for _ in range(p.n))), 0, 0, True)
     combos, total = _efficient_lists(p, max_assignments + 1)
     scanned, conclusive, choice, min_envy = scan_verify(
-        combos, p.n, p.availability_counts(), max_assignments
+        combos, p.avail, max_assignments
     )
     witness = _assignment_from_choice(p, combos, choice) if choice is not None else None
     return WitnessReport(

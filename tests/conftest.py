@@ -62,12 +62,12 @@ def count_folded(monkeypatch):
     folded = []
     walk = _scan._walk
 
-    def counting_walk(combos, n, budget, avail, fold, bound=None):
+    def counting_walk(combos, rows, budget, fold, bound=None):
         def counted(games, choice, limit):
             folded.append(limit)
             return fold(games, choice, limit)
 
-        return walk(combos, n, budget, avail, counted, bound)
+        return walk(combos, rows, budget, counted, bound)
 
     monkeypatch.setattr(_scan, "_walk", counting_walk)
     return folded

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import cli_golden
 from fairplay import cli, impossibility, solver
 from fairplay.cli import _json, main
 from fairplay.fileio import parse_problem
@@ -392,9 +393,9 @@ def test_verify_g2_prints_the_first_witness(capsys, monkeypatch):
     verifier to report it."""
     scan = impossibility.scan_verify
 
-    def fake_scan(combos, n, avail, budget):
+    def fake_scan(combos, rows, budget):
         if len(combos) < 2:
-            return scan(combos, n, avail, budget)
+            return scan(combos, rows, budget)
         return 1, True, None, 3
 
     def fake(p, budget):
@@ -612,3 +613,18 @@ def test_a_fresh_process_prints_what_main_prints(capsys, monkeypatch, argv):
     assert (cold.returncode, cold.stdout, cold.stderr) == (
         code, captured.out, captured.err
     )
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        pytest.param(argv, expected, id=" ".join(map(os.path.basename, argv)))
+        for argv, expected in cli_golden.read_table()
+    ],
+)
+def test_cli_output_matches_the_golden_table(monkeypatch, argv, expected):
+    """Each line of ``tests/data/cli_golden.txt`` (see ``cli_golden``) exits
+    with its code and prints its stdout and stderr, byte for byte, or for
+    ``--help`` up to whitespace."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+    assert cli_golden.run(argv) == expected

@@ -1,5 +1,8 @@
 """CSV formats: parsing, serialization, and the round-trip identity."""
 
+import csv
+import io
+
 import pytest
 
 from conftest import random_problem
@@ -182,3 +185,59 @@ def test_names_round_trip_and_padded_names_are_rejected(rng):
     ):
         with pytest.raises(ValidationError, match=fragment):
             validate_problem(players, days, [[1, 1], [1, 1]], 2)
+
+
+def _blank(rng):
+    return "".join(rng.choice(" \t") for _ in range(rng.randint(0, 2)))
+
+
+def _mutant(text, rng):
+    """``text``, a CSV of one record per line, with layout the grammar
+    allows: a BOM, LF or CRLF per line, spaces or tabs around each unquoted
+    cell, and empty or whitespace-only lines anywhere, trailing ones too.
+    A quoted cell stays unpadded: ``csv`` reads a quote after a space
+    literally."""
+    lines = []
+    for line in text.splitlines():
+        lines += [_blank(rng) for _ in range(rng.choice((0, 0, 0, 1, 2)))]
+        cells = []
+        for cell in next(csv.reader([line])):
+            out = io.StringIO()
+            csv.writer(out, lineterminator="").writerow([cell])
+            quoted = out.getvalue()
+            cells.append(quoted if quoted[0] == '"' else _blank(rng) + quoted + _blank(rng))
+        lines.append(",".join(cells))
+    lines += [_blank(rng) for _ in range(rng.randint(0, 2))]
+    body = "".join(line + rng.choice(("\n", "\r\n")) for line in lines)
+    if rng.random() < 0.3:
+        body = body.rstrip("\r\n")
+    return ("\ufeff" if rng.random() < 0.5 else "") + body
+
+
+def test_layout_mutants_parse_like_the_original(rng):
+    """Seeded mutants of the four bundled fixtures and of random matrices,
+    some with quoted names, each parse to the original's players, days and
+    rows."""
+    texts = [
+        fixtures.fixture_path(name).read_text(encoding="utf-8")
+        for name in (
+            "table1.csv",
+            "table2.csv",
+            "table1_assignment_printed.csv",
+            "table1_assignment_corrected.csv",
+        )
+    ]
+    texts += [serialize_problem(random_problem(rng)) for _ in range(20)]
+    for _ in range(20):
+        names = set()
+        while len(names) < 6:
+            names.add("x" + "".join(rng.choice("ab ,\"'") for _ in range(rng.randint(1, 4))) + "y")
+        players = sorted(names)
+        days = [players.pop(), players.pop()]
+        rows = [[rng.randint(0, 1) for _ in days] for _ in players]
+        texts.append(serialize_problem(validate_problem(players, days, rows, 2)))
+    for text in texts:
+        parsed = parse_matrix_csv(text)
+        for _ in range(30):
+            mutant = _mutant(text, rng)
+            assert parse_matrix_csv(mutant) == parsed, repr(mutant)

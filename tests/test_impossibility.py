@@ -323,19 +323,20 @@ def test_g2_search_reports_match_the_independent_enumerator(monkeypatch):
     answer it read."""
     scans = []
 
-    def recording(combos, n, avail, budget):
-        scans.append((combos, n, avail, scan_verify(combos, n, avail, budget)))
+    def recording(combos, rows, budget):
+        scans.append((combos, rows, scan_verify(combos, rows, budget)))
         return scans[-1][-1]
 
     monkeypatch.setattr(impossibility, "scan_verify", recording)
     result = search_witness_g2(SearchBounds(5, 4))
     assert result.search_complete
     assert len(scans) == result.instances_examined == 550
-    for combos, n, avail, (scanned, conclusive, choice, min_envy) in scans:
+    for combos, rows, (scanned, conclusive, choice, min_envy) in scans:
         # every player of a g = 2 day is in one of its subsets
         on_day = [set().union(*subsets) for subsets in combos]
-        p = _problem_from_matrix(tuple(tuple(int(i in s) for s in on_day) for i in range(n)))
-        assert list(p.avail) == sorted(p.avail) and tuple(avail) == p.availability_counts()
+        p = _problem_from_matrix(
+            tuple(tuple(int(i in s) for s in on_day) for i in range(len(rows))))
+        assert list(p.avail) == sorted(p.avail) and tuple(rows) == p.avail
         leaves = list(all_feasible_assignments(p, full_games_only=True))
         first = next(
             pos for pos, x in enumerate(leaves) if envy_report(x, p).is_strongly_envy_free
@@ -398,11 +399,11 @@ def test_g2_search_returns_the_full_report_of_its_witness(monkeypatch, k):
     candidate's full report, labelled p1.. and d1.."""
     calls = []
 
-    def stub(combos, n, avail, budget):
+    def stub(combos, rows, budget):
         calls.append(1)
         if len(calls) == k:
             return 1, True, None, 3
-        return scan_verify(combos, n, avail, budget)
+        return scan_verify(combos, rows, budget)
 
     monkeypatch.setattr(impossibility, "scan_verify", stub)
     result = search_witness_g2(SearchBounds(5, 4))
@@ -525,7 +526,7 @@ def test_orderly_levels_are_pinned_up_to_the_default_search(monkeypatch):
             sizes[n, k] = len(level), sum(1 for rows, _ in level if rows[0])
             yield level
 
-    def scan_stub(combos, n, avail, budget):  # an envy-free first leaf
+    def scan_stub(combos, rows, budget):  # an envy-free first leaf
         return 1, True, (0,) * len(combos), 0
 
     monkeypatch.setattr(impossibility, "_orderly_levels", recording)

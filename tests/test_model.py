@@ -64,6 +64,8 @@ def test_minimal_problem_is_valid():
         (["a"], ["d"], [[1]], 1, "group size"),
         ([""], ["d"], [[1]], 2, "empty player"),
         (["a"], [""], [[1]], 2, "empty day"),
+        # every empty or padded label is named before any duplicate
+        (["a", "a"], ["d", ""], [[1, 1], [1, 1]], 2, "^column 1: empty day label$"),
     ],
 )
 def test_validation_errors(players, days, matrix, g, fragment):

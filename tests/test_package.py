@@ -118,8 +118,8 @@ def test_public_names_resolve_and_are_listed_once():
 
 
 def _unused_imports(path: Path) -> list[str]:
-    """Names a module imports but never reads; names listed in ``__all__``
-    and ``from __future__`` imports count as read."""
+    """Names a module imports but never reads; names listed in a literal
+    ``__all__`` and ``from __future__`` imports count as read."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = []
     read = set()
@@ -133,7 +133,10 @@ def _unused_imports(path: Path) -> list[str]:
         elif isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            read.update(ast.literal_eval(node.value))
+            try:  # a computed ``__all__`` lists no names here
+                read.update(ast.literal_eval(node.value))
+            except ValueError:
+                pass
     return [name for name in imported if name not in read]
 
 

@@ -114,7 +114,7 @@ def references():
 def test_scan_fair_finds_first_best_leaf(references):
     for ref in references:
         combos = _efficient_lists(ref.p, FULL)[0]
-        scanned, complete, best_g, choice = scan_fair(combos, ref.p.n, FULL)
+        scanned, complete, best_g, choice = scan_fair(combos, ref.p.avail, FULL)
         best = max(ref.profiles)
         assert (scanned, complete, best_g) == (len(ref.leaves), True, best)
         first_best = ref.leaves[ref.profiles.index(best)]
@@ -133,7 +133,7 @@ def test_profile_bound_is_sound_and_tight_on_the_last_day(references):
         for cap in (total, max(1, total // 3), max(1, total * 2 // 3)):
             combos = _efficient_lists(ref.p, cap + 1)[0]
             target = [0] * m
-            bound = _scan.profile_bound(combos, n, target)
+            bound = _scan.profile_bound(combos, ref.p.avail, target)
             games = [0] * n
 
             def visit(day):
@@ -172,7 +172,7 @@ def test_scan_first_ef_finds_first_envy_free_leaf(references):
             continue
         combos = _efficient_lists(ref.p, FULL)[0]
         scanned, conclusive, choice, min_envy = scan_verify(
-            combos, ref.p.n, ref.avail, FULL
+            combos, ref.p.avail, FULL
         )
         assert (scanned, conclusive, min_envy) == (ref.first_ef + 1, True, 0)
         leaf = _assignment_from_choice(ref.p, combos, choice)
@@ -186,7 +186,7 @@ def test_scan_verify_minimum_envy(references):
         if ref.first_ef is not None:
             continue
         combos = _efficient_lists(ref.p, FULL)[0]
-        assert scan_verify(combos, ref.p.n, ref.avail, FULL) == (
+        assert scan_verify(combos, ref.p.avail, FULL) == (
             len(ref.leaves), True, None, min(ref.envy)
         )
 
@@ -203,17 +203,17 @@ def test_budget_truncation(references, budget):
         thirds = int(budget[0])
         cases = [(ref, max(1, len(ref.leaves) * thirds // 3)) for ref in references]
     for ref, cap in cases:
-        n, avail = ref.p.n, ref.avail
+        rows = ref.p.avail
         combos = _efficient_lists(ref.p, cap + 1)[0]
         seen = ref.profiles[:cap]
         cut = cap < len(ref.leaves)
 
-        scanned, complete, best_g, choice = scan_fair(combos, n, cap)
+        scanned, complete, best_g, choice = scan_fair(combos, rows, cap)
         assert (scanned, complete, best_g) == (len(seen), not cut, max(seen))
         first_best = ref.leaves[seen.index(max(seen))]
         assert _assignment_from_choice(ref.p, combos, choice) == first_best
         if ref.first_ef is None or ref.first_ef >= cap:
-            assert scan_verify(combos, n, avail, cap) == (
+            assert scan_verify(combos, rows, cap) == (
                 len(seen), not cut, None, min(ref.envy[:cap])
             )
 
@@ -225,18 +225,18 @@ def test_memo_under_a_budget(references, monkeypatch, budget, complete):
     the budget and still return the plain walk's prefix."""
     ref = references[1]
     assert ref.p == fixtures.table2()
-    n, avail = ref.p.n, ref.avail
+    rows = ref.p.avail
     combos = _efficient_lists(ref.p, budget + 1)[0]
     folded = count_folded(monkeypatch)
     seen = ref.profiles[:budget]
 
-    scanned, complete_fair, best_g, choice = scan_fair(combos, n, budget)
+    scanned, complete_fair, best_g, choice = scan_fair(combos, rows, budget)
     assert (scanned, complete_fair, best_g) == (budget, complete, max(seen))
     first_best = ref.leaves[seen.index(max(seen))]
     assert _assignment_from_choice(ref.p, combos, choice) == first_best
     assert sum(folded) < budget // 10
     folded.clear()
-    assert scan_verify(combos, n, avail, budget) == (
+    assert scan_verify(combos, rows, budget) == (
         budget, complete, None, min(ref.envy[:budget])
     )
     assert sum(folded) < budget // 10
@@ -254,10 +254,10 @@ def test_default_budget_keeps_the_memo_on_witness_6(monkeypatch):
 
 
 def test_empty_inputs():
-    assert scan_fair([], 0, 10) == (0, True, None, None)
-    assert scan_fair([[]], 3, 10) == (0, True, None, None)
-    assert scan_verify([], 0, (), 10) == (0, True, None, -1)
-    assert scan_verify([[]], 3, (1, 1, 1), 10) == (0, True, None, -1)
+    assert scan_fair([], [], 10) == (0, True, None, None)
+    assert scan_fair([[]], [(1,)] * 3, 10) == (0, True, None, None)
+    assert scan_verify([], [], 10) == (0, True, None, -1)
+    assert scan_verify([[]], [(1,)] * 3, 10) == (0, True, None, -1)
 
 
 # --------------------------------------------------------------------------- #
@@ -326,7 +326,7 @@ def _expected_verify(ref, cap):
 
 def _verify_leaf(ref, cap):
     combos = _efficient_lists(ref.p, cap + 1)[0]
-    scanned, conclusive, choice, min_envy = scan_verify(combos, ref.p.n, ref.avail, cap)
+    scanned, conclusive, choice, min_envy = scan_verify(combos, ref.p.avail, cap)
     leaf = None if choice is None else _assignment_from_choice(ref.p, combos, choice)
     return scanned, conclusive, leaf, min_envy
 
@@ -435,7 +435,7 @@ def test_representative_leaf_envy_is_exact(representative_references, monkeypatc
 
     def check(p):
         leaves.clear()
-        scan_verify(_efficient_lists(p, FULL)[0], p.n, p.availability_counts(), FULL)
+        scan_verify(_efficient_lists(p, FULL)[0], p.avail, FULL)
         _assert_exact(p, leaves)
         return len(leaves), sum(count > base for _, base, _, count in leaves)
 
@@ -459,13 +459,13 @@ def _record_folds(monkeypatch):
     nodes = []
     walk, leaf_envy = _scan._walk, _scan._leaf_envy
 
-    def recording_walk(combos, n, budget, avail, fold, bound=None):
+    def recording_walk(combos, rows, budget, fold, bound=None):
         def logged(games, choice, limit):
             nodes.append([list(games), limit, None, []])
             nodes[-1][2] = fold(games, choice, limit)
             return nodes[-1][2]
 
-        return walk(combos, n, budget, avail, logged, bound)
+        return walk(combos, rows, budget, logged, bound)
 
     def recording_leaf(games, count, cross):
         nodes[-1][3].append(list(games))
@@ -496,7 +496,7 @@ def test_envy_fold_counts_one_representative_per_class(representative_references
         middle = leaves // 2 // len(subsets) * len(subsets)
         for cap in (FULL, len(subsets) // 2 + 1, middle + len(subsets) // 2 + 1):
             nodes.clear()
-            scan_verify(combos, p.n, avail, cap)
+            scan_verify(combos, p.avail, cap)
             for games, limit, stop, counted in nodes:
                 def vector(leaf):
                     return tuple(sorted((avail[i], games[i]) for i in leaf))
@@ -552,7 +552,7 @@ def test_first_leaf_exit_matches_brute_force(monkeypatch):
             for cap in (1, FULL):
                 folded.clear()
                 scanned, conclusive, choice, min_envy = scan_verify(
-                    combos, ref.p.n, ref.avail, cap)
+                    combos, ref.p.avail, cap)
                 leaf = None if choice is None else _assignment_from_choice(ref.p, combos, choice)
                 assert (scanned, conclusive, leaf, min_envy) == _expected_verify(ref, cap), (
                     ref.p, cap)
