@@ -1,20 +1,24 @@
 """Exact min-cost-flow engine behind the fair solver.
 
-The fairness profile (G_1, ..., G_m) of a full-game assignment, read as a
-base-(n+1) number, equals the total reward of the corresponding flow when a
-player's j-th game pays (n+1)^(m-j).  Maximizing that reward over all
-full-game assignments is therefore exactly the lexicographic maximization of
-the whole profile, in one min-cost flow.  Rewards per player fall as j
-grows, so each player's gain is concave, and one arc to the sink priced at
-the marginal reward carries it (Ahuja, Magnanti & Orlin, *Network Flows*,
-1993, chapter 14): for a player with g games it costs -(n+1)^(m-g-1), the
-reward of the next game, and its reverse costs (n+1)^(m-g), the reward of
-the last one.  The costs move one game along whenever a unit crosses the
-arc.  This is exact: of m parallel unit arcs, one per game, with distinct
-costs, only the cheapest unused one and the reverse of the last used one
-can have the least reduced cost, so no other ever lies on a shortest path,
-a zero-reduced-cost path or a cycle of :meth:`Residual.reroute`, and their
-reduced costs stay >= 0 whenever these two arcs' do.
+A player's j-th game pays (n+1)^(m-j), so the profile (G_1, ..., G_m) of a
+full-game assignment, read as a base-(n+1) number, is the total reward of
+its games.  Every full-game assignment plays floor(c_k/g) games on a day
+with c_k available players, so it is fixed by who sits out, c_k mod g
+players a day.  A player who sits out s of a available days keeps games
+1..a - s: the reward of all a less that of the s games the sit-outs lose.
+A min-cost flow of the sit-outs, each costing the reward of the game it
+takes away, therefore maximizes the whole profile lexicographically.  That
+cost grows as a player's games fall, so it is convex, and one arc to the
+sink priced at the marginal cost carries it (Ahuja, Magnanti & Orlin,
+*Network Flows*, 1993, chapter 14): for a player with g games it costs
+(n+1)^(m-g), the last game's reward, and its reverse costs -(n+1)^(m-g-1),
+the reward of the game one sit-out fewer gives back.  The costs move one
+game along whenever a unit crosses the arc.  This is exact: of a parallel
+unit arcs, one per sit-out, with distinct costs, only the cheapest unused
+one and the reverse of the last used one can have the least reduced cost,
+so no other ever lies on a shortest path, a zero-reduced-cost path or a
+cycle of :meth:`Residual.reroute`, and their reduced costs stay >= 0
+whenever these two arcs' do.
 
 Costs are Python integers, so the big lexicographic weights are exact.  The
 solve is primal-dual (Ahuja, Magnanti & Orlin, *Network Flows*, 1993,
@@ -29,13 +33,13 @@ is a shortest augmenting path and the flow stays min-cost for its value.
 A push opens only the reverses of arcs of reduced cost 0, whose reduced
 cost is 0 as well, and moves a sink arc's costs one game along, which
 makes the direction just crossed dearer, so the potentials stay valid
-through the phase and after it.  Phases repeat until every quota is met;
-the network is a DAG, so exact starting potentials are known without a
-Bellman-Ford pass.  They give every arc reduced cost 0, so the first phase
-needs no Dijkstra and pushes at once.
+through the phase and after it.  Phases repeat until every sit-out is
+routed.  Before any push only the sink arcs cost anything, so potentials
+of 0, the sink's at the cheapest first sit-out, are valid without a
+Bellman-Ford pass, and the first phase needs no Dijkstra.
 
 The solved network is handed back as a :class:`Residual` that the lex
-tie-break edits cell by cell.  An optimal flow can avoid an arc exactly when
+tie-break edits cell by cell.  An optimal flow can use an arc exactly when
 the residual graph has a zero-reduced-cost cycle through that arc (Ahuja,
 Magnanti & Orlin, *Network Flows*, 1993), and pushing one unit round such a
 cycle keeps the flow optimal and the potentials valid.
@@ -53,11 +57,12 @@ class Residual:
 
     Arc ``e`` and its reverse ``e ^ 1`` are stored side by side.  Each
     available cell ``(player, day)`` is one unit arc from its day node to its
-    player node; closing an arc (capacity 0) pins the cell's current state.
-    Arcs from ``gain0`` on are the players' marginal-cost arcs to the sink:
-    for a player with g games the arc has capacity m - g and costs
-    -base^(m-g-1), the next game's reward, and its reverse has capacity g
-    and costs base^(m-g), the last game's.  With no game yet, or all m, one
+    player node that carries the player's sit-out; closing an arc (capacity
+    0) pins the cell's current state.  Arcs from ``gain0`` on are the
+    players' marginal-cost arcs to the sink: for a player with a available
+    days and g games the arc has capacity g and costs base^(m-g), the last
+    game's reward, and its reverse has capacity a - g and costs
+    -base^(m-g-1), the next game's.  With no game, or no sit-out, one
     direction has capacity 0 and no game to price; nothing reads its cost.
     """
 
@@ -90,37 +95,37 @@ class Residual:
         if e >= self.gain0:  # a sink arc: move its costs one game along
             c = cost[e]
             cost[e ^ 1] = -c
-            # a game more pays base times less; a game fewer, base times more
+            # a sit-out more loses a game base times dearer; one fewer, less
             cost[e] = c // self.base if c < 0 else c * self.base
 
     def uses(self, cell: tuple[int, int]) -> bool:
-        """Whether the flow runs through a cell not yet fixed or forbidden."""
-        return self.cap[self.cell_arc[cell] ^ 1] > 0
+        """Whether a cell not yet fixed or forbidden is played, not sat out."""
+        return self.cap[self.cell_arc[cell]] > 0
 
     def fix(self, cell: tuple[int, int]) -> None:
-        """Keep a used cell in every later flow: close its reverse arc."""
-        self.cap[self.cell_arc[cell] ^ 1] = 0
-
-    def forbid(self, cell: tuple[int, int]) -> None:
-        """Keep an unused cell out of every later flow: close its arc."""
+        """Keep a played cell in every later flow: close its arc to sit-outs."""
         self.cap[self.cell_arc[cell]] = 0
 
-    def reroute(self, cell: tuple[int, int]) -> bool:
-        """Move the flow off a used cell at unchanged cost, if it can be done.
+    def forbid(self, cell: tuple[int, int]) -> None:
+        """Keep a sat-out cell out of every later flow: close its reverse arc."""
+        self.cap[self.cell_arc[cell] ^ 1] = 0
 
-        Looks for a cycle through the cell's reverse arc (player -> day)
-        whose arcs all have reduced cost 0; pushes one unit round it and
-        returns True, or returns False and leaves the flow as it was.
+    def reroute(self, cell: tuple[int, int]) -> bool:
+        """Move a sit-out onto a played cell at unchanged cost, if possible.
+
+        Looks for a cycle through the cell's arc (day -> player) whose arcs
+        all have reduced cost 0; pushes one unit round it and returns True,
+        or returns False and leaves the flow as it was.
         """
         to, cap, cost, pi, head = self.to, self.cap, self.cost, self.pi, self.head
-        back = self.cell_arc[cell] ^ 1
-        player, day = to[back ^ 1], to[back]
-        if cost[back] + pi[player] - pi[day]:
+        arc = self.cell_arc[cell]
+        day, player = to[arc ^ 1], to[arc]
+        if cost[arc] + pi[day] - pi[player]:
             return False
-        # Search day -> player over zero-reduced-cost residual arcs.  The
-        # search stops on reaching the player, so it never takes ``back``.
-        via: dict[int, int] = {day: -1}
-        stack = [day]
+        # Search player -> day over zero-reduced-cost residual arcs.  The
+        # search stops on reaching the day, so it never takes ``arc``.
+        via: dict[int, int] = {player: -1}
+        stack = [player]
         while stack:
             u = stack.pop()
             pu = pi[u]
@@ -129,9 +134,9 @@ class Residual:
                 if cap[e] <= 0 or v in via or cost[e] + pu - pi[v]:
                     continue
                 via[v] = e
-                if v == player:
-                    self._push(back)
-                    while v != day:
+                if v == day:
+                    self._push(arc)
+                    while v != player:
                         e = via[v]
                         self._push(e)
                         v = to[e ^ 1]
@@ -139,13 +144,13 @@ class Residual:
                 stack.append(v)
         return False
 
-    def raise_potentials(self, source: int, sink: int) -> int:
+    def raise_potentials(self, source: int) -> int:
         """Run Dijkstra from the source on reduced costs and add each node's
         distance to its potential; returns the number of arcs relaxed.
 
         An unreached node gains the largest distance found.  That keeps
         every residual reduced cost >= 0 and brings it to 0 on every arc of
-        a shortest path.  Raises ValueError when the sink is unreached.
+        a shortest path.
         """
         to, cap, cost, pi, head = self.to, self.cap, self.cost, self.pi, self.head
         dist: list[Optional[int]] = [None] * len(head)
@@ -168,8 +173,6 @@ class Residual:
                 if dist[v] is None or nd < dist[v]:
                     dist[v] = nd
                     heappush(heap, (nd, v))
-        if dist[sink] is None:
-            raise ValueError("the day quotas cannot be met")
         far = max(d for d in dist if d is not None)
         for v, d in enumerate(dist):
             pi[v] += far if d is None else d
@@ -243,14 +246,17 @@ def solve_stage(avail: Sequence[Sequence[int]], quotas: Sequence[int]) -> FlowRe
     over full-game assignments: the stage-m problem, whose weights encode
     every earlier stage because G_t <= n < n+1.
 
-    The network runs source -> day (capacity the day's quota), day ->
-    player (one unit arc per available cell) and player -> sink (one
-    marginal-cost arc of capacity m per player, added last): m + cells + n
-    arcs.  Raises ValueError when the day quotas cannot be met.
+    The network routes sit-outs: source -> day (capacity the day's count
+    less its quota), day -> player (one unit arc per available cell) and
+    player -> sink (one marginal-cost arc of capacity a per player with a
+    available days, added last): m + cells + n arcs.  Every sit-out can be
+    routed: a day with sit-outs left has a player who still plays it.
     """
     n = len(avail)
     m = len(quotas)
     base = n + 1
+    days = [sum(row) for row in avail]
+    counts = [sum(column) for column in zip(*avail)]
 
     # node ids: source, days, players, sink
     source = 0
@@ -260,34 +266,27 @@ def solve_stage(avail: Sequence[Sequence[int]], quotas: Sequence[int]) -> FlowRe
     net = Residual(sink + 1, base)
 
     for k in range(m):
-        net.add(source, day0 + k, quotas[k], 0)
+        net.add(source, day0 + k, counts[k] - quotas[k], 0)
     for i in range(n):
         for k in range(m):
             if avail[i][k]:
                 net.cell_arc[i, k] = net.add(day0 + k, player0 + i, 1, 0)
-    first_game = base ** (m - 1)
     net.gain0 = len(net.to)
-    for i in range(n):
-        net.add(player0 + i, sink, m, -first_game)
-    # Exact distances on the DAG: every path to a player costs 0, and the
-    # way on to the sink costs the first game's reward.
-    net.pi[sink] = -first_game
+    for i in range(n):  # a first sit-out loses the last available day's game
+        net.add(player0 + i, sink, days[i], base ** (m - days[i]))
+    net.pi[sink] = base ** (m - max(days))
 
-    # Primal-dual phases until every quota is met: every unit that fits on
-    # the zero-reduced-cost paths, then one Dijkstra per distance level.
-    # The DAG potentials give every arc reduced cost 0, so the first phase
-    # pushes at once: its Dijkstra would add 0 everywhere.
-    augmentations = sum(quotas)
+    # Primal-dual phases until every sit-out is routed: every unit that fits
+    # on the zero-reduced-cost paths, then one Dijkstra per distance level.
+    # With no sit-out the source has no open arc, and nothing is relaxed.
+    augmentations = sum(counts) - sum(quotas)
     pushed, relaxations = net.push_zero_paths(source, sink)
     while pushed < augmentations:
-        relaxations += net.raise_potentials(source, sink)
+        relaxations += net.raise_potentials(source)
         units, examined = net.push_zero_paths(source, sink)
         pushed += units
         relaxations += examined
 
-    games = [0] * n
-    for (i, _), e in net.cell_arc.items():
-        if net.cap[e] == 0:
-            games[i] += 1
+    games = net.cap[net.gain0::2]  # a player's sink arc holds its games
     gvec = tuple(sum(1 for d in games if d >= t) for t in range(1, m + 1))
     return FlowResult(gvec, net, augmentations, relaxations)

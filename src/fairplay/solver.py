@@ -7,9 +7,10 @@ brute-force oracle.  Tie-breaking then picks one assignment among the
 profile-optimal ones:
 
 * ``lex``: the matrix that is smallest in row-major binary order, found by
-  deciding cells one at a time in the optimal flow's residual network: a
-  used cell is dropped exactly when the flow can be rerouted off it round a
-  zero-reduced-cost cycle, so no cell needs a fresh solve;
+  deciding cells one at a time in the residual network of the optimal flow
+  of sit-outs: a played cell is dropped exactly when a sit-out can be
+  rerouted onto it round a zero-reduced-cost cycle, so no cell needs a
+  fresh solve;
 * ``random``: uniform over all profile-optimal assignments and
   deterministic for a fixed seed.  The DP of ``_optima`` counts the
   optima, replaying a seeded reservoir sampler's calls on that count gives
@@ -123,11 +124,11 @@ def _realize_lex_min(
     """Row-major smallest matrix among those attaining the target profile.
 
     Walk the available cells in row-major order, preferring 0, in the
-    residual network of ``current`` (an optimal flow, edited in place).  A
-    used cell is dropped exactly when the flow can be rerouted off it at
-    unchanged cost; each decided cell is then fixed or forbidden in the
-    network, so later reroutes keep it.  Cheap day counters settle
-    forced/impossible cells without a search.
+    residual network of ``current`` (an optimal flow of sit-outs, edited in
+    place).  A played cell is dropped exactly when a sit-out can be
+    rerouted onto it at unchanged cost; each decided cell is then fixed or
+    forbidden in the network, so later reroutes keep it.  Cheap day
+    counters settle forced/impossible cells without a search.
     """
     n, m = reduced.n, reduced.m
     flow = current.residual

@@ -136,10 +136,18 @@ def _lex_min_over_optima(red):
     )
 
 
+def _player_on_days_without_sit_outs():
+    """Players 1 and 2 are available only on days 1 and 2, which seat
+    everyone; day 3 drops one of three players.  They have the most days,
+    so the cheapest first sit-out is theirs, and no sit-out can reach it."""
+    return make_problem([[1, 1, 0], [1, 1, 0], [0, 0, 1], [0, 0, 1], [0, 0, 1]], g=2)
+
+
 @pytest.mark.parametrize(
     "make",
-    [fixtures.table2, lambda: reduce_problem(fixtures.table1())[0]],
-    ids=["table2", "table1-reduced"],
+    [fixtures.table2, lambda: reduce_problem(fixtures.table1())[0],
+     _player_on_days_without_sit_outs],
+    ids=["table2", "table1-reduced", "player-on-days-without-sit-outs"],
 )
 def test_lex_tie_break_is_row_major_minimum_over_optima(make):
     p = make()
@@ -314,6 +322,16 @@ def _repeated_row_instances(rng, count):
     return out
 
 
+def _reservoir_pick(optima, seed):
+    """The assignment a reservoir sampler keeps over ``optima`` in order,
+    calling ``randrange(j)`` on ``random.Random(seed)`` for the j-th."""
+    rng, kept = random.Random(seed), None
+    for seen, a in enumerate(optima, 1):
+        if rng.randrange(seen) == 0:
+            kept = a
+    return kept
+
+
 def test_random_draw_is_a_reservoir_over_the_oracle_enumeration():
     """Independent route for the random tie-break: the count of optima is the
     number of the oracle's enumerated assignments with the optimal profile,
@@ -326,13 +344,8 @@ def test_random_draw_is_a_reservoir_over_the_oracle_enumeration():
         optima = [a for counts, a in leaves if counts == opt]
         assert _Optima(red, day_quotas(red), opt).count(0) == len(optima), p
         for seed in (0, 1, 2):
-            rng = random.Random(seed)
-            kept = None
-            for seen, a in enumerate(optima, 1):
-                if rng.randrange(seen) == 0:
-                    kept = a
             drawn = solve_fair(p, TieBreakPolicy.seeded(seed)).assignment
-            assert drawn == zero_extend(kept, p, red), (p, seed)
+            assert drawn == zero_extend(_reservoir_pick(optima, seed), p, red), (p, seed)
 
 
 def _optima(p, cached=True):
@@ -387,12 +400,8 @@ def test_cached_optima_count_matches_brute_force():
         optima = [a for counts, a in leaves if counts == opt]
         assert _optima(red).count(0) == len(optima), red
         for seed in (0, 1):
-            rng = random.Random(seed)
-            kept = None
-            for seen, a in enumerate(optima, 1):
-                if rng.randrange(seen) == 0:
-                    kept = a
-            assert solve_fair(red, TieBreakPolicy.seeded(seed)).assignment == kept, (red, seed)
+            drawn = solve_fair(red, TieBreakPolicy.seeded(seed)).assignment
+            assert drawn == _reservoir_pick(optima, seed), (red, seed)
 
 
 @pytest.mark.parametrize("name, states", [("club-1-30x5", 56), ("club-4-30x5", 48)])
@@ -412,7 +421,8 @@ def test_leaf_cache_keeps_the_optima_memo(name, states):
 
 def _flow_instances():
     """The fixtures, 50 seeded random instances, the pinned club sheets from
-    60x7 to 120x7 and a sheet where one player plays every day.  Every other
+    60x7 to 120x7, a sheet where one player plays every day and one where
+    the players with the most days have no day with a sit-out.  Every other
     random instance is left unreduced, so that the solve meets nodes no
     residual path reaches: a player with no available day, a day too short
     for a game."""
@@ -427,16 +437,18 @@ def _flow_instances():
         if n >= 60:
             out.append(reduce_problem(_club(seed, n, m))[0])
     out.append(make_problem([[1, 1, 1], [1, 1, 1], [1, 0, 0]], g=2))
+    out.append(_player_on_days_without_sit_outs())
     return out
 
 
 def test_profile_flow_leaves_valid_potentials():
     """After the solve, every residual arc has reduced cost >= 0, which is
-    what makes ``Residual.reroute`` exact; the flow meets every quota and its
-    games attain the reported profile.  The network has one arc per day,
-    per available cell and per player, and a player with g games has a sink
-    arc of capacity m - g costing -(n+1)^(m-g-1), whose reverse costs
-    (n+1)^(m-g); a direction of capacity 0 has no game to price."""
+    what makes ``Residual.reroute`` exact; the flow routes every day's
+    sit-outs and its games meet every quota and attain the reported profile.
+    The network has one arc per day, per available cell and per player, and
+    a player with a available days and g games has a sink arc of capacity g
+    costing (n+1)^(m-g), whose reverse has capacity a - g and costs
+    -(n+1)^(m-g-1); a direction of capacity 0 has no game to price."""
     plays_every_day = 0
     for p in _flow_instances():
         quotas = day_quotas(p)
@@ -447,7 +459,8 @@ def test_profile_flow_leaves_valid_potentials():
                 u = net.to[e ^ 1]
                 assert net.cost[e] + net.pi[u] - net.pi[v] >= 0, (p, e)
         source = 0
-        assert sum(net.cap[e ^ 1] for e in net.head[source]) == sum(quotas)
+        sit_outs = sum(p.day_counts()) - sum(quotas)
+        assert sum(net.cap[e ^ 1] for e in net.head[source]) == sit_outs
         matrix = [[0] * p.m for _ in range(p.n)]
         for i, k in net.cell_arc:
             matrix[i][k] = int(net.uses((i, k)))
@@ -458,14 +471,14 @@ def test_profile_flow_leaves_valid_potentials():
         assert len(net.to) == 2 * (p.m + len(net.cell_arc) + p.n)
         base, m, player0 = p.n + 1, p.m, 1 + p.m
         sink = player0 + p.n
-        for i, g in enumerate(map(sum, matrix)):
+        for i, (a, g) in enumerate(zip(map(sum, p.avail), map(sum, matrix))):
             e = net.gain0 + 2 * i
             assert (net.to[e ^ 1], net.to[e]) == (player0 + i, sink)
-            assert (net.cap[e], net.cap[e ^ 1]) == (m - g, g), (p, i)
+            assert (net.cap[e], net.cap[e ^ 1]) == (g, a - g), (p, i)
             if g > 0:
-                assert net.cost[e ^ 1] == base ** (m - g), (p, i)
-            if g < m:
-                assert net.cost[e] == -(base ** (m - g - 1)), (p, i)
+                assert net.cost[e] == base ** (m - g), (p, i)
+            if g < a:
+                assert net.cost[e ^ 1] == -(base ** (m - g - 1)), (p, i)
             plays_every_day += g == m
     assert plays_every_day
 
@@ -490,11 +503,63 @@ def test_profile_flow_matches_brute_force_on_random_instances():
 )
 def test_profile_flow_runs_a_dijkstra_per_distance_level(seed, n, m):
     """One Dijkstra per unit of flow examines about half of the residual
-    arcs per unit; the primal-dual phases examine a small fraction."""
+    arcs per unit; the primal-dual phases examine a small fraction.  The
+    flow routes only the sit-outs, so its units are the sit-outs; the bound
+    stays on one Dijkstra per game, which is what a flow that routed every
+    game would run."""
     red, _ = reduce_problem(_club(seed, n, m))
-    result = _flow.solve_stage(red.avail, day_quotas(red))
-    assert result.augmentations == sum(day_quotas(red))
-    assert result.relaxations < result.augmentations * len(result.residual.to) / 8
+    quotas = day_quotas(red)
+    result = _flow.solve_stage(red.avail, quotas)
+    assert result.augmentations == sum(red.day_counts()) - sum(quotas)
+    assert result.relaxations < sum(quotas) * len(result.residual.to) / 8
+
+
+def _sheet(rng, n, g, sizes):
+    """Reduced sheet of n players and group size g whose k-th day has
+    ``sizes[k]`` available players, drawn at random."""
+    columns = [rng.sample(range(n), size) for size in sizes]
+    rows = [[int(i in column) for column in columns] for i in range(n)]
+    return reduce_problem(make_problem(rows, g))[0]
+
+
+def test_profile_flow_without_sit_outs():
+    """When every day's count is a multiple of g, every available cell is
+    played: the flow routes nothing and relaxes no arc, and the lex result
+    is the oracle's."""
+    rng = random.Random(20261021)
+    for _ in range(20):
+        g, m = rng.choice((2, 3, 4)), rng.randint(1, 4)
+        n = rng.randint(g, 3 * g)
+        red = _sheet(rng, n, g, [g * rng.randint(1, n // g) for _ in range(m)])
+        result = _flow.solve_stage(red.avail, day_quotas(red))
+        assert result.augmentations == result.relaxations == 0
+        assert solve_fair(red).assignment == _lex_min_over_optima(red), red
+
+
+@pytest.mark.parametrize("g", [5, 6])
+def test_sit_outs_up_to_one_short_of_a_game(g):
+    """Sheets whose first day drops each number of players from 0 to g - 1
+    in turn: the flow routes exactly the sit-outs, and the lex and random
+    results are the row-major minimum of the oracle's optima and a
+    reservoir's draw over them."""
+    rng = random.Random(20261022 + g)
+    checked = 0
+    while checked < 2 * g:
+        n = rng.randint(2 * g - 1, 2 * g + 1)
+        sizes = [g + checked % g] + [rng.randint(g, n) for _ in range(rng.randint(1, 3))]
+        red = _sheet(rng, n, g, sizes)
+        if not 1 < count_efficient(red) <= 5_000:
+            continue
+        result = _flow.solve_stage(red.avail, day_quotas(red))
+        assert result.augmentations == sum(c % g for c in red.day_counts())
+        leaves = [(g_vector(a).counts, a) for a in enumerate_efficient(red)]
+        opt = max(counts for counts, _ in leaves)
+        optima = [a for counts, a in leaves if counts == opt]
+        assert solve_fair(red).assignment == min(optima, key=_row_major), red
+        for seed in (0, 1):
+            drawn = solve_fair(red, TieBreakPolicy.seeded(seed)).assignment
+            assert drawn == _reservoir_pick(optima, seed), (red, seed)
+        checked += 1
 
 
 @pytest.mark.parametrize(
