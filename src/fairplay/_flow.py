@@ -58,7 +58,9 @@ class Residual:
     Arc ``e`` and its reverse ``e ^ 1`` are stored side by side.  Each
     available cell ``(player, day)`` is one unit arc from its day node to its
     player node that carries the player's sit-out; closing an arc (capacity
-    0) pins the cell's current state.  Arcs from ``gain0`` on are the
+    0) pins the cell's current state.  ``cell_arc`` maps each cell to its
+    arc in row-major order, and :meth:`uses`, :meth:`fix`, :meth:`forbid`
+    and :meth:`reroute` take that arc.  Arcs from ``gain0`` on are the
     players' marginal-cost arcs to the sink: for a player with a available
     days and g games the arc has capacity g and costs base^(m-g), the last
     game's reward, and its reverse has capacity a - g and costs
@@ -98,27 +100,33 @@ class Residual:
             # a sit-out more loses a game base times dearer; one fewer, less
             cost[e] = c // self.base if c < 0 else c * self.base
 
-    def uses(self, cell: tuple[int, int]) -> bool:
-        """Whether a cell not yet fixed or forbidden is played, not sat out."""
-        return self.cap[self.cell_arc[cell]] > 0
+    def uses(self, arc: int) -> bool:
+        """Whether the cell of a cell arc not yet fixed or forbidden is
+        played, not sat out."""
+        return self.cap[arc] > 0
 
-    def fix(self, cell: tuple[int, int]) -> None:
+    def fix(self, arc: int) -> None:
         """Keep a played cell in every later flow: close its arc to sit-outs."""
-        self.cap[self.cell_arc[cell]] = 0
+        self.cap[arc] = 0
 
-    def forbid(self, cell: tuple[int, int]) -> None:
+    def forbid(self, arc: int) -> None:
         """Keep a sat-out cell out of every later flow: close its reverse arc."""
-        self.cap[self.cell_arc[cell] ^ 1] = 0
+        self.cap[arc ^ 1] = 0
 
-    def reroute(self, cell: tuple[int, int]) -> bool:
-        """Move a sit-out onto a played cell at unchanged cost, if possible.
+    def reroute(self, arc: int) -> bool:
+        """Move a sit-out onto the played cell of a cell arc at unchanged
+        cost, if possible.
 
-        Looks for a cycle through the cell's arc (day -> player) whose arcs
-        all have reduced cost 0; pushes one unit round it and returns True,
-        or returns False and leaves the flow as it was.
+        Looks for a cycle through the arc (day -> player) whose arcs all
+        have reduced cost 0; pushes one unit round it and returns True, or
+        returns False and leaves the flow as it was.  The arc's own reduced
+        cost is checked first, and not only to save the search: a
+        zero-reduced-cost path player -> day costs pi[day] - pi[player],
+        which is exactly the arc's reduced cost, so when that is positive
+        the cycle the search would find costs as much and pushing it would
+        lose profile.  Such paths occur (``test_solver`` pins a 5x4 sheet).
         """
         to, cap, cost, pi, head = self.to, self.cap, self.cost, self.pi, self.head
-        arc = self.cell_arc[cell]
         day, player = to[arc ^ 1], to[arc]
         if cost[arc] + pi[day] - pi[player]:
             return False

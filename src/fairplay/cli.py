@@ -14,9 +14,14 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from itertools import compress, islice
-from json.encoder import encode_basestring_ascii
+
+try:  # the C function that ``json.encoder`` re-exports, without ``json``
+    from _json import encode_basestring_ascii
+except ImportError:
+    from json.encoder import encode_basestring_ascii
 
 from fairplay import __version__
 from fairplay.fileio import (
@@ -82,47 +87,46 @@ def cmd_reduce(args) -> int:
     return EXIT_OK
 
 
-def _json(value, indent: str = "") -> str:
-    """The bytes of ``json.dumps(value, sort_keys=True, indent=2)`` for a
-    value built of dicts with str keys, lists or tuples, ints and strs.
-    ``json.dumps`` runs its pure-Python encoder whenever it indents; this
-    writer skips the cases a solve payload never holds."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if not value:
-        return "{}" if isinstance(value, dict) else "[]"
-    inner = indent + "  "
-    if isinstance(value, dict):
-        items = (
-            f"{encode_basestring_ascii(key)}: {_json(item, inner)}"
-            for key, item in sorted(value.items())
-        )
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
-    items = (_json(item, inner) for item in value)
-    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+def _json_list(items, indent: str) -> str:
+    """A list of encoded JSON values as ``json.dumps`` writes it with
+    ``indent=2`` at a depth whose closing bracket stands at ``indent``."""
+    text = (",\n  " + indent).join(items)
+    return f"[\n  {indent}{text}\n{indent}]" if text else "[]"
+
+
+# one envy pair at depth 2: two names, then four counts
+_ENVY_PAIR = "[\n      %s,\n      %s,\n      %d,\n      %d,\n      %d,\n      %d\n    ]"
 
 
 def _solve_json(p: Problem, reduced: Problem, report) -> str:
     """The JSON of a solve of the reduced core: ``g_vector`` and the envy
-    pairs are the core's own, the matrix and games cover the whole sheet."""
+    pairs are the core's own, the matrix and games cover the whole sheet.
+
+    The text is what ``json.dumps(payload, sort_keys=True, indent=2)``
+    writes for the dict of these seven keys, each envy pair a list, written
+    straight from its fixed shape: each list in one ``join``, each envy pair
+    as one string, and each distinct matrix row formatted once.
+    ``json.dumps`` runs its pure-Python encoder whenever it indents, one
+    call per value.
+    """
     envy = envy_report(report.assignment, reduced)
     full = zero_extend(report.assignment, p, reduced)
-    payload = {
-        "days": p.days,
-        "envy_pairs": [
-            (e.envious, e.envied, e.avail_envious, e.avail_envied,
-             e.games_envious, e.games_envied)
-            for e in envy.pairs
-        ],
-        "g_vector": report.g_vector.counts,
-        "games_per_player": games_per_player(full),
-        "matrix": full.matrix,
-        "players": p.players,
-        "total_games": report.total_games,
-    }
-    return _json(payload) + "\n"
+    quote = encode_basestring_ascii
+    rows = {row: _json_list(map(str, row), "    ") for row in set(full.matrix)}
+    pairs = [
+        _ENVY_PAIR % (quote(e.envious), quote(e.envied), *e[2:]) for e in envy.pairs
+    ]
+    return (
+        "{\n"
+        f'  "days": {_json_list(map(quote, p.days), "  ")},\n'
+        f'  "envy_pairs": {_json_list(pairs, "  ")},\n'
+        f'  "g_vector": {_json_list(map(str, report.g_vector.counts), "  ")},\n'
+        f'  "games_per_player": {_json_list(map(str, games_per_player(full)), "  ")},\n'
+        f'  "matrix": {_json_list(map(rows.__getitem__, full.matrix), "  ")},\n'
+        f'  "players": {_json_list(map(quote, p.players), "  ")},\n'
+        f'  "total_games": {report.total_games}\n'
+        "}\n"
+    )
 
 
 def _solve_table(p: Problem, reduced: Problem, report) -> str:
@@ -324,6 +328,34 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _terminal_columns() -> int:
+    """The width ``shutil.get_terminal_size`` reports: ``COLUMNS`` when it
+    is a positive integer, else the columns of ``sys.__stdout__``'s
+    terminal, else 80."""
+    try:
+        columns = int(os.environ["COLUMNS"])
+    except (KeyError, ValueError):
+        columns = 0
+    if columns <= 0:
+        try:
+            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
+        except (AttributeError, ValueError, OSError):
+            columns = 0
+    return columns or 80
+
+
+class _HelpFormatter(argparse.HelpFormatter):
+    """argparse's formatter at the width it picks by default, two columns
+    short of the terminal's, found without importing ``shutil`` (and with it
+    ``bz2``, ``lzma``, ``zlib`` and ``fnmatch``) on a process's first
+    ``main``: argparse makes a formatter for every argument it adds."""
+
+    def __init__(self, prog, **kwargs):
+        if kwargs.get("width") is None:
+            kwargs["width"] = _terminal_columns() - 2
+        super().__init__(prog, **kwargs)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process; parsing leaves it unchanged."""
@@ -334,17 +366,19 @@ def build_parser() -> argparse.ArgumentParser:
             "reduce instances, compute exact leximin-fair assignments, audit "
             "strong envy, and verify impossibility results by enumeration."
         ),
+        formatter_class=_HelpFormatter,
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, formatter_class=_HelpFormatter)
 
-    sp = sub.add_parser("reduce", help="strip hopeless days and players")
+    sp = add_parser("reduce", help="strip hopeless days and players")
     sp.add_argument("--input", required=True, help="availability CSV")
     sp.add_argument("--group-size", type=int, required=True)
     sp.add_argument("--output", help="write reduced CSV here instead of stdout")
     sp.set_defaults(func=cmd_reduce)
 
-    sp = sub.add_parser("solve", help="compute an exact fair assignment")
+    sp = add_parser("solve", help="compute an exact fair assignment")
     sp.add_argument("--input", required=True, help="availability CSV")
     sp.add_argument("--group-size", type=int, required=True)
     sp.add_argument("--tie-break", choices=("lex", "random"), default="lex")
@@ -352,13 +386,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--format", choices=("table", "json"), default="table")
     sp.set_defaults(func=cmd_solve)
 
-    sp = sub.add_parser("check", help="audit an assignment against a problem")
+    sp = add_parser("check", help="audit an assignment against a problem")
     sp.add_argument("--input", required=True, help="availability CSV")
     sp.add_argument("--assignment", required=True, help="assignment CSV")
     sp.add_argument("--group-size", type=int, required=True)
     sp.set_defaults(func=cmd_check)
 
-    sp = sub.add_parser(
+    sp = add_parser(
         "verify", help="demonstrate that efficiency can exclude strong envy-freeness"
     )
     sp.add_argument("--group-size", type=int, required=True)
@@ -379,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.set_defaults(func=cmd_verify)
 
-    sp = sub.add_parser("enumerate", help="count or stream efficient assignments")
+    sp = add_parser("enumerate", help="count or stream efficient assignments")
     sp.add_argument("--input", required=True, help="availability CSV")
     sp.add_argument("--group-size", type=int, required=True)
     sp.add_argument(

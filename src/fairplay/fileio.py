@@ -16,10 +16,30 @@ import os
 from fairplay.model import Assignment, Problem, ValidationError, validate_problem
 
 
+_CELLS = {"0": 0, "1": 1}
+
+
+def _parse_cells(cells: list[str], lineno: int, days: list[str]) -> list[int]:
+    """One row's cells, each stripped, or a ValidationError naming the
+    first that is not 0 or 1."""
+    row = []
+    for label, cell in zip(days, cells):
+        cell = cell.strip()
+        if cell not in _CELLS:
+            raise ValidationError(
+                f"line {lineno}, column {label!r}: cell {cell!r} is not 0 or 1"
+            )
+        row.append(_CELLS[cell])
+    return row
+
+
 def parse_matrix_csv(text: str) -> tuple[list[str], list[str], list[list[int]]]:
     """Parse the common matrix layout into (players, days, rows).
 
-    Raises ValidationError naming the offending cell on any malformed input.
+    A row of bare ``0``/``1`` cells converts in one pass over a two-entry
+    table; any other row takes the per-cell path, which strips each cell,
+    so padded cells parse, and names the first bad one.  Raises
+    ValidationError naming the offending cell on any malformed input.
     """
     reader = csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline=""))
     # an empty line or a line of spaces is skipped wherever it stands
@@ -48,19 +68,10 @@ def parse_matrix_csv(text: str) -> tuple[list[str], list[str], list[list[int]]]:
                 f"line {lineno}: expected {len(days) + 1} fields, got {len(record)}"
             )
         players.append(record[0].strip())
-        row = []
-        for col, cell in enumerate(record[1:]):
-            cell = cell.strip()
-            if cell == "0":
-                row.append(0)
-            elif cell == "1":
-                row.append(1)
-            else:
-                raise ValidationError(
-                    f"line {lineno}, column {days[col]!r}: "
-                    f"cell {cell!r} is not 0 or 1"
-                )
-        rows.append(row)
+        try:
+            rows.append([_CELLS[cell] for cell in record[1:]])
+        except KeyError:  # a padded cell, or a bad one to name
+            rows.append(_parse_cells(record[1:], lineno, days))
     if not players:
         raise ValidationError("no player rows found")
     return players, days, rows

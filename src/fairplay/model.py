@@ -104,10 +104,10 @@ class Assignment(NamedTuple):
         return len(self.matrix[0]) if self.matrix else 0
 
     def total_slots(self) -> int:
-        return sum(sum(row) for row in self.matrix)
+        return sum(map(sum, self.matrix))
 
     def day_totals(self) -> tuple[int, ...]:
-        return tuple(sum(row[k] for row in self.matrix) for k in range(self.m))
+        return tuple(map(sum, zip(*self.matrix)))
 
 
 class GVector(NamedTuple):

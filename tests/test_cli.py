@@ -1,5 +1,6 @@
 """Command-line behavior: output contracts and exit codes."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -12,10 +13,18 @@ import pytest
 
 import cli_golden
 from fairplay import cli, impossibility, solver
-from fairplay.cli import _json, main
+from fairplay.cli import main
 from fairplay.fileio import parse_problem
 from fairplay.fixtures import fixture_path
-from fairplay.model import g_vector, reduce_problem, Assignment
+from fairplay.model import (
+    Assignment,
+    envy_report,
+    g_vector,
+    games_per_player,
+    reduce_problem,
+    validate_problem,
+    zero_extend,
+)
 from fairplay.oracle import WitnessReport
 
 T1 = str(fixture_path("table1.csv"))
@@ -67,6 +76,32 @@ def test_reduce_malformed_cell_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "reduce", "--input", str(bad), "--group-size", "4")
     assert code == 2
     assert "'x'" in err
+
+
+@pytest.mark.parametrize(
+    "bad", ["2", "", " ", "01", "1.0", "true", "\u0661", "\uff11", "0x1"], ids=ascii
+)
+def test_solve_names_a_bad_cell_on_any_line_and_column(capsys, tmp_path, bad):
+    """A cell that is not 0 or 1 once stripped exits 2 naming its line,
+    column and stripped text, after rows of bare and of padded cells: an
+    Arabic-Indic or fullwidth digit, which ``int()`` would take, is no
+    cell."""
+    days = ["Mon", "Tue", "Wed"]
+    sheet = tmp_path / "sheet.csv"
+    for row in range(4):
+        for col in range(3):
+            cells = [[f"p{i}", " 1 " if i % 2 else "1", "1", "0"] for i in range(4)]
+            cells[row][col + 1] = bad
+            lines = ["player," + ",".join(days), *map(",".join, cells)]
+            sheet.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            code, out, err = run(
+                capsys, "solve", "--input", str(sheet), "--group-size", "2"
+            )
+            assert (code, out) == (2, "")
+            assert err == (
+                f"error: line {row + 2}, column {days[col]!r}: "
+                f"cell {bad.strip()!r} is not 0 or 1\n"
+            )
 
 
 def test_missing_file_exits_2(capsys):
@@ -265,37 +300,57 @@ def test_solve_reduces_its_sheet_once(capsys, monkeypatch, tmp_path, sheet):
         assert len(calls) == 1, flags
 
 
-def _random_payload(rng):
-    """A payload shaped like a solve's, with names drawn from ASCII,
-    non-ASCII letters, quotes, backslashes and control characters, and
-    empty lists and dicts at random."""
-    alphabet = 'ab Z09"\\/\t\néü日本\U0001F3BE,'
-    def name():
-        return "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 6)))
+def _named_sheet(rng, m):
+    """A seeded sheet of m days and 1..9 players, group size 2 or 3, at a
+    random density, so that reduction may drop players and days.  Names and
+    day labels mix ASCII, non-ASCII letters, quotes, backslashes, control
+    characters and commas; a leading index keeps them distinct."""
+    alphabet = 'ab Z09"\\/\t\n\x01\x7féü日本\U0001F3BE,'
 
-    n, m = rng.randint(0, 6), rng.randint(0, 4)
-    return {
-        "days": [name() for _ in range(m)],
-        "envy_pairs": [
-            [name(), name(), rng.randint(0, 9), rng.randint(0, 9),
-             rng.randint(-1, 9), rng.randint(0, 10**20)]
-            for _ in range(rng.choice((0, 0, 3)))
-        ],
-        "g_vector": [rng.randint(0, n) for _ in range(m)],
-        "matrix": [[rng.randint(0, 1) for _ in range(m)] for _ in range(n)],
-        "nested": {name(): {} for _ in range(rng.randint(0, 2))},
-        "players": [name() for _ in range(n)],
-        "total_games": rng.randint(0, 50),
+    def label(idx):
+        middle = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 5)))
+        return f"{idx}:{middle}."
+
+    n, density = rng.randint(1, 9), rng.choice((0.3, 0.6, 0.9))
+    rows = [[int(rng.random() < density) for _ in range(m)] for _ in range(n)]
+    return validate_problem(
+        [label(i) for i in range(n)], [label(k) for k in range(m)], rows,
+        rng.choice((2, 3)),
+    )
+
+
+def test_solve_json_matches_json_dumps():
+    """``_solve_json`` writes what ``json.dumps(payload, sort_keys=True,
+    indent=2)`` writes for the solve's payload: on seeded sheets of 1..7
+    days, of one player or several, with names that need escaping, with and
+    without envy pairs, and with reductions that drop players and days."""
+    rng = random.Random(20261020)
+    seen = set()
+    for trial in range(350):
+        p = _named_sheet(rng, trial % 7 + 1)
+        reduced, log = reduce_problem(p)
+        report = solver._solve_irreducible(reduced, solver.TieBreakPolicy.lex())
+        envy = envy_report(report.assignment, reduced)
+        full = zero_extend(report.assignment, p, reduced)
+        payload = {
+            "days": p.days,
+            "envy_pairs": [list(pair) for pair in envy.pairs],
+            "g_vector": report.g_vector.counts,
+            "games_per_player": games_per_player(full),
+            "matrix": full.matrix,
+            "players": p.players,
+            "total_games": report.total_games,
+        }
+        expected = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        assert cli._solve_json(p, reduced, report) == expected, p
+        seen |= {("m", p.m), ("one row", p.n == 1), ("envy", bool(envy.pairs)),
+                 ("drops players", bool(log.removed_players)),
+                 ("drops days", bool(log.removed_days)),
+                 ("empty core", reduced.is_empty)}
+    assert seen == {("m", m) for m in range(1, 8)} | {
+        (case, flag) for case in ("one row", "envy", "drops players", "drops days",
+                                  "empty core") for flag in (False, True)
     }
-
-
-def test_json_writer_matches_json_dumps():
-    rng = random.Random(20261019)
-    for _ in range(300):
-        payload = _random_payload(rng)
-        assert _json(payload) == json.dumps(payload, sort_keys=True, indent=2)
-    assert _json({}) == "{}" and _json([]) == "[]"
-    assert _json(((1, 2), ())) == json.dumps([[1, 2], []], indent=2)
 
 
 def test_solve_json_reads_back_to_the_same_bytes(capsys, tmp_path):
@@ -570,6 +625,25 @@ def test_enumerate_stream_reports_truncation_by_budget(capsys):
     assert (code, err) == (0, "")
     assert len(out.split("\n\n")) == 4
     assert out.startswith(cut)
+
+
+@pytest.mark.parametrize("columns", ["60", "80", "200", "0", "-3", "wide", None])
+def test_help_is_wrapped_as_argparse_wraps_it(monkeypatch, columns):
+    """The CLI's formatter finds the width ``shutil.get_terminal_size``
+    gives, so every parser's help and usage equal what argparse's own
+    formatter prints, with ``COLUMNS`` set, unusable or unset."""
+    import shutil
+
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    assert cli._terminal_columns() == shutil.get_terminal_size().columns
+    parser = cli.build_parser()
+    for p in [parser, *parser._subparsers._group_actions[0].choices.values()]:
+        ours = p.format_help(), p.format_usage()
+        monkeypatch.setattr(p, "formatter_class", argparse.HelpFormatter)
+        assert (p.format_help(), p.format_usage()) == ours
 
 
 # --------------------------------------------------------------------------- #

@@ -282,11 +282,30 @@ def _fresh(code: str) -> str:
 
 def test_cli_import_loads_no_dataclasses_inspect_or_importlib_resources():
     """``import fairplay.cli`` in a fresh interpreter leaves these
-    slow-to-import modules unloaded, and the layers ``solve`` never runs."""
+    slow-to-import modules unloaded, and the layers ``solve`` never runs.
+    The JSON writer takes its string encoder from ``_json``, not ``json``."""
     code = (
         "import fairplay.cli; "
         "print(' '.join(sorted({'dataclasses', 'inspect', 'importlib.resources',"
-        f" 'pathlib', *{sorted(_DEFERRED)}}} & set(sys.modules))))"
+        f" 'json', 'pathlib', *{sorted(_DEFERRED)}}} & set(sys.modules))))"
+    )
+    assert _fresh(code).split() == []
+
+
+@pytest.mark.parametrize("argv", [["--format", "json"], ["--help"]], ids=["json", "help"])
+def test_solve_leaves_shutil_unloaded(argv):
+    """argparse imports ``shutil``, and with it ``bz2``, ``lzma`` and
+    ``fnmatch``, to find the terminal's width unless its formatter is given
+    one; the CLI's formatter finds it without.  A process's first ``solve``,
+    and its help, load none of them."""
+    table1 = str(SRC / "fixtures" / "table1.csv")
+    argv = ["solve", "--input", table1, "--group-size", "4", *argv]
+    code = (
+        "import io, fairplay.cli; sys.stdout = io.StringIO()\n"
+        f"try:\n    fairplay.cli.main({argv!r})\n"
+        "except SystemExit:\n    pass\n"
+        "sys.stdout = sys.__stdout__\n"
+        "print(' '.join(sorted({'shutil', 'bz2', 'lzma', 'fnmatch'} & set(sys.modules))))"
     )
     assert _fresh(code).split() == []
 

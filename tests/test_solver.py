@@ -143,15 +143,59 @@ def _player_on_days_without_sit_outs():
     return make_problem([[1, 1, 0], [1, 1, 0], [0, 0, 1], [0, 0, 1], [0, 0, 1]], g=2)
 
 
+def _reroute_meets_a_dearer_cycle():
+    """The lex walk asks ``Residual.reroute`` to move a sit-out onto a
+    played cell whose arc has a positive reduced cost, while a
+    zero-reduced-cost path runs from its player back to its day: the cycle
+    through the arc costs that reduced cost, so taking it loses profile."""
+    return make_problem(
+        [[1, 1, 0, 0], [0, 1, 0, 1], [1, 0, 1, 1], [0, 1, 1, 0], [0, 0, 0, 1]], g=2
+    )
+
+
 @pytest.mark.parametrize(
     "make",
     [fixtures.table2, lambda: reduce_problem(fixtures.table1())[0],
-     _player_on_days_without_sit_outs],
-    ids=["table2", "table1-reduced", "player-on-days-without-sit-outs"],
+     _player_on_days_without_sit_outs, _reroute_meets_a_dearer_cycle],
+    ids=["table2", "table1-reduced", "player-on-days-without-sit-outs",
+         "reroute-meets-a-dearer-cycle"],
 )
 def test_lex_tie_break_is_row_major_minimum_over_optima(make):
     p = make()
     assert solve_fair(p, TieBreakPolicy.lex()).assignment == _lex_min_over_optima(p)
+
+
+def _zero_reduced_cost_path(net, start, goal):
+    """Whether open residual arcs of reduced cost 0 lead from start to goal."""
+    seen, stack = {start}, [start]
+    while stack:
+        u = stack.pop()
+        for e in net.head[u]:
+            v = net.to[e]
+            if net.cap[e] > 0 and v not in seen and net.cost[e] + net.pi[u] == net.pi[v]:
+                seen.add(v)
+                stack.append(v)
+    return goal in seen
+
+
+def test_reroute_declines_a_cell_arc_of_positive_reduced_cost(monkeypatch):
+    """On ``_reroute_meets_a_dearer_cycle`` some reroute meets a cell arc of
+    positive reduced cost with a zero-reduced-cost path player -> day open,
+    which only the arc's own check turns down; the walk still ends on the
+    row-major smallest optimum."""
+    dearer = []
+    reroute = _flow.Residual.reroute
+
+    def spy(net, arc):
+        day, player = net.to[arc ^ 1], net.to[arc]
+        if net.pi[day] > net.pi[player] and _zero_reduced_cost_path(net, player, day):
+            dearer.append(arc)
+        return reroute(net, arc)
+
+    monkeypatch.setattr(_flow.Residual, "reroute", spy)
+    p = _reroute_meets_a_dearer_cycle()
+    assert solve_fair(p, TieBreakPolicy.lex()).assignment == _lex_min_over_optima(p)
+    assert dearer
 
 
 def test_lex_tie_break_is_row_major_minimum_on_randoms(rng):
@@ -462,8 +506,8 @@ def test_profile_flow_leaves_valid_potentials():
         sit_outs = sum(p.day_counts()) - sum(quotas)
         assert sum(net.cap[e ^ 1] for e in net.head[source]) == sit_outs
         matrix = [[0] * p.m for _ in range(p.n)]
-        for i, k in net.cell_arc:
-            matrix[i][k] = int(net.uses((i, k)))
+        for (i, k), arc in net.cell_arc.items():
+            matrix[i][k] = int(net.uses(arc))
         games = Assignment(tuple(map(tuple, matrix)))
         assert games.day_totals() == tuple(quotas)
         assert g_vector(games).counts == result.gvector
@@ -481,6 +525,15 @@ def test_profile_flow_leaves_valid_potentials():
                 assert net.cost[e ^ 1] == -(base ** (m - g - 1)), (p, i)
             plays_every_day += g == m
     assert plays_every_day
+
+
+def test_cell_arcs_run_over_the_available_cells_in_row_major_order():
+    """The lex walk visits ``cell_arc`` in its own order, so that order must
+    be the available cells' row-major one."""
+    for p in _flow_instances():
+        net = _flow.solve_stage(p.avail, day_quotas(p)).residual
+        cells = [(i, k) for i, row in enumerate(p.avail) for k, a in enumerate(row) if a]
+        assert list(net.cell_arc) == cells
 
 
 def test_profile_flow_matches_brute_force_on_random_instances():
