@@ -34,6 +34,7 @@ from fairplay.model import (
     Assignment,
     Problem,
     ValidationError,
+    _envy_pairs,
     envy_report,
     g_vector,
     games_per_player,
@@ -109,7 +110,7 @@ def _solve_json(p: Problem, reduced: Problem, report) -> str:
     ``json.dumps`` runs its pure-Python encoder whenever it indents, one
     call per value.
     """
-    envy = envy_report(report.assignment, reduced)
+    envy = _envy_pairs(report.assignment, reduced)  # the solver's output is feasible
     full = zero_extend(report.assignment, p, reduced)
     quote = encode_basestring_ascii
     rows = {row: _json_list(map(str, row), "    ") for row in set(full.matrix)}

@@ -13,7 +13,7 @@ import csv
 import io
 import os
 
-from fairplay.model import Assignment, Problem, ValidationError, validate_problem
+from fairplay.model import Assignment, Problem, ValidationError, _validate_labels
 
 
 _CELLS = {"0": 0, "1": 1}
@@ -78,8 +78,11 @@ def parse_matrix_csv(text: str) -> tuple[list[str], list[str], list[list[int]]]:
 
 
 def parse_problem(text: str, group_size: int) -> Problem:
+    """Parse an availability file.  The reader builds every row as ints 0/1,
+    one per day, so only :func:`validate_problem`'s label checks remain."""
     players, days, rows = parse_matrix_csv(text)
-    return validate_problem(players, days, rows, group_size)
+    _validate_labels(players, days, group_size)
+    return Problem(tuple(players), tuple(days), tuple(map(tuple, rows)), group_size)
 
 
 def parse_problem_file(path: str | os.PathLike[str], group_size: int) -> Problem:

@@ -1,8 +1,11 @@
 """Witness instances where no assignment is both full-game and strongly
 envy-free, and the bounded g = 2 search for one.  A witness is certified
 by :func:`fairplay.oracle.verify_no_fair_ef`, the exhaustive strong-envy
-scan; the search runs that scan, ``scan_verify``, on each candidate's day
-lists directly and builds the full report only for a witness.
+scan.  The search first tries one greedy leaf per candidate: at g = 2 an
+even day seats all its players and an odd day all but one, so a leaf is one
+sit-out per odd day, and the greedy sits out a least available player.
+Only a candidate that leaf does not settle gets that scan, ``scan_verify``,
+on its day lists directly; the full report is built only for a witness.
 
 For group sizes g >= 3 a fixed family works: g players who force both of the
 first two days, and 2g-1 players sharing three more days.  The three shared
@@ -337,12 +340,25 @@ def search_witness_g2(bounds: SearchBounds) -> G2SearchResult:
     only when no size was skipped and no instance was inconclusive, so a
     negative result states its exact coverage.
 
-    Each candidate gets one ``scan_verify`` call on its days' full subset
-    lists, each built once per search from the day's players, and on the
-    candidate matrix as its availability rows; under the same budget it answers
-    as :func:`verify_no_fair_ef` would.  Only a witness, a conclusive scan
-    with no envy-free assignment, is labelled p1.. and d1.. and gets that
-    full report.
+    Each candidate gets one decision, :func:`_settle`, on its days' players
+    and full subset lists, each built once per search, and on the candidate
+    matrix as its availability rows.  It first builds the greedy leaf
+    (:func:`_greedy_choice`): every player starts at its availability count,
+    and on each odd day, in column order, the day's player with the least
+    availability sits out, ties going to the one with the most games so
+    far, then to the first.  If that leaf is strongly envy-free, checked on
+    the integer counts, the candidate is settled: conclusive, with an EF
+    assignment.  Otherwise one ``scan_verify`` call answers as
+    :func:`verify_no_fair_ef` would under the same budget.
+
+    The greedy leaf is tried only when the candidate's leaf count, the
+    product of its odd days' player counts, is within the budget.  The scan
+    would then be conclusive and find an EF leaf exactly when one exists,
+    and the search reads only whether the answer was conclusive and whether
+    it found one, so examined and inconclusive counts and the first witness
+    are those of a scan on every candidate.  Only a witness, a conclusive
+    scan with no envy-free assignment, is labelled p1.. and d1.. and gets
+    that full report.
     """
     examined = 0
     inconclusive = 0
@@ -352,9 +368,9 @@ def search_witness_g2(bounds: SearchBounds) -> G2SearchResult:
     names = tuple(f"p{i + 1}" for i in range(bounds.max_players))
     labels = tuple(f"d{k + 1}" for k in range(bounds.max_days))
     everyone = range(bounds.max_players)
-    # a day's column -> all subsets of its players of the day's quota, in
-    # lexicographic order: 1 or c of them for c players, never more than n
-    day_lists: dict[tuple[int, ...], list] = {}
+    # a day's column -> its players, and all subsets of them of the day's
+    # quota in lexicographic order: 1 or c of them for c players
+    day_lists: dict[tuple[int, ...], tuple] = {}
 
     levels: list = [[]] * bounds.max_days  # one row fits no column of weight >= 2
     for n in range(2, bounds.max_players + 1):
@@ -371,17 +387,16 @@ def search_witness_g2(bounds: SearchBounds) -> G2SearchResult:
             for matrix in _candidates_dedup(level, m):
                 examined += 1
                 # no zero row and every column of weight >= 2: irreducible
-                # at g = 2, so the scan needs no Problem and no check
-                combos = []
+                # at g = 2, so the check needs no Problem
+                lists = []
                 for col in zip(*matrix):
-                    subsets = day_lists.get(col)
-                    if subsets is None:
+                    day = day_lists.get(col)
+                    if day is None:
                         players = tuple(compress(everyone, col))
-                        subsets = day_lists[col] = list(
+                        day = day_lists[col] = players, list(
                             combinations(players, len(players) & ~1))
-                    combos.append(subsets)
-                _, conclusive, choice, _ = scan_verify(
-                    combos, matrix, bounds.per_instance_budget)
+                    lists.append(day)
+                conclusive, choice = _settle(lists, matrix, bounds.per_instance_budget)
                 if not conclusive:
                     inconclusive += 1
                 elif choice is None:
@@ -402,6 +417,59 @@ def search_witness_g2(bounds: SearchBounds) -> G2SearchResult:
         sizes_searched=tuple(searched),
         sizes_skipped=tuple(skipped),
     )
+
+
+def _settle(days, rows, budget: int):
+    """One candidate's answer, as ``(conclusive, choice)``: ``choice`` picks
+    an efficient strongly envy-free assignment, one index into each day's
+    subset list, or is None when the candidate has none or the budget ran
+    out first.  ``days`` holds each day's players and subset list, ``rows``
+    the candidate's availability rows.
+
+    The greedy leaf of :func:`_greedy_choice` answers when it is envy-free;
+    otherwise ``scan_verify`` walks the leaves under ``budget``."""
+    choice = _greedy_choice(days, rows, budget)
+    if choice is not None:
+        return True, choice
+    _, conclusive, choice, _ = scan_verify([subsets for _, subsets in days], rows, budget)
+    return conclusive, choice
+
+
+def _greedy_choice(days, rows, budget: int):
+    """The greedy leaf of a g = 2 candidate as a choice, when it is strongly
+    envy-free and the candidate has at most ``budget`` leaves; else None.
+
+    Each player starts at its availability count.  An even day seats all its
+    players; on each odd day, in column order, the day's player with the
+    least availability sits out, ties going to the one with the most games
+    so far, then to the first.  Sitting out player j of an odd day's c
+    players is subset c - 1 - j of its lexicographic list."""
+    avail = list(map(sum, rows))
+    games = avail.copy()
+    choice = []
+    leaves = 1
+    for players, subsets in days:
+        c = len(subsets)
+        if c == 1:
+            choice.append(0)
+            continue
+        leaves *= c
+        out, pos = players[0], 0
+        for j in range(1, c):
+            i = players[j]
+            if avail[i] < avail[out] or avail[i] == avail[out] and games[i] > games[out]:
+                out, pos = i, j
+        games[out] -= 1
+        choice.append(c - 1 - pos)
+    if leaves > budget:
+        return None
+    # strongly envy-free: no player has fewer games than one of strictly
+    # lower availability, that is, in (availability, games) order the
+    # games never fall
+    ranked = [g for _, g in sorted(zip(avail, games))]
+    if ranked != sorted(ranked):
+        return None
+    return tuple(choice)
 
 
 def _candidates_dedup(level, m: int):

@@ -185,6 +185,36 @@ def validate_problem(
     with leading or trailing whitespace, dimension mismatches, or a group
     size below 2.
     """
+    _validate_labels(players, days, group_size)
+    if len(matrix) != len(players):
+        raise ValidationError(
+            f"dimension mismatch: {len(players)} players but {len(matrix)} matrix rows"
+        )
+    rows = []
+    for i, row in enumerate(matrix):
+        row = tuple(row)
+        if len(row) != len(days):
+            raise ValidationError(
+                f"dimension mismatch: row {i} ({players[i]!r}) has {len(row)} cells, "
+                f"expected {len(days)}"
+            )
+        if row.count(0) + row.count(1) != len(row):  # find the cell to name
+            for k, cell in enumerate(row):
+                if cell not in (0, 1):
+                    raise ValidationError(
+                        f"non-binary entry at row {i} ({players[i]!r}), "
+                        f"column {k} ({days[k]!r}): {cell!r}"
+                    )
+        rows.append(tuple(map(int, row)))
+
+    return Problem(tuple(players), tuple(days), tuple(rows), group_size)
+
+
+def _validate_labels(players: Sequence[str], days: Sequence[str], group_size: int) -> None:
+    """The checks of :func:`validate_problem` that precede its rows: the
+    group size, then at least one player and one day, then the names.  A
+    reader that has built every row itself as ints 0/1 of the right length
+    needs only these."""
     if not isinstance(group_size, int) or group_size < 2:
         raise ValidationError(f"group size must be an integer >= 2, got {group_size!r}")
     if len(players) == 0:
@@ -210,29 +240,6 @@ def validate_problem(
                     f"{where} {idx}: duplicate {what} {name!r} (first at {where} {seen[name]})"
                 )
             seen[name] = idx
-
-    if len(matrix) != len(players):
-        raise ValidationError(
-            f"dimension mismatch: {len(players)} players but {len(matrix)} matrix rows"
-        )
-    rows = []
-    for i, row in enumerate(matrix):
-        row = tuple(row)
-        if len(row) != len(days):
-            raise ValidationError(
-                f"dimension mismatch: row {i} ({players[i]!r}) has {len(row)} cells, "
-                f"expected {len(days)}"
-            )
-        if row.count(0) + row.count(1) != len(row):  # find the cell to name
-            for k, cell in enumerate(row):
-                if cell not in (0, 1):
-                    raise ValidationError(
-                        f"non-binary entry at row {i} ({players[i]!r}), "
-                        f"column {k} ({days[k]!r}): {cell!r}"
-                    )
-        rows.append(tuple(map(int, row)))
-
-    return Problem(tuple(players), tuple(days), tuple(rows), group_size)
 
 
 def reduce_problem(p: Problem) -> tuple[Problem, ReductionLog]:
@@ -385,6 +392,12 @@ def envy_report(x: Assignment, p: Problem) -> EnvyReport:
     feas = is_feasible(x, p)
     if not feas:
         raise InfeasibleAssignmentError(feas.violation.detail)
+    return _envy_pairs(x, p)
+
+
+def _envy_pairs(x: Assignment, p: Problem) -> EnvyReport:
+    """:func:`envy_report` for an assignment known to be feasible, such as
+    a solver's own output: the same pairs, with no feasibility check."""
     players = tuple(zip(p.players, p.availability_counts(), games_per_player(x)))
     return EnvyReport(tuple(
         EnvyPair(envious, envied, avail_i, avail_j, games_i, games_j)

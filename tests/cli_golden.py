@@ -10,6 +10,16 @@ repository root with::
 
 A change that alters a line should say which line and why.
 
+``tests/data/cli_golden_long.txt`` pins, in the same format, the commands
+that take seconds to a minute each: the full-budget certifications of
+g = 7, 8 and 9 and the large g = 2 searches.  Tier-1 does not run them; CI
+checks each with ``--check``, which runs one line's command, prints its
+stdout and exits 1 unless all three fields match::
+
+    PYTHONPATH=src python tests/cli_golden.py --check verify --group-size 7 --budget 5053029696
+
+``--long`` regenerates that table, in under a minute on two cores.
+
 Commands run from the repository root, with ``COLUMNS=80`` so that argparse
 wraps help to one width.  argparse's own wording varies between Python
 versions, so a ``--help`` line hashes its stdout with every run of
@@ -22,10 +32,12 @@ import hashlib
 import io
 import os
 import shlex
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TABLE = ROOT / "tests" / "data" / "cli_golden.txt"
+LONG_TABLE = ROOT / "tests" / "data" / "cli_golden_long.txt"
 
 _FIXTURES = "src/fairplay/fixtures/"
 _T1 = ["--input", _FIXTURES + "table1.csv", "--group-size", "4"]
@@ -64,14 +76,22 @@ COMMANDS = [
     ["enumerate", *_T1, "--budget", "1"],
 ]
 
+LONG_COMMANDS = [
+    ["verify", "--group-size", "7", "--budget", "5053029696"],
+    ["verify", "--group-size", "8", "--budget", "266468362875"],
+    ["verify", "--group-size", "9", "--budget", "14366628991000"],
+    ["verify", "--group-size", "2", "--bounds", "7,6", "--per-size-cap", "200000000"],
+    ["verify", "--group-size", "2", "--bounds", "8,5", "--per-size-cap", "60000000"],
+]
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def run(argv: list[str]) -> tuple[int, str, str]:
-    """Run one command in process from the repository root: its exit code
-    and the digests of its stdout and stderr, as the table holds them."""
+def _capture(argv: list[str]) -> tuple[int, str, str]:
+    """Run one command in process from the repository root: its exit code,
+    stdout and stderr."""
     from fairplay import cli
 
     out, err = io.StringIO(), io.StringIO()
@@ -85,30 +105,67 @@ def run(argv: list[str]) -> tuple[int, str, str]:
                 code = exc.code if isinstance(exc.code, int) else 2
     finally:
         os.chdir(cwd)
-    stdout = out.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def run(argv: list[str]) -> tuple[int, str, str]:
+    """One command's exit code and the digests of its stdout and stderr, as
+    the table holds them."""
+    code, stdout, stderr = _capture(argv)
     if "--help" in argv:
         stdout = " ".join(stdout.split())
-    return code, _sha256(stdout), _sha256(err.getvalue())
+    return code, _sha256(stdout), _sha256(stderr)
 
 
-def read_table() -> list[tuple[list[str], tuple[int, str, str]]]:
-    """The table's lines as (argv, (exit code, stdout digest, stderr digest))."""
+def read_table(table: Path = TABLE) -> list[tuple[list[str], tuple[int, str, str]]]:
+    """A table's lines as (argv, (exit code, stdout digest, stderr digest))."""
     lines = []
-    for line in TABLE.read_text(encoding="utf-8").splitlines():
+    for line in table.read_text(encoding="utf-8").splitlines():
         if line and not line.startswith("#"):
             code, out, err, words = line.split(" ", 3)
             lines.append((shlex.split(words), (int(code), out, err)))
     return lines
 
 
-def main() -> None:
-    os.environ["COLUMNS"] = "80"
-    lines = ["# exit stdout-sha256 stderr-sha256 argv; regenerate with tests/cli_golden.py"]
-    for argv in COMMANDS:
+def write_table(table: Path, commands: list[list[str]], note: str) -> None:
+    """Run each command and write its line to ``table``, under a header."""
+    lines = [f"# exit stdout-sha256 stderr-sha256 argv; {note}"]
+    for argv in commands:
         code, out, err = run(argv)
         lines.append(f"{code} {out} {err} {shlex.join(argv)}")
-    TABLE.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    table.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def check(argv: list[str]) -> int:
+    """Run the long table's line for ``argv``, print its stdout, and return
+    0 if its exit code and both digests match the line, else 1."""
+    pinned = {shlex.join(words): fields for words, fields in read_table(LONG_TABLE)}
+    line = shlex.join(argv)
+    if line not in pinned:
+        print(f"no line for {line} in {LONG_TABLE.name}", file=sys.stderr)
+        return 1
+    code, stdout, stderr = _capture(argv)
+    sys.stdout.write(stdout)
+    got = code, _sha256(stdout), _sha256(stderr)
+    if got != pinned[line]:
+        print(f"mismatch: got {got}, pinned {pinned[line]}", file=sys.stderr)
+        return 1
+    return 0
+
+
+def main(args: list[str]) -> int:
+    os.environ["COLUMNS"] = "80"
+    if args[:1] == ["--check"]:
+        return check(args[1:])
+    if args == ["--long"]:
+        write_table(LONG_TABLE, LONG_COMMANDS, "too slow for tier-1, CI runs each with --check")
+    elif not args:
+        write_table(TABLE, COMMANDS, "regenerate with tests/cli_golden.py")
+    else:
+        print("usage: cli_golden.py [--long | --check ARGV...]", file=sys.stderr)
+        return 2
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(sys.argv[1:]))

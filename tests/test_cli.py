@@ -443,15 +443,15 @@ def test_verify_g2_bounds_2_2_exits_5(capsys):
 
 
 def test_verify_g2_prints_the_first_witness(capsys, monkeypatch):
-    """No witness lies within reach, so the search's scan is made to read
-    the first (2,2) candidate, the all-ones matrix, as one, and the
+    """No witness lies within reach, so the search's decision is made to
+    read the first (2,2) candidate, the all-ones matrix, as one, and the
     verifier to report it."""
-    scan = impossibility.scan_verify
+    settle = impossibility._settle
 
-    def fake_scan(combos, rows, budget):
-        if len(combos) < 2:
-            return scan(combos, rows, budget)
-        return 1, True, None, 3
+    def fake_settle(days, rows, budget):
+        if len(days) < 2:
+            return settle(days, rows, budget)
+        return True, None
 
     def fake(p, budget):
         return WitnessReport(
@@ -463,7 +463,7 @@ def test_verify_g2_prints_the_first_witness(capsys, monkeypatch):
             conclusive=True,
         )
 
-    monkeypatch.setattr(impossibility, "scan_verify", fake_scan)
+    monkeypatch.setattr(impossibility, "_settle", fake_settle)
     monkeypatch.setattr(impossibility, "verify_no_fair_ef", fake)
     code, out, err = run(capsys, "verify", "--group-size", "2", "--bounds", "2,2")
     assert (code, err) == (0, "")
@@ -702,3 +702,39 @@ def test_cli_output_matches_the_golden_table(monkeypatch, argv, expected):
     ``--help`` up to whitespace."""
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
     assert cli_golden.run(argv) == expected
+
+
+def test_ci_checks_every_line_of_the_long_golden_table():
+    """The long table is too slow for tier-1.  It holds exactly
+    ``cli_golden.LONG_COMMANDS``, and CI runs ``cli_golden.py --check`` on
+    each of its lines."""
+    table = [argv for argv, _ in cli_golden.read_table(cli_golden.LONG_TABLE)]
+    assert table == cli_golden.LONG_COMMANDS
+    workflow = (cli_golden.ROOT / ".github" / "workflows" / "tests.yml").read_text(
+        encoding="utf-8")
+    prefix = "run: PYTHONPATH=src python tests/cli_golden.py --check "
+    checked = [line.strip()[len(prefix):] for line in workflow.splitlines()
+               if line.strip().startswith(prefix)]
+    assert sorted(checked) == sorted(map(" ".join, table))
+
+
+def test_golden_check_mode_fails_on_any_mismatch(capsys, monkeypatch, tmp_path):
+    """``cli_golden.py --check`` passes a command whose exit code and
+    digests match its line and prints its stdout; it fails when the exit
+    code or a digest differs, or when no line holds the command."""
+    argv = ["verify", "--group-size", "3"]
+    code, out, err = cli_golden.run(argv)
+    table = tmp_path / "long.txt"
+    monkeypatch.setattr(cli_golden, "LONG_TABLE", table)
+    for fields, verdict in (
+        ((code, out, err), 0),
+        ((code + 1, out, err), 1),
+        ((code, err, err), 1),
+        ((code, out, out), 1),
+    ):
+        table.write_text(f"# header\n{' '.join(map(str, fields))} {' '.join(argv)}\n")
+        assert cli_golden.main(["--check", *argv]) == verdict
+        printed = capsys.readouterr().out
+        assert printed.startswith("instance: 8 players x 5 days, group size 3\n")
+    assert cli_golden.main(["--check", "verify", "--group-size", "4"]) == 1
+    assert "no line for verify --group-size 4" in capsys.readouterr().err

@@ -121,6 +121,34 @@ def test_duplicate_names_rejected_via_validate():
         parse_problem("player,d1\na,1\na,1\n", 2)
 
 
+def test_parse_problem_builds_what_validate_problem_builds(rng):
+    """``parse_problem`` checks only the labels and the group size, since
+    the reader builds every row itself: on valid text it returns what
+    ``validate_problem`` returns on the parsed fields, rows as tuples of
+    ints, and on bad labels or group sizes it raises the same error."""
+    texts = [serialize_problem(random_problem(rng)) for _ in range(50)]
+    texts += [_mutant(text, rng) for text in texts]
+    for text in texts:
+        for g in (2, 3):
+            p = parse_problem(text, g)
+            assert p == validate_problem(*parse_matrix_csv(text), g)
+            assert all(type(row) is tuple for row in p.avail)
+            assert {type(cell) for row in p.avail for cell in row} == {int}
+    for text, g in (
+        ("player,d1\na,1\n", 1),
+        ("player,d1\na,1\n", "2"),
+        ("player,d1\n,1\n", 2),
+        ("player,,d2\na,1,1\n", 2),
+        ("player,d1\na,1\nb,0\na,1\n", 2),
+        ("player,d1,d1\na,1,1\n", 2),
+    ):
+        with pytest.raises(ValidationError) as parsed:
+            parse_problem(text, g)
+        with pytest.raises(ValidationError) as validated:
+            validate_problem(*parse_matrix_csv(text), g)
+        assert str(parsed.value) == str(validated.value)
+
+
 def test_assignment_labels_must_match():
     p = fixtures.table1()
     with pytest.raises(ValidationError, match="player names"):

@@ -2,7 +2,7 @@
 bounded g=2 search."""
 
 import math
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 import pytest
 
@@ -15,14 +15,23 @@ from fairplay.impossibility import (
     _canonical_child_test,
     _children,
     _column_masks,
+    _greedy_choice,
     _orderly_levels,
     build_table2,
     build_witness,
     canonical_form,
     search_witness_g2,
 )
-from fairplay.model import Problem, envy_report, is_irreducible, reduce_problem
+from fairplay.model import (
+    Problem,
+    envy_report,
+    is_efficient,
+    is_feasible,
+    is_irreducible,
+    reduce_problem,
+)
 from fairplay.oracle import (
+    DEFAULT_MAX_ASSIGNMENTS,
     _assignment_from_choice,
     brute_force_fair,
     enumerate_efficient,
@@ -317,34 +326,56 @@ def test_g2_search_at_4_4_completes_without_witness():
 
 
 def test_g2_search_reports_match_the_independent_enumerator(monkeypatch):
-    """Every scan the search makes up to (5,4), its 550 candidates, against
-    conftest's enumerator and the model's envy audit, through the search's
-    own route: the day lists and availability counts it scanned and the
-    answer it read."""
-    scans = []
+    """Every decision the search makes up to (5,4), its 550 candidates,
+    against conftest's enumerator and the model's envy audit, through the
+    search's own route: the day lists and availability counts it decided on
+    and the answer it read.  A decision the scan made is the first
+    envy-free leaf in odometer order; one the greedy leaf made is an
+    efficient strongly envy-free leaf, and the scan was not called."""
+    decisions, scans = [], []
+    settle = impossibility._settle
 
-    def recording(combos, rows, budget):
-        scans.append((combos, rows, scan_verify(combos, rows, budget)))
-        return scans[-1][-1]
+    def recording_scan(combos, rows, budget):
+        scans.append(scan_verify(combos, rows, budget))
+        return scans[-1]
 
-    monkeypatch.setattr(impossibility, "scan_verify", recording)
+    def recording(days, rows, budget):
+        before = len(scans)
+        answer = settle(days, rows, budget)
+        scanned = scans[before:]
+        assert len(scanned) <= 1
+        decisions.append((days, rows, answer, scanned[0] if scanned else None))
+        return answer
+
+    monkeypatch.setattr(impossibility, "scan_verify", recording_scan)
+    monkeypatch.setattr(impossibility, "_settle", recording)
     result = search_witness_g2(SearchBounds(5, 4))
     assert result.search_complete
-    assert len(scans) == result.instances_examined == 550
-    for combos, rows, (scanned, conclusive, choice, min_envy) in scans:
+    assert len(decisions) == result.instances_examined == 550
+    greedy = 0
+    for days, rows, (conclusive, choice), scan in decisions:
+        combos = [subsets for _, subsets in days]
         # every player of a g = 2 day is in one of its subsets
-        on_day = [set().union(*subsets) for subsets in combos]
+        assert [set(players) for players, _ in days] == [set().union(*s) for s in combos]
         p = _problem_from_matrix(
-            tuple(tuple(int(i in s) for s in on_day) for i in range(len(rows))))
+            tuple(tuple(int(i in players) for players, _ in days) for i in range(len(rows))))
         assert list(p.avail) == sorted(p.avail) and tuple(rows) == p.avail
         leaves = list(all_feasible_assignments(p, full_games_only=True))
         first = next(
             pos for pos, x in enumerate(leaves) if envy_report(x, p).is_strongly_envy_free
         )
-        assert _assignment_from_choice(p, combos, choice) == leaves[first]
-        assert scanned == first + 1
         assert math.prod(map(len, combos)) == len(leaves)
-        assert (min_envy, conclusive) == (0, True)
+        assert conclusive
+        x = _assignment_from_choice(p, combos, choice)
+        if scan is None:
+            greedy += 1
+            assert x in leaves and envy_report(x, p).is_strongly_envy_free
+        else:
+            scanned, scan_conclusive, scan_choice, min_envy = scan
+            assert scan_choice == choice and x == leaves[first]
+            assert scanned == first + 1
+            assert (min_envy, scan_conclusive) == (0, True)
+    assert greedy == 533  # and 17 scans
 
 
 def _reference_search(bounds):
@@ -394,24 +425,122 @@ def test_g2_search_matches_a_report_per_candidate(budget):
 
 @pytest.mark.parametrize("k", [1, 2, 91, 550])
 def test_g2_search_returns_the_full_report_of_its_witness(monkeypatch, k):
-    """A scan stubbed to read the k-th candidate up to (5,4) as conclusive
-    with no EF assignment: the search stops there and returns that
-    candidate's full report, labelled p1.. and d1.."""
+    """A decision stubbed to read the k-th candidate up to (5,4) as
+    conclusive with no EF assignment: the search stops there and returns
+    that candidate's full report, labelled p1.. and d1.."""
     calls = []
+    settle = impossibility._settle
 
-    def stub(combos, rows, budget):
+    def stub(days, rows, budget):
         calls.append(1)
         if len(calls) == k:
-            return 1, True, None, 3
-        return scan_verify(combos, rows, budget)
+            return True, None
+        return settle(days, rows, budget)
 
-    monkeypatch.setattr(impossibility, "scan_verify", stub)
+    monkeypatch.setattr(impossibility, "_settle", stub)
     result = search_witness_g2(SearchBounds(5, 4))
     candidates = [matrix for _, _, size in _dedup_candidates(5, 4) for matrix in size]
     assert len(candidates) == 550
     assert result.witness == verify_no_fair_ef(_problem_from_matrix(candidates[k - 1]))
     assert result.instances_examined == len(calls) == k
     assert result.instances_inconclusive == 0
+
+
+def _day_lists(matrix):
+    """Each day's players and its subsets of the day's g = 2 quota, in
+    lexicographic order, as the search hands them to its decision."""
+    days = []
+    for col in zip(*matrix):
+        players = tuple(i for i, cell in enumerate(col) if cell)
+        days.append((players, list(combinations(players, len(players) & ~1))))
+    return days
+
+
+def test_greedy_leaf_is_an_efficient_strongly_envy_free_assignment():
+    """Soundness, for every candidate up to (6,5): whenever the greedy leaf
+    settles a candidate, the assignment built from its sit-outs is
+    feasible, efficient and strongly envy-free, and sits out on each odd
+    day one of the day's least available players."""
+    settled = tried = 0
+    for n, m, candidates in _dedup_candidates(6, 5):
+        for matrix in candidates:
+            days = _day_lists(matrix)
+            choice = _greedy_choice(days, matrix, DEFAULT_MAX_ASSIGNMENTS)
+            tried += 1
+            if choice is None:
+                continue
+            settled += 1
+            p = _problem_from_matrix(matrix)
+            x = _assignment_from_choice(p, [subsets for _, subsets in days], choice)
+            assert is_feasible(x, p) and is_efficient(x, p), matrix
+            assert envy_report(x, p).is_strongly_envy_free, matrix
+            avail = p.availability_counts()
+            for k, (players, _) in enumerate(days):
+                out = [i for i in players if not x.matrix[i][k]]
+                assert len(out) == len(players) % 2
+                assert all(avail[i] == min(avail[j] for j in players) for i in out)
+    assert tried == 16_893 and 0 < tried - settled < tried // 10
+
+
+def test_greedy_leaf_settles_no_candidate_over_the_budget():
+    """The greedy leaf answers only when the scan would be conclusive: a
+    candidate with more leaves than the budget is never settled by it, and
+    at a budget of exactly its leaves it is settled as with no budget."""
+    gated = 0
+    for n, m, candidates in _dedup_candidates(6, 4):
+        for matrix in candidates:
+            days = _day_lists(matrix)
+            leaves = math.prod(len(subsets) for _, subsets in days)
+            choice = _greedy_choice(days, matrix, DEFAULT_MAX_ASSIGNMENTS)
+            assert _greedy_choice(days, matrix, leaves) == choice
+            if leaves > 1:
+                assert _greedy_choice(days, matrix, leaves - 1) is None
+                gated += choice is not None
+    assert gated > 1000
+
+
+@pytest.mark.parametrize("budget", [1, 3, 50])
+def test_g2_search_scans_every_candidate_over_its_budget(monkeypatch, budget):
+    """Through the search: every decision on a candidate with more leaves
+    than the budget goes to the scan, and (5,5) at a budget of 1 leaves
+    1,107 candidates inconclusive."""
+    settle, scans = impossibility._settle, []
+    over = 0
+
+    def recording_scan(combos, rows, cap):
+        scans.append(1)
+        return scan_verify(combos, rows, cap)
+
+    def recording(days, rows, cap):
+        nonlocal over
+        before = len(scans)
+        answer = settle(days, rows, cap)
+        if math.prod(len(subsets) for _, subsets in days) > cap:
+            over += 1
+            assert len(scans) == before + 1
+        return answer
+
+    monkeypatch.setattr(impossibility, "scan_verify", recording_scan)
+    monkeypatch.setattr(impossibility, "_settle", recording)
+    result = search_witness_g2(SearchBounds(5, 5, per_instance_budget=budget))
+    assert over >= result.instances_inconclusive > 0
+    if budget == 1:
+        assert result.instances_inconclusive == 1_107
+
+
+def test_greedy_leaf_settles_6652_of_the_7_4_candidates(monkeypatch):
+    """The greedy leaf settles 6,652 of the 6,834 candidates up to (7,4),
+    so the scan walks only 182."""
+    greedy, settled = impossibility._greedy_choice, []
+
+    def recording(days, rows, budget):
+        choice = greedy(days, rows, budget)
+        settled.append(choice is not None)
+        return choice
+
+    monkeypatch.setattr(impossibility, "_greedy_choice", recording)
+    assert search_witness_g2(SearchBounds(7, 4)).instances_examined == 6_834
+    assert (len(settled), sum(settled)) == (6_834, 6_652)
 
 
 def test_g2_search_dedup_skips_oversized_pools():
@@ -526,11 +655,11 @@ def test_orderly_levels_are_pinned_up_to_the_default_search(monkeypatch):
             sizes[n, k] = len(level), sum(1 for rows, _ in level if rows[0])
             yield level
 
-    def scan_stub(combos, rows, budget):  # an envy-free first leaf
-        return 1, True, (0,) * len(combos), 0
+    def settle_stub(days, rows, budget):  # an envy-free first leaf
+        return True, (0,) * len(days)
 
     monkeypatch.setattr(impossibility, "_orderly_levels", recording)
-    monkeypatch.setattr(impossibility, "scan_verify", scan_stub)
+    monkeypatch.setattr(impossibility, "_settle", settle_stub)
     assert search_witness_g2(SearchBounds(7, 6)).instances_examined == 22_148
     entries = {
         2: [1, 1, 1, 1, 1, 1],

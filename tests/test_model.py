@@ -12,6 +12,7 @@ from fairplay.model import (
     GVector,
     InfeasibleAssignmentError,
     ValidationError,
+    _envy_pairs,
     compare_fairness,
     envy_report,
     g_vector,
@@ -488,3 +489,16 @@ def test_envy_report_rejects_infeasible_assignment():
     p = fixtures.table1()
     with pytest.raises(InfeasibleAssignmentError):
         envy_report(fixtures.table1_assignment_printed(), p)
+
+
+def test_unchecked_envy_pairs_match_the_report(rng):
+    """``_envy_pairs``, the report without the feasibility check that
+    ``fairplay solve`` uses on the solver's own output, lists the same
+    pairs as ``envy_report`` on every feasible assignment."""
+    audited = 0
+    for _ in range(40):
+        p = random_problem(rng, max_n=6, max_m=3)
+        for x in islice(all_feasible_assignments(p), 60):
+            assert _envy_pairs(x, p) == envy_report(x, p)
+            audited += not envy_report(x, p).is_strongly_envy_free
+    assert audited > 50
