@@ -19,7 +19,12 @@ The search visits one matrix per class under row and column permutations:
 the canonical ones, grown a column at a time by orderly generation, so no
 class is made twice and no dedup set is kept.  The matrices with a zero row
 are taken from the level with one player fewer, and the canonicity greedy
-runs once per parent: each child is tested against its parent's frontiers.
+runs once per parent.  Each child is then decided against its parent's
+frontiers by one packed sum: one int per choice of new 1s in a block of
+the parent's equal rows holds the choice's column bits and every frontier
+key it adds to, so the child's column and all its keys come out of one
+sum, and two subtractions compare every key with its least at once.  Only
+a child with a key equal to its least gets the bit-level test.
 A size is searched only when its candidate pool, an estimate counted over
 row multisets (C(2^m - 1 + n - 1, n) for n players and m days), is within
 the cap; the pool is only this gate, not what the search generates.
@@ -28,7 +33,7 @@ the cap; the pool is only this gate, not what the search generates.
 from __future__ import annotations
 
 import math
-from itertools import combinations, compress, product
+from itertools import combinations, compress
 from typing import NamedTuple, Optional
 
 from fairplay._scan import scan_verify
@@ -206,68 +211,108 @@ def _column_masks(matrix) -> tuple[int, ...]:
     )
 
 
-def _canonical_child_test(columns: tuple[int, ...], n: int):
-    """Run the greedy once on a canonical matrix P, given by its column masks
-    over ascending rows, and return the test of whether a new last column
-    that keeps the rows ascending makes a canonical child ("Parent
-    frontiers" in :func:`_orderly_levels`)."""
-    frontiers, keys = _least_order(columns, n)
+def _tie_accepts(c: int, columns: tuple[int, ...], frontiers: list, keys: list, blocks) -> bool:
+    """The bit-level canonicity test of a child M = P + c of a canonical
+    matrix P, given by its column masks over ascending rows, from the
+    greedy's frontiers and least keys on P and P's blocks of equal rows
+    ("Parent frontiers" in :func:`_orderly_levels`): whether no prefix
+    reads below M's own key at any depth."""
     last = len(columns)
     new = 1 << last  # c's bit in ``used``
-    blocks = ((1 << n) - 1,)
-    for col in columns:
-        blocks = _split(blocks, col)
-
-    def accepts(c: int) -> bool:
-        survivors = set()
-        for d, frontier in enumerate(frontiers):
-            own = keys[d] if d < last else tuple([(cell & c).bit_count() for cell in blocks])
-            kept = set()
-            for used, cells in frontier:
-                key = tuple([(cell & c).bit_count() for cell in cells])
+    survivors = set()
+    for d, frontier in enumerate(frontiers):
+        own = keys[d] if d < last else tuple([(cell & c).bit_count() for cell in blocks])
+        kept = set()
+        for used, cells in frontier:
+            key = tuple([(cell & c).bit_count() for cell in cells])
+            if key < own:
+                return False
+            if key == own and d < last:
+                kept.add((used | new, _split(cells, c)))
+        for used, cells in survivors:
+            for j, col in enumerate(columns):
+                if used >> j & 1:
+                    continue
+                key = tuple([(cell & col).bit_count() for cell in cells])
                 if key < own:
                     return False
                 if key == own and d < last:
-                    kept.add((used | new, _split(cells, c)))
-            for used, cells in survivors:
-                for j, col in enumerate(columns):
-                    if used >> j & 1:
-                        continue
-                    key = tuple([(cell & col).bit_count() for cell in cells])
-                    if key < own:
-                        return False
-                    if key == own and d < last:
-                        kept.add((used | 1 << j, _split(cells, col)))
-            survivors = kept
-        return True
-
-    return accepts
+                    kept.add((used | 1 << j, _split(cells, col)))
+        survivors = kept
+    return True
 
 
-def _children(rows: tuple[int, ...]):
-    """The new last columns of the children of an n x k matrix given by its
-    ascending rows, as in :func:`_orderly_levels`: every column of weight
-    >= 2 that keeps the rows ascending and the first row nonzero, as a bit
-    mask over the rows.
+def _canonical_children(rows: tuple[int, ...], columns: tuple[int, ...], n: int):
+    """Yield the new last columns, as bit masks over the rows, of the
+    canonical children of a canonical n x k matrix P, given by its
+    ascending rows and its column masks ("Parent frontiers" and "Packed
+    keys" in :func:`_orderly_levels`).
 
-    Within each block of equal rows the new bits run 0s then 1s, which keeps
-    the rows ascending and makes each child exactly once.  When the first
-    block is zero rows, it takes only its all-ones choice: any other choice
-    leaves the first row zero, and :func:`_orderly_levels` takes those
-    children from the level with one row fewer.
-    """
-    choices = []  # per block of equal rows: the masks of its new 1s
-    start = 0
-    for end in range(1, len(rows) + 1):
-        if end < len(rows) and rows[end] == rows[start]:
+    A child's column has weight >= 2 and, within each block of P's equal
+    rows, runs 0s then 1s, which keeps the rows ascending and makes each
+    child exactly once.  When the first block is zero rows, it takes only
+    its all-ones choice: any other choice leaves the first row zero, and
+    :func:`_orderly_levels` takes those children from the level with one
+    row fewer."""
+    frontiers, keys = _least_order(columns, n)
+    k = len(columns)
+    # P's blocks of equal rows, as bit masks in row order: at depth k every
+    # column is used, so each cell of a depth-k entry is one block, and the
+    # blocks are runs of rows, so their masks sort in row order
+    blocks = tuple(sorted(next(iter(frontiers[k]))[1]))
+    # one segment per frontier entry below depth k, above the column's n
+    # bits: a w-bit field per cell, first cell most significant, and a
+    # guard bit on top; ``units[b]`` has a 1 in the field of the cell that
+    # holds block b, in every segment
+    w = (n + 1).bit_length()
+    units = [0] * len(blocks)
+    least = guards = lows = 0
+    shift = n
+    for d in range(k):
+        packed = 0
+        for count in keys[d]:
+            packed = packed << w | count
+        for _, cells in frontiers[d]:
+            lows |= 1 << shift
+            least |= packed << shift
+            for cell in reversed(cells):
+                for b, block in enumerate(blocks):
+                    if block & cell:
+                        units[b] |= 1 << shift
+                shift += w
+            guards |= 1 << shift
+            shift += 1
+    # the depth k entries other than P's own order: P's blocks, permuted
+    others = [
+        [blocks.index(cell) for cell in cells] for _, cells in frontiers[k] if cells != blocks
+    ]
+
+    sums = [0]
+    for b, block in enumerate(blocks):
+        size, end = block.bit_count(), block.bit_length()
+        first = size if end == size and rows[0] == 0 else 0
+        sums = [
+            s + (((1 << t) - 1) << (end - t)) + t * units[b]
+            for s in sums
+            for t in range(first, size + 1)
+        ]
+    full = (1 << n) - 1
+    strict = least + lows - guards  # (key | guards) - (least + lows)
+    below = least - guards
+    for key in sums:
+        col = key & full
+        if col.bit_count() < 2:
             continue
-        least = end - start if start == 0 and rows[0] == 0 else 0
-        choices.append([((1 << t) - 1) << (end - t) for t in range(least, end - start + 1)])
-        start = end
-    for parts in product(*choices):
-        col = sum(parts)
-        if col.bit_count() >= 2:
+        if (key - strict) & guards == guards:
+            # every entry reads above its least key, so none survives
+            if others:
+                counts = [(col & block).bit_count() for block in blocks]
+                if any([counts[p] for p in perm] < counts for perm in others):
+                    continue
             yield col
+        elif (key - below) & guards == guards:
+            if _tie_accepts(col, columns, frontiers, keys, blocks):
+                yield col
 
 
 def _orderly_levels(n: int, below: list):
@@ -300,18 +345,48 @@ def _orderly_levels(n: int, below: list):
     is; its rows ascend and its columns keep their weights.  The entries
     with a zero first row are therefore the n - 1 row level with a zero row
     on top: rows ``(0,) + r``, columns ``c << 1`` (row i moves to bit
-    i + 1).  :func:`_children` makes only the others.
+    i + 1).  :func:`_canonical_children` makes only the others.
 
     Parent frontiers.  The greedy runs once per parent P with k columns,
     keeping each depth's frontier and least key, and each child M = P + c
-    is tested against them (:func:`_canonical_child_test`).  Since M's rows
+    is decided against them (:func:`_canonical_children`).  Since M's rows
     ascend, M is canonical exactly when no prefix reads below M's own key
     at any depth d = 0, ..., k: P's least key for d < k, as P is canonical,
     and at d = k c's key on P's last own partition, the blocks of equal
     rows.  While none does, M's least keys are P's, so the prefixes kept on
-    M at depth d are P's frontier and the survivors holding c.  Only P's
-    depth d frontier extended by c, and those survivors extended by P's
-    unused columns, can then read below; P's own extensions cannot.
+    M at depth d are P's frontier and the survivors holding c, the prefixes
+    whose extension by c read a least key.  Only P's depth d frontier
+    extended by c, and those survivors extended by P's unused columns, can
+    then read below; P's own extensions cannot.
+
+    Packed keys.  Every cell of a prefix the greedy keeps on P is a union
+    of P's blocks of equal rows, since the blocks are P's finest partition,
+    and c puts t_b ones at the top of each block b.  So the key of c on a
+    frontier entry is a sum over blocks: each cell counts the t_b of the
+    blocks it holds.  Each entry below depth k gets a segment of an int,
+    above the n column bits: a field of w = (n+1).bit_length() bits per
+    cell, first cell most significant, with a guard bit on top.  A choice
+    (b, t) is one int, its column bits plus t in the field of b's cell in
+    every segment, so the sum of a child's choices is its column with the
+    key K of every entry in its segment.  No field carries, as a count is at
+    most n < 2^w - 1.  With G the guard bits, W P's least keys packed the
+    same way and L the low bit of each segment, ``(K | G) - (W + L)`` keeps
+    a segment's guard exactly when its key reads above the least key, and
+    ``(K | G) - W`` exactly when it does not read below; no borrow crosses
+    a guard.  So:
+
+    - strict, every guard kept by the first: no entry extended by c reads
+      a least key or below it, so no survivor ever forms, and M is
+      canonical unless a depth k entry other than P's own order, whose
+      cells are P's blocks permuted, reads c's block counts below their
+      own order;
+    - below, a guard lost by the second: some entry of P's frontier at a
+      depth d < k, kept on M as well, reads below M's own key, and M is not
+      canonical;
+    - tie, otherwise: some key equals its least, so survivors may form and
+      may read below at a later depth through P's unused columns, which
+      the packing does not hold.  Only then does the bit-level test
+      (:func:`_tie_accepts`) run, on the same frontiers.
     """
     level = [((0,) * n, ())]
     for k in range(len(below)):
@@ -319,11 +394,9 @@ def _orderly_levels(n: int, below: list):
         grown = [((0,) + rows, tuple([c << 1 for c in cols])) for rows, cols in lifted]
         del lifted
         for rows, columns in level:
-            accepts = _canonical_child_test(columns, n)
-            for col in _children(rows):
-                if accepts(col):
-                    child_rows = tuple([2 * r + (col >> i & 1) for i, r in enumerate(rows)])
-                    grown.append((child_rows, columns + (col,)))
+            for col in _canonical_children(rows, columns, n):
+                child_rows = tuple([2 * r + (col >> i & 1) for i, r in enumerate(rows)])
+                grown.append((child_rows, columns + (col,)))
         level = grown
         yield level
 

@@ -12,11 +12,12 @@ from fairplay._scan import scan_verify
 from fairplay.impossibility import (
     SearchBounds,
     _candidates_dedup,
-    _canonical_child_test,
-    _children,
+    _canonical_children,
     _column_masks,
     _greedy_choice,
+    _least_order,
     _orderly_levels,
+    _tie_accepts,
     build_table2,
     build_witness,
     canonical_form,
@@ -232,11 +233,14 @@ def _is_canonical(columns, n):
 
 
 def test_is_canonical_agrees_with_canonical_form(rng):
-    """The parent-frontier test against canonical_form, on the children of
+    """The bit-level tie test against canonical_form, on the children of
     canonical forms of matrices built with repeated rows and repeated
     columns: a new column of random bits or a copy of a parent column,
-    sorted within blocks of equal rows so the rows ascend."""
-    outcomes = set()
+    sorted within blocks of equal rows so the rows ascend.  Where the child
+    has a nonzero first row and a new column of weight >= 2, the packed
+    test of _canonical_children must yield that column exactly when the
+    child is canonical."""
+    outcomes, packed = set(), set()
     for _ in range(300):
         n = rng.randint(1, 6)
         m = rng.randint(1, 5)
@@ -246,7 +250,11 @@ def test_is_canonical_agrees_with_canonical_form(rng):
         picks = [rng.randrange(m) for _ in range(m)]
         rows = [rng.choice(distinct) for _ in range(n)]
         parent = canonical_form(tuple(tuple(row[c] for c in picks) for row in rows))
-        accepts = _canonical_child_test(_column_masks(parent), n)
+        columns = _column_masks(parent)
+        frontiers, keys = _least_order(columns, n)
+        blocks = tuple(sorted(next(iter(frontiers[-1]))[1]))
+        row_ints = tuple(int("".join(map(str, row)), 2) for row in parent)
+        yielded = set(_canonical_children(row_ints, columns, n))
         for bits in (
             [rng.randint(0, 1) for _ in range(n)],
             [row[rng.randrange(m)] for row in parent],
@@ -254,9 +262,13 @@ def test_is_canonical_agrees_with_canonical_form(rng):
             child = tuple(sorted(row + (b,) for row, b in zip(parent, bits)))
             assert tuple(row[:-1] for row in child) == parent
             expected = canonical_form(child) == child
-            assert accepts(_column_masks(child)[-1]) == expected, child
+            col = _column_masks(child)[-1]
+            assert _tie_accepts(col, columns, frontiers, keys, blocks) == expected, child
             outcomes.add(expected)
-    assert outcomes == {True, False}
+            if col.bit_count() >= 2 and any(child[0]):
+                assert (col in yielded) == expected, child
+                packed.add(expected)
+    assert outcomes == packed == {True, False}
 
 
 def test_prefix_of_a_canonical_matrix_is_canonical():
@@ -626,22 +638,47 @@ def test_orderly_levels_match_plain_orderly_generation():
         assert set(level) == next(reference), (n, k)
 
 
-def test_parent_frontier_test_accepts_exactly_the_canonical_children():
-    """Every child that _children makes from every level entry, up to (6,4)
-    and (5,5): the test accepts it exactly when it equals its canonical
-    form."""
+def test_canonical_children_are_exactly_the_canonical_children():
+    """From every level entry, the children up to (6,4) and (5,5), and the
+    children of every (7,3) entry (n = 3 and n = 7 are the sizes where a
+    packed field is exactly full): the columns yielded, each once, are
+    every column that keeps the rows ascending, has weight >= 2, leaves the
+    first row nonzero (the zero-block rule) and makes a canonical child."""
     accepted = rejected = 0
-    for n, k, level in _levels(6, 4):
-        if (n, k) == (6, 4):
+    for n, k, level in _levels(7, 4):
+        if (n, k) == (6, 4) or n == 7 and k != 3:
             continue
         for rows, columns in level:
-            accepts = _canonical_child_test(columns, n)
-            for col in _children(rows):
-                canonical = _is_canonical(columns + (col,), n)
-                assert accepts(col) == canonical, (rows, col)
-                accepted += canonical
-                rejected += not canonical
-    assert accepted > 0 and rejected > 1000
+            yielded = list(_canonical_children(rows, columns, n))
+            assert len(set(yielded)) == len(yielded), rows
+            canonical = set()
+            for col in range(1 << n):
+                child = [2 * r + (col >> i & 1) for i, r in enumerate(rows)]
+                if col.bit_count() < 2 or child != sorted(child) or not child[0]:
+                    continue
+                if _is_canonical(columns + (col,), n):
+                    canonical.add(col)
+                else:
+                    rejected += 1
+            assert set(yielded) == canonical, rows
+            accepted += len(canonical)
+    assert (accepted, rejected) == (8_531, 25_448)
+
+
+def test_canonical_children_send_1833_children_to_the_tie_test(monkeypatch):
+    """Up to (7,4), 1,833 of the children reach the bit-level tie test and
+    1,673 of those are canonical; every other child is decided from its
+    packed keys.  A packing that sent every child there would fail this."""
+    decided = []
+
+    def recording(*args):
+        decided.append(_tie_accepts(*args))
+        return decided[-1]
+
+    monkeypatch.setattr(impossibility, "_tie_accepts", recording)
+    entries = sum(len(level) for n, k, level in _levels(7, 4) if n == 7 and k == 4)
+    assert entries == 6_279
+    assert (len(decided), sum(decided)) == (1_833, 1_673)
 
 
 def test_orderly_levels_are_pinned_up_to_the_default_search(monkeypatch):

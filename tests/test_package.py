@@ -1,8 +1,9 @@
 """Package structure: the public names, no unused imports, the
 independence of the exhaustive routes from the flow solver they
-cross-check, the one wrapper through which each scan is reached, the
-records' value semantics, the modules ``import fairplay.cli`` and each
-command load, and the package's exports that load on first use."""
+cross-check, the one wrapper through which each scan is reached, the one
+generator of the g = 2 search's children, the records' value semantics,
+the modules ``import fairplay.cli`` and each command load, and the
+package's exports that load on first use."""
 
 import ast
 import pickle
@@ -96,6 +97,14 @@ def test_scans_have_one_wrapper_each_and_the_g2_search_scans_directly():
                 assert names == {"scan_verify"}
             assert node.module != "fairplay" or "_scan" not in names
             assert not names & private, node.module
+
+
+def test_orderly_generation_has_one_child_generator():
+    """The g = 2 search's children come from one generator, called per
+    parent by the orderly levels alone, and only that generator runs the
+    bit-level canonicity test, on the children its packed keys tie."""
+    assert _callers("_canonical_children") == {("impossibility", "_orderly_levels")}
+    assert _callers("_tie_accepts") == {("impossibility", "_canonical_children")}
 
 
 def test_the_profile_bound_is_written_once():
