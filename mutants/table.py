@@ -24,6 +24,7 @@ T_TIES = T_IMP + "test_canonical_children_send_1833_children_to_the_tie_test"
 T_GREEDY_SOUND = T_IMP + "test_greedy_leaf_is_an_efficient_strongly_envy_free_assignment"
 T_GREEDY_COUNT = T_IMP + "test_greedy_leaf_settles_6652_of_the_7_4_candidates"
 T_GREEDY_BUDGET = T_IMP + "test_greedy_leaf_settles_no_candidate_over_the_budget"
+T_WALK = T_IMP + "test_mask_decision_settles_exactly_when_the_scan_finds_an_ef_leaf"
 
 MUTANTS = (
     # the packed canonicity test of the g = 2 search's children
@@ -55,34 +56,82 @@ MUTANTS = (
         "            guards |= 1 << shift - 1\n",
         (T_TIES, T_EXACT),
     ),
-    # the greedy sit-out leaf of the g = 2 search
+    # the greedy sit-out leaf of the g = 2 search's mask decision
     Mutant(
-        "greedy: most-games tie rule dropped",
+        "greedy: fewest-sit-outs tie rule dropped",
         IMPOSSIBILITY,
-        "avail[i] < avail[out] or avail[i] == avail[out] and games[i] > games[out]",
-        "avail[i] < avail[out]",
+        "        row = fewest & -fewest\n        out[k] |= row\n",
+        "        row = meet & -meet\n        k = 0\n        while out[k] & row:\n"
+        "            k += 1\n        out[k] |= row\n",
         (T_GREEDY_COUNT, T_GREEDY_SOUND),
     ),
     Mutant(
-        "greedy: most-games tie rule reversed",
+        "greedy: tie rule reversed, the most sit-outs sit out",
         IMPOSSIBILITY,
-        "avail[i] == avail[out] and games[i] > games[out]",
-        "avail[i] == avail[out] and games[i] < games[out]",
+        "        fewest = meet & ~out[0]\n        while not fewest:\n"
+        "            k += 1\n            fewest = meet & ~out[k]\n",
+        "        while meet & out[k]:\n            k += 1\n"
+        "        fewest = meet & out[k - 1] if k else meet\n",
         (T_GREEDY_COUNT, T_GREEDY_SOUND),
     ),
     Mutant(
-        "greedy: budget gate dropped",
+        "decision: budget gate dropped",
         IMPOSSIBILITY,
-        "    if leaves > budget:\n        return None\n",
-        "",
+        "    if leaves > budget:\n",
+        "    if False:\n",
         (T_GREEDY_BUDGET,),
     ),
     Mutant(
-        "greedy: sit-out index pos, not c - 1 - pos",
+        "greedy: sit-out index j, not c - 1 - j",
         IMPOSSIBILITY,
-        "choice.append(c - 1 - pos)",
-        "choice.append(pos)",
+        "choice.append(c - 1 - (col & row - 1).bit_count())",
+        "choice.append((col & row - 1).bit_count())",
         (T_GREEDY_SOUND,),
+    ),
+    # the leaf walk and the envy test of the mask decision
+    Mutant(
+        "walk: an odd day's last option dropped",
+        IMPOSSIBILITY,
+        "        for s in range(rest.bit_count()):\n",
+        "        for s in range(rest.bit_count() - 1):\n",
+        (T_WALK,),
+    ),
+    Mutant(
+        "walk: lowest row first, the order reversed",
+        IMPOSSIBILITY,
+        "            row = 1 << rest.bit_length() - 1\n",
+        "            row = rest & -rest\n",
+        (T_WALK,),
+    ),
+    Mutant(
+        "envy test: least <= top",
+        IMPOSSIBILITY,
+        "        if least < top:\n",
+        "        if least <= top:\n",
+        (T_GREEDY_COUNT, T_WALK),
+    ),
+    # harvested from hand-run mutants on the solver and the scan
+    Mutant(
+        "random tie-break: DP target not shortened",
+        "src/fairplay/_optima.py",
+        "short = [*target[:-1], target[-1] - 1]",
+        "short = list(target)",
+        ("tests/test_solver.py::test_random_tie_break_is_deterministic_per_seed",),
+    ),
+    Mutant(
+        "flow: reduced-cost test never true",
+        "src/fairplay/_flow.py",
+        "if cost[arc] + pi[day] - pi[player]:",
+        "if False:",
+        ("tests/test_solver.py::test_lex_tie_break_is_row_major_minimum_over_optima"
+         "[reroute-meets-a-dearer-cycle]",),
+    ),
+    Mutant(
+        "scan: skipped subtree not cut at the budget",
+        "src/fairplay/_scan.py",
+        "covered = min(below[day], budget - scanned)",
+        "covered = below[day]",
+        ("tests/test_scan.py::test_budget_truncation[1000]",),
     ),
 )
 

@@ -1,11 +1,16 @@
 """Witness instances where no assignment is both full-game and strongly
 envy-free, and the bounded g = 2 search for one.  A witness is certified
 by :func:`fairplay.oracle.verify_no_fair_ef`, the exhaustive strong-envy
-scan.  The search first tries one greedy leaf per candidate: at g = 2 an
-even day seats all its players and an odd day all but one, so a leaf is one
-sit-out per odd day, and the greedy sits out a least available player.
-Only a candidate that leaf does not settle gets that scan, ``scan_verify``,
-on its day lists directly; the full report is built only for a witness.
+scan.  At g = 2 an even day seats all its players and an odd day all but
+one, so a leaf is one sit-out per odd day, and the search decides each
+candidate within its leaf budget on bit masks: the rows grouped by
+availability, and the sit-outs as nested layers of rows.  It tries the
+greedy leaf, which sits out a least available player, and when that leaf
+is not strongly envy-free it walks every leaf in the scan's odometer
+order.  Within the budget the scan is conclusive and the search reads
+only whether an envy-free leaf exists, so its output is the scan's.  Only
+a candidate over the budget gets the scan, ``scan_verify``, on day lists
+built for it, and only a witness gets the full report.
 
 For group sizes g >= 3 a fixed family works: g players who force both of the
 first two days, and 2g-1 players sharing three more days.  The three shared
@@ -33,7 +38,7 @@ the cap; the pool is only this gate, not what the search generates.
 from __future__ import annotations
 
 import math
-from itertools import combinations, compress
+from itertools import combinations
 from typing import NamedTuple, Optional
 
 from fairplay._scan import scan_verify
@@ -413,37 +418,40 @@ def search_witness_g2(bounds: SearchBounds) -> G2SearchResult:
     only when no size was skipped and no instance was inconclusive, so a
     negative result states its exact coverage.
 
-    Each candidate gets one decision, :func:`_settle`, on its days' players
-    and full subset lists, each built once per search, and on the candidate
-    matrix as its availability rows.  It first builds the greedy leaf
-    (:func:`_greedy_choice`): every player starts at its availability count,
-    and on each odd day, in column order, the day's player with the least
-    availability sits out, ties going to the one with the most games so
-    far, then to the first.  If that leaf is strongly envy-free, checked on
-    the integer counts, the candidate is settled: conclusive, with an EF
-    assignment.  Otherwise one ``scan_verify`` call answers as
-    :func:`verify_no_fair_ef` would under the same budget.
+    Each candidate gets one decision, :func:`_decide`, on its level entry:
+    its row ints and column masks.  A candidate whose leaf count, the
+    product of its odd days' player counts, is within the budget is decided
+    on bit masks alone.  The greedy leaf sits out, on each odd day in
+    column order, one of the day's least available players, the one with
+    the most games so far, then the first; when it is strongly envy-free
+    the candidate is settled.  Otherwise :func:`_first_ef_leaf` walks every
+    sit-out vector in ``scan_verify``'s odometer order, each odd day's
+    highest row first, and returns the first envy-free one, or None.  Within
+    the budget the scan is conclusive and finds an envy-free leaf exactly
+    when one exists, and the search reads only whether the answer was
+    conclusive and whether it found one, so examined and inconclusive
+    counts and the first witness are those of a scan on every candidate.
 
-    The greedy leaf is tried only when the candidate's leaf count, the
-    product of its odd days' player counts, is within the budget.  The scan
-    would then be conclusive and find an EF leaf exactly when one exists,
-    and the search reads only whether the answer was conclusive and whether
-    it found one, so examined and inconclusive counts and the first witness
-    are those of a scan on every candidate.  Only a witness, a conclusive
-    scan with no envy-free assignment, is labelled p1.. and d1.. and gets
-    that full report.
+    Only a candidate over the budget gets the tuple matrix and day lists
+    that ``scan_verify`` walks, and only a witness, a conclusive answer
+    with no envy-free assignment, is labelled p1.. and d1.. and gets the
+    full :func:`verify_no_fair_ef` report.  The worst case is a candidate
+    within the budget that has no envy-free leaf: its sit-out vectors are
+    walked one by one, with none of the scan's orbit pruning, and the
+    search then stops at it.  Every greedy miss up to (7,5) has an
+    envy-free leaf.
     """
     examined = 0
     inconclusive = 0
     searched: list[tuple[int, int]] = []
     skipped: list[tuple[int, int]] = []
+    budget = bounds.per_instance_budget
     # the instances' labels, p1..pn and d1..dm, sliced per size
     names = tuple(f"p{i + 1}" for i in range(bounds.max_players))
     labels = tuple(f"d{k + 1}" for k in range(bounds.max_days))
-    everyone = range(bounds.max_players)
-    # a day's column -> its players, and all subsets of them of the day's
-    # quota in lexicographic order: 1 or c of them for c players
-    day_lists: dict[tuple[int, ...], tuple] = {}
+    # a day's column mask -> its subsets of the day's quota in lexicographic
+    # order, built for the candidates over the budget alone
+    day_lists: dict[int, list] = {}
 
     levels: list = [[]] * bounds.max_days  # one row fits no column of weight >= 2
     for n in range(2, bounds.max_players + 1):
@@ -457,25 +465,17 @@ def search_witness_g2(bounds: SearchBounds) -> G2SearchResult:
         for m, level in enumerate(_orderly_levels(n, below), 1):
             levels.append(level)
             searched.append((n, m))
-            for matrix in _candidates_dedup(level, m):
+            # no zero row and every column of weight >= 2: irreducible at
+            # g = 2, so the decision needs no Problem
+            for rows, columns in _candidates(level):
                 examined += 1
-                # no zero row and every column of weight >= 2: irreducible
-                # at g = 2, so the check needs no Problem
-                lists = []
-                for col in zip(*matrix):
-                    day = day_lists.get(col)
-                    if day is None:
-                        players = tuple(compress(everyone, col))
-                        day = day_lists[col] = players, list(
-                            combinations(players, len(players) & ~1))
-                    lists.append(day)
-                conclusive, choice = _settle(lists, matrix, bounds.per_instance_budget)
+                conclusive, choice = _decide(rows, columns, budget, day_lists)
                 if not conclusive:
                     inconclusive += 1
                 elif choice is None:
-                    p = Problem(names[:n], labels[:m], matrix, 2)
+                    p = Problem(names[:n], labels[:m], _matrix(rows, m), 2)
                     return G2SearchResult(
-                        witness=verify_no_fair_ef(p, bounds.per_instance_budget),
+                        witness=verify_no_fair_ef(p, budget),
                         instances_examined=examined,
                         instances_inconclusive=inconclusive,
                         sizes_searched=tuple(searched),
@@ -492,63 +492,142 @@ def search_witness_g2(bounds: SearchBounds) -> G2SearchResult:
     )
 
 
-def _settle(days, rows, budget: int):
+def _candidates(level):
+    """The entries of an orderly level with no zero row, ``(rows,
+    columns)``, in ascending order of their matrices: rows ascend, so the
+    first row is the least, and row ints read a matrix's rows in order.
+    No two entries share their rows, so the sort never reads columns."""
+    return sorted(entry for entry in level if entry[0][0])
+
+
+def _matrix(rows, m: int) -> tuple[tuple[int, ...], ...]:
+    """The 0/1 matrix of m columns whose rows are the ints ``rows``, first
+    column the most significant bit."""
+    return tuple(tuple([r >> k & 1 for k in range(m - 1, -1, -1)]) for r in rows)
+
+
+def _decide(rows, columns, budget: int, day_lists: dict):
     """One candidate's answer, as ``(conclusive, choice)``: ``choice`` picks
     an efficient strongly envy-free assignment, one index into each day's
-    subset list, or is None when the candidate has none or the budget ran
-    out first.  ``days`` holds each day's players and subset list, ``rows``
-    the candidate's availability rows.
+    lexicographic subset list, or is None when the candidate has none or
+    the budget ran out first.  ``rows`` are the candidate's row ints and
+    ``columns`` its column masks over the rows (row i is bit i).
 
-    The greedy leaf of :func:`_greedy_choice` answers when it is envy-free;
-    otherwise ``scan_verify`` walks the leaves under ``budget``."""
-    choice = _greedy_choice(days, rows, budget)
-    if choice is not None:
-        return True, choice
-    _, conclusive, choice, _ = scan_verify([subsets for _, subsets in days], rows, budget)
-    return conclusive, choice
-
-
-def _greedy_choice(days, rows, budget: int):
-    """The greedy leaf of a g = 2 candidate as a choice, when it is strongly
-    envy-free and the candidate has at most ``budget`` leaves; else None.
-
-    Each player starts at its availability count.  An even day seats all its
-    players; on each odd day, in column order, the day's player with the
-    least availability sits out, ties going to the one with the most games
-    so far, then to the first.  Sitting out player j of an odd day's c
-    players is subset c - 1 - j of its lexicographic list."""
-    avail = list(map(sum, rows))
-    games = avail.copy()
+    Over the budget, ``scan_verify`` walks the day lists under ``budget``,
+    as :func:`verify_no_fair_ef` would; ``day_lists`` maps a column mask
+    to its subset list and keeps each one built.  Within the budget the
+    answer is read off bit masks, with the rows grouped by availability
+    into levels.  The greedy leaf seats all of an even day's players; on
+    each odd day, in column order, one player sits out: of the least
+    available level that meets the day, the rows with the fewest sit-outs
+    so far, that is the most games, and of those the lowest row.  The
+    sit-outs are nested layers: ``out[k]`` holds the rows that sat out
+    more than k times, so the rows with the fewest sit-outs are those the
+    first layer k not holding all of them leaves out, and each then has k
+    sit-outs.  A row sits out at most once a day, so the last of the m
+    layers stays empty until the last day.  Sitting out row j of a day's c
+    players is subset c - 1 - j of its list.  When that leaf is not
+    strongly envy-free, :func:`_first_ef_leaf` walks every leaf."""
+    masks: dict[int, int] = {}
+    bit = 1
+    for r in rows:
+        count = r.bit_count()
+        masks[count] = masks.get(count, 0) | bit
+        bit <<= 1
+    levels = sorted(masks.items())
+    out = [0] * len(columns)
     choice = []
-    leaves = 1
-    for players, subsets in days:
-        c = len(subsets)
-        if c == 1:
+    leaves = 1  # counted on the greedy's pass over the days
+    for col in columns:
+        c = col.bit_count()
+        if not c & 1:
             choice.append(0)
             continue
         leaves *= c
-        out, pos = players[0], 0
-        for j in range(1, c):
-            i = players[j]
-            if avail[i] < avail[out] or avail[i] == avail[out] and games[i] > games[out]:
-                out, pos = i, j
-        games[out] -= 1
-        choice.append(c - 1 - pos)
+        for _, level in levels:
+            meet = level & col
+            if meet:
+                break
+        k = 0
+        fewest = meet & ~out[0]
+        while not fewest:
+            k += 1
+            fewest = meet & ~out[k]
+        row = fewest & -fewest
+        out[k] |= row
+        choice.append(c - 1 - (col & row - 1).bit_count())
     if leaves > budget:
-        return None
-    # strongly envy-free: no player has fewer games than one of strictly
-    # lower availability, that is, in (availability, games) order the
-    # games never fall
-    ranked = [g for _, g in sorted(zip(avail, games))]
-    if ranked != sorted(ranked):
-        return None
-    return tuple(choice)
+        days = []
+        for col in columns:
+            subsets = day_lists.get(col)
+            if subsets is None:
+                players = [i for i in range(col.bit_length()) if col >> i & 1]
+                subsets = day_lists[col] = list(combinations(players, len(players) & ~1))
+            days.append(subsets)
+        _, conclusive, choice, _ = scan_verify(days, _matrix(rows, len(columns)), budget)
+        return conclusive, choice
+    if _envy_free(levels, out):
+        return True, tuple(choice)
+    return True, _first_ef_leaf(levels, columns)
 
 
-def _candidates_dedup(level, m: int):
-    """The n x m matrices of an orderly level with no zero row, in ascending
-    order; rows ascend, so the first row is the least.  Each row int is
-    read from one table of all 2^m rows, built once for the level."""
-    table = [tuple(r >> k & 1 for k in range(m - 1, -1, -1)) for r in range(1 << m)]
-    for rows in sorted(rows for rows, _ in level if rows[0]):
-        yield tuple(map(table.__getitem__, rows))
+def _first_ef_leaf(levels, columns):
+    """The first strongly envy-free leaf of a g = 2 candidate in
+    ``scan_verify``'s odometer order, as a choice, or None when it has
+    none; ``levels`` are its availability levels, ``(count, mask)`` pairs
+    in ascending order of count, and ``columns`` its column masks.
+
+    Day 0 varies slowest.  Subset s of an odd day's c players sits out its
+    player c - 1 - s, so each odd day tries its highest row first; an even
+    day has one subset.  Each leaf's sit-outs are the nested layers of
+    :func:`_decide`, grown and undone as the walk goes."""
+    out = [0] * len(columns)
+    choice = [0] * len(columns)
+    odd = [d for d, col in enumerate(columns) if col.bit_count() & 1]
+
+    def visit(t):
+        if t == len(odd):
+            return _envy_free(levels, out)
+        d = odd[t]
+        rest = columns[d]
+        for s in range(rest.bit_count()):
+            row = 1 << rest.bit_length() - 1
+            rest ^= row
+            k = 0
+            while out[k] & row:
+                k += 1
+            out[k] |= row
+            found = visit(t + 1)
+            out[k] ^= row
+            if found:
+                choice[d] = s
+                return True
+        return False
+
+    return tuple(choice) if visit(0) else None
+
+
+def _envy_free(levels, out) -> bool:
+    """Whether a leaf is strongly envy-free: no row has fewer games than a
+    row of lower availability.  ``levels`` are the availability levels and
+    ``out`` the leaf's nested sit-out layers.
+
+    A row's games are its count less its sit-outs.  The layers are nested,
+    so the layers meeting a level number its most sit-outs, and those
+    holding all of it its fewest: the level's least and most games.  The
+    leaf is envy-free exactly when no level's least games fall below
+    ``top``, the most games of any lower level."""
+    top = 0
+    for count, level in levels:
+        least = most = count
+        for layer in out:
+            if not layer & level:
+                break
+            least -= 1
+            if layer & level == level:
+                most -= 1
+        if least < top:
+            return False
+        if most > top:
+            top = most
+    return True

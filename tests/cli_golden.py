@@ -69,6 +69,8 @@ COMMANDS = [
     *([command, "--help"] for command in ("reduce", "solve", "check", "verify", "enumerate")),
     ["verify", "--group-size", "3", "--budget", "1"],
     ["verify", "--group-size", "2", "--bounds", "5,5", "--per-size-cap", "5"],
+    # the g = 2 search's candidates over their leaf budget, which it scans
+    *(["verify", "--group-size", "2", "--bounds", "5,5", "--budget", b] for b in ("1", "3")),
     # the error exits: the lines above exit 4, 5 and 6 from check and verify,
     # these exit 2 (a missing file), 3 and 6 from enumerate
     ["solve", "--input", "no/such/sheet.csv", "--group-size", "4"],
@@ -82,6 +84,8 @@ LONG_COMMANDS = [
     ["verify", "--group-size", "9", "--budget", "14366628991000"],
     ["verify", "--group-size", "2", "--bounds", "7,6", "--per-size-cap", "200000000"],
     ["verify", "--group-size", "2", "--bounds", "8,5", "--per-size-cap", "60000000"],
+    ["verify", "--group-size", "2", "--bounds", "7,5", "--per-size-cap", "100000000",
+     "--budget", "40"],
 ]
 
 

@@ -446,11 +446,11 @@ def test_verify_g2_prints_the_first_witness(capsys, monkeypatch):
     """No witness lies within reach, so the search's decision is made to
     read the first (2,2) candidate, the all-ones matrix, as one, and the
     verifier to report it."""
-    settle = impossibility._settle
+    decide = impossibility._decide
 
-    def fake_settle(days, rows, budget):
-        if len(days) < 2:
-            return settle(days, rows, budget)
+    def fake_decide(rows, columns, budget, day_lists):
+        if len(columns) < 2:
+            return decide(rows, columns, budget, day_lists)
         return True, None
 
     def fake(p, budget):
@@ -463,7 +463,7 @@ def test_verify_g2_prints_the_first_witness(capsys, monkeypatch):
             conclusive=True,
         )
 
-    monkeypatch.setattr(impossibility, "_settle", fake_settle)
+    monkeypatch.setattr(impossibility, "_decide", fake_decide)
     monkeypatch.setattr(impossibility, "verify_no_fair_ef", fake)
     code, out, err = run(capsys, "verify", "--group-size", "2", "--bounds", "2,2")
     assert (code, err) == (0, "")

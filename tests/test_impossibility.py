@@ -2,6 +2,7 @@
 bounded g=2 search."""
 
 import math
+from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 
 import pytest
@@ -11,11 +12,12 @@ from fairplay import fixtures, impossibility
 from fairplay._scan import scan_verify
 from fairplay.impossibility import (
     SearchBounds,
-    _candidates_dedup,
+    _candidates,
     _canonical_children,
     _column_masks,
-    _greedy_choice,
+    _decide,
     _least_order,
+    _matrix,
     _orderly_levels,
     _tie_accepts,
     build_table2,
@@ -337,41 +339,43 @@ def test_g2_search_at_4_4_completes_without_witness():
     assert result.instances_examined == 126
 
 
+def _no_scan(*args):
+    raise AssertionError("a candidate within its budget reached a scan")
+
+
 def test_g2_search_reports_match_the_independent_enumerator(monkeypatch):
     """Every decision the search makes up to (5,4), its 550 candidates,
     against conftest's enumerator and the model's envy audit, through the
-    search's own route: the day lists and availability counts it decided on
-    and the answer it read.  A decision the scan made is the first
+    search's own route: the row ints and column masks it decided on and
+    the answer it read.  A decision the leaf walk made is the first
     envy-free leaf in odometer order; one the greedy leaf made is an
-    efficient strongly envy-free leaf, and the scan was not called."""
-    decisions, scans = [], []
-    settle = impossibility._settle
+    efficient strongly envy-free leaf, and the walk was not called.  No
+    candidate is scanned."""
+    decisions = []
+    walks = _greedy_misses(monkeypatch)
+    decide = impossibility._decide
 
-    def recording_scan(combos, rows, budget):
-        scans.append(scan_verify(combos, rows, budget))
-        return scans[-1]
-
-    def recording(days, rows, budget):
-        before = len(scans)
-        answer = settle(days, rows, budget)
-        scanned = scans[before:]
-        assert len(scanned) <= 1
-        decisions.append((days, rows, answer, scanned[0] if scanned else None))
+    def recording(rows, columns, budget, day_lists):
+        before = len(walks)
+        answer = decide(rows, columns, budget, day_lists)
+        walked = walks[before:]
+        assert len(walked) <= 1
+        decisions.append((rows, columns, answer, bool(walked)))
         return answer
 
-    monkeypatch.setattr(impossibility, "scan_verify", recording_scan)
-    monkeypatch.setattr(impossibility, "_settle", recording)
+    monkeypatch.setattr(impossibility, "scan_verify", _no_scan)
+    monkeypatch.setattr(impossibility, "_decide", recording)
     result = search_witness_g2(SearchBounds(5, 4))
     assert result.search_complete
     assert len(decisions) == result.instances_examined == 550
     greedy = 0
-    for days, rows, (conclusive, choice), scan in decisions:
-        combos = [subsets for _, subsets in days]
-        # every player of a g = 2 day is in one of its subsets
-        assert [set(players) for players, _ in days] == [set().union(*s) for s in combos]
-        p = _problem_from_matrix(
-            tuple(tuple(int(i in players) for players, _ in days) for i in range(len(rows))))
-        assert list(p.avail) == sorted(p.avail) and tuple(rows) == p.avail
+    for rows, columns, (conclusive, choice), walked in decisions:
+        matrix = _matrix(rows, len(columns))
+        # the masks are the candidate's columns over its rows (row i, bit i)
+        assert columns == _column_masks(matrix)
+        combos = [subsets for _, subsets in _day_lists(matrix)]
+        p = _problem_from_matrix(matrix)
+        assert list(p.avail) == sorted(p.avail)
         leaves = list(all_feasible_assignments(p, full_games_only=True))
         first = next(
             pos for pos, x in enumerate(leaves) if envy_report(x, p).is_strongly_envy_free
@@ -379,15 +383,12 @@ def test_g2_search_reports_match_the_independent_enumerator(monkeypatch):
         assert math.prod(map(len, combos)) == len(leaves)
         assert conclusive
         x = _assignment_from_choice(p, combos, choice)
-        if scan is None:
+        if not walked:
             greedy += 1
             assert x in leaves and envy_report(x, p).is_strongly_envy_free
         else:
-            scanned, scan_conclusive, scan_choice, min_envy = scan
-            assert scan_choice == choice and x == leaves[first]
-            assert scanned == first + 1
-            assert (min_envy, scan_conclusive) == (0, True)
-    assert greedy == 533  # and 17 scans
+            assert x == leaves[first]
+    assert greedy == 533  # and 17 walks
 
 
 def _reference_search(bounds):
@@ -406,8 +407,9 @@ def _reference_search(bounds):
         for m, level in enumerate(_orderly_levels(n, below), 1):
             levels.append(level)
             searched.append((n, m))
-            for matrix in _candidates_dedup(level, m):
+            for rows, _ in _candidates(level):
                 examined += 1
+                matrix = _matrix(rows, m)
                 report = verify_no_fair_ef(_problem_from_matrix(matrix), bounds.per_instance_budget)
                 if not report.conclusive:
                     inconclusive += 1
@@ -441,15 +443,15 @@ def test_g2_search_returns_the_full_report_of_its_witness(monkeypatch, k):
     conclusive with no EF assignment: the search stops there and returns
     that candidate's full report, labelled p1.. and d1.."""
     calls = []
-    settle = impossibility._settle
+    decide = impossibility._decide
 
-    def stub(days, rows, budget):
+    def stub(rows, columns, budget, day_lists):
         calls.append(1)
         if len(calls) == k:
             return True, None
-        return settle(days, rows, budget)
+        return decide(rows, columns, budget, day_lists)
 
-    monkeypatch.setattr(impossibility, "_settle", stub)
+    monkeypatch.setattr(impossibility, "_decide", stub)
     result = search_witness_g2(SearchBounds(5, 4))
     candidates = [matrix for _, _, size in _dedup_candidates(5, 4) for matrix in size]
     assert len(candidates) == 550
@@ -460,7 +462,7 @@ def test_g2_search_returns_the_full_report_of_its_witness(monkeypatch, k):
 
 def _day_lists(matrix):
     """Each day's players and its subsets of the day's g = 2 quota, in
-    lexicographic order, as the search hands them to its decision."""
+    lexicographic order, as ``scan_verify`` walks them."""
     days = []
     for col in zip(*matrix):
         players = tuple(i for i, cell in enumerate(col) if cell)
@@ -468,23 +470,41 @@ def _day_lists(matrix):
     return days
 
 
-def test_greedy_leaf_is_an_efficient_strongly_envy_free_assignment():
+def _greedy_misses(monkeypatch):
+    """Patch the leaf walk to record each call; the list it returns grows
+    by one entry, the walk's answer, per decision the greedy leaf left
+    open."""
+    walks = []
+    walk = impossibility._first_ef_leaf
+
+    def recording(levels, columns):
+        walks.append(walk(levels, columns))
+        return walks[-1]
+
+    monkeypatch.setattr(impossibility, "_first_ef_leaf", recording)
+    return walks
+
+
+def test_greedy_leaf_is_an_efficient_strongly_envy_free_assignment(monkeypatch):
     """Soundness, for every candidate up to (6,5): whenever the greedy leaf
     settles a candidate, the assignment built from its sit-outs is
     feasible, efficient and strongly envy-free, and sits out on each odd
     day one of the day's least available players."""
+    walks = _greedy_misses(monkeypatch)
     settled = tried = 0
-    for n, m, candidates in _dedup_candidates(6, 5):
-        for matrix in candidates:
-            days = _day_lists(matrix)
-            choice = _greedy_choice(days, matrix, DEFAULT_MAX_ASSIGNMENTS)
+    for n, m, level in _levels(6, 5):
+        for rows, columns in _candidates(level):
+            before = len(walks)
+            conclusive, choice = _decide(rows, columns, DEFAULT_MAX_ASSIGNMENTS, {})
             tried += 1
-            if choice is None:
+            if len(walks) > before:
                 continue
             settled += 1
+            matrix = _matrix(rows, m)
+            days = _day_lists(matrix)
             p = _problem_from_matrix(matrix)
             x = _assignment_from_choice(p, [subsets for _, subsets in days], choice)
-            assert is_feasible(x, p) and is_efficient(x, p), matrix
+            assert conclusive and is_feasible(x, p) and is_efficient(x, p), matrix
             assert envy_report(x, p).is_strongly_envy_free, matrix
             avail = p.availability_counts()
             for k, (players, _) in enumerate(days):
@@ -494,65 +514,112 @@ def test_greedy_leaf_is_an_efficient_strongly_envy_free_assignment():
     assert tried == 16_893 and 0 < tried - settled < tried // 10
 
 
-def test_greedy_leaf_settles_no_candidate_over_the_budget():
-    """The greedy leaf answers only when the scan would be conclusive: a
-    candidate with more leaves than the budget is never settled by it, and
-    at a budget of exactly its leaves it is settled as with no budget."""
+def test_mask_decision_settles_exactly_when_the_scan_finds_an_ef_leaf(monkeypatch):
+    """The mask decision against ``scan_verify`` on every candidate up to
+    (6,5): both are conclusive, the decision finds an envy-free leaf
+    exactly when the scan does, and on each greedy miss the leaf walk's
+    choice is the scan's first envy-free choice, tuple for tuple."""
+    walks = _greedy_misses(monkeypatch)
+    tried = 0
+    for n, m, level in _levels(6, 5):
+        for rows, columns in _candidates(level):
+            matrix = _matrix(rows, m)
+            combos = [subsets for _, subsets in _day_lists(matrix)]
+            _, scanned, first, _ = scan_verify(combos, matrix, DEFAULT_MAX_ASSIGNMENTS)
+            before = len(walks)
+            conclusive, choice = _decide(rows, columns, DEFAULT_MAX_ASSIGNMENTS, {})
+            assert conclusive and scanned, matrix
+            assert (choice is None) == (first is None), matrix
+            if len(walks) > before:
+                assert choice == first, matrix
+            tried += 1
+    assert tried == 16_893
+    assert len(walks) == 849 and None not in walks
+
+
+def test_greedy_leaf_settles_no_candidate_over_the_budget(monkeypatch):
+    """The mask decision answers only when the scan would be conclusive: a
+    candidate with more leaves than the budget always goes to one
+    ``scan_verify`` call under that budget, and at a budget of exactly its
+    leaves it is decided as with no budget, with no scan."""
+    scans = []
+
+    def recording_scan(combos, rows, cap):
+        scans.append(scan_verify(combos, rows, cap))
+        return scans[-1]
+
+    monkeypatch.setattr(impossibility, "scan_verify", recording_scan)
+    walks = _greedy_misses(monkeypatch)
     gated = 0
-    for n, m, candidates in _dedup_candidates(6, 4):
-        for matrix in candidates:
-            days = _day_lists(matrix)
-            leaves = math.prod(len(subsets) for _, subsets in days)
-            choice = _greedy_choice(days, matrix, DEFAULT_MAX_ASSIGNMENTS)
-            assert _greedy_choice(days, matrix, leaves) == choice
+    for n, m, level in _levels(6, 4):
+        for rows, columns in _candidates(level):
+            matrix = _matrix(rows, m)
+            combos = [subsets for _, subsets in _day_lists(matrix)]
+            leaves = math.prod(map(len, combos))
+            before = len(walks)
+            answer = _decide(rows, columns, DEFAULT_MAX_ASSIGNMENTS, {})
+            greedy = len(walks) == before
+            assert _decide(rows, columns, leaves, {}) == answer
+            assert not scans
             if leaves > 1:
-                assert _greedy_choice(days, matrix, leaves - 1) is None
-                gated += choice is not None
+                before = len(walks)
+                _, conclusive, choice, _ = scan_verify(combos, matrix, leaves - 1)
+                assert _decide(rows, columns, leaves - 1, {}) == (conclusive, choice)
+                assert len(scans) == 1 and len(walks) == before
+                scans.clear()
+                gated += greedy
     assert gated > 1000
 
 
 @pytest.mark.parametrize("budget", [1, 3, 50])
 def test_g2_search_scans_every_candidate_over_its_budget(monkeypatch, budget):
     """Through the search: every decision on a candidate with more leaves
-    than the budget goes to the scan, and (5,5) at a budget of 1 leaves
-    1,107 candidates inconclusive."""
-    settle, scans = impossibility._settle, []
+    than the budget goes to the scan, and no other does, and (5,5) at a
+    budget of 1 leaves 1,107 candidates inconclusive."""
+    decide, scans = impossibility._decide, []
     over = 0
 
     def recording_scan(combos, rows, cap):
         scans.append(1)
         return scan_verify(combos, rows, cap)
 
-    def recording(days, rows, cap):
+    def recording(rows, columns, cap, day_lists):
         nonlocal over
         before = len(scans)
-        answer = settle(days, rows, cap)
-        if math.prod(len(subsets) for _, subsets in days) > cap:
-            over += 1
-            assert len(scans) == before + 1
+        answer = decide(rows, columns, cap, day_lists)
+        leaves = math.prod(len(subsets) for _, subsets in _day_lists(_matrix(rows, len(columns))))
+        over += leaves > cap
+        assert len(scans) == before + (leaves > cap)
         return answer
 
     monkeypatch.setattr(impossibility, "scan_verify", recording_scan)
-    monkeypatch.setattr(impossibility, "_settle", recording)
+    monkeypatch.setattr(impossibility, "_decide", recording)
     result = search_witness_g2(SearchBounds(5, 5, per_instance_budget=budget))
     assert over >= result.instances_inconclusive > 0
+    assert len(scans) == over
     if budget == 1:
         assert result.instances_inconclusive == 1_107
 
 
 def test_greedy_leaf_settles_6652_of_the_7_4_candidates(monkeypatch):
-    """The greedy leaf settles 6,652 of the 6,834 candidates up to (7,4),
-    so the scan walks only 182."""
-    greedy, settled = impossibility._greedy_choice, []
+    """The greedy leaf settles 6,652 of the 6,834 candidates up to (7,4)
+    and the leaf walk the other 182; the search calls neither
+    ``scan_verify`` nor :func:`verify_no_fair_ef`."""
+    decisions = []
+    decide = impossibility._decide
 
-    def recording(days, rows, budget):
-        choice = greedy(days, rows, budget)
-        settled.append(choice is not None)
-        return choice
+    def recording(rows, columns, budget, day_lists):
+        decisions.append(1)
+        return decide(rows, columns, budget, day_lists)
 
-    monkeypatch.setattr(impossibility, "_greedy_choice", recording)
+    monkeypatch.setattr(impossibility, "_decide", recording)
+    walks = _greedy_misses(monkeypatch)
+    monkeypatch.setattr(impossibility, "scan_verify", _no_scan)
+    monkeypatch.setattr(impossibility, "verify_no_fair_ef", _no_scan)
     assert search_witness_g2(SearchBounds(7, 4)).instances_examined == 6_834
-    assert (len(settled), sum(settled)) == (6_834, 6_652)
+    assert len(decisions) == 6_834
+    assert (len(decisions) - len(walks), len(walks)) == (6_652, 182)
+    assert None not in walks
 
 
 def test_g2_search_dedup_skips_oversized_pools():
@@ -582,8 +649,9 @@ def _levels(max_players, max_days):
 
 
 def _dedup_candidates(max_players, max_days):
+    """``(n, m, candidates)`` per size, each candidate as its 0/1 matrix."""
     for n, m, level in _levels(max_players, max_days):
-        yield n, m, list(_candidates_dedup(level, m))
+        yield n, m, [_matrix(rows, m) for rows, _ in _candidates(level)]
 
 
 def _int_to_matrix(value: int, n: int, m: int) -> tuple[tuple[int, ...], ...]:
@@ -681,10 +749,72 @@ def test_canonical_children_send_1833_children_to_the_tie_test(monkeypatch):
     assert (len(decided), sum(decided)) == (1_833, 1_673)
 
 
+def _partitions(n, largest=None):
+    """The partitions of n, parts in descending order, none above
+    ``largest``."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
+
+
+def _class_share(parts) -> Fraction:
+    """The share of the permutations with cycle type ``parts`` among all
+    permutations of their sum: 1 / prod(i^m_i * m_i!) over the m_i parts
+    equal to i."""
+    z = 1
+    for i in set(parts):
+        z *= i ** parts.count(i) * math.factorial(parts.count(i))
+    return Fraction(1, z)
+
+
+def _burnside_entries(n: int, k: int) -> int:
+    """E(n, k), the classes under row and column permutations of the n x k
+    0/1 matrices whose columns all have weight >= 2: an orderly level's
+    entries, counted by Burnside's lemma with exact fractions and no
+    matrix built.
+
+    A matrix fixed by a row permutation of cycle type rho and a column
+    permutation of cycle type kappa is free on the orbits of the cells.
+    Below a column cycle of length b, a column reads gcd(a, b) free bits
+    on a row cycle of length a, each bit standing for a / gcd(a, b) rows,
+    and the cycle's other columns are its images, of the same weight.  The
+    column reads weight 0 once, and weight 1 on each free bit that stands
+    for one row, a of them on each row cycle whose length a divides b.
+    """
+    total = Fraction(0)
+    for rho in _partitions(n):
+        for kappa in _partitions(k):
+            fixed = 1
+            for b in kappa:
+                bits = sum(math.gcd(a, b) for a in rho)
+                fixed *= 2**bits - 1 - sum(a for a in rho if b % a == 0)
+            total += _class_share(rho) * _class_share(kappa) * fixed
+    assert total.denominator == 1
+    return int(total)
+
+
+def test_burnside_count_of_small_classes():
+    """The count itself, on sizes small enough to list every matrix: the
+    classes of n x k matrices with columns of weight >= 2, by canonical
+    form."""
+    for n in range(1, 5):
+        for k in range(1, 4):
+            matrices = {
+                canonical_form(_int_to_matrix(value, n, k))
+                for value in range(1 << (n * k))
+                if all(sum(col) >= 2 for col in zip(*_int_to_matrix(value, n, k)))
+            }
+            assert _burnside_entries(n, k) == len(matrices), (n, k)
+
+
 def test_orderly_levels_are_pinned_up_to_the_default_search(monkeypatch):
     """Entries and candidates (entries with no zero row) per (n, k) of every
     level the default search makes, 22,148 candidates over 32 sizes, and
-    of (5,6) under a cap of 10^7: the counts of plain orderly generation."""
+    of (5,6) under a cap of 10^7: the counts of plain orderly generation,
+    and Burnside's count of each level's classes."""
     sizes = {}
 
     def recording(n, below):
@@ -692,11 +822,11 @@ def test_orderly_levels_are_pinned_up_to_the_default_search(monkeypatch):
             sizes[n, k] = len(level), sum(1 for rows, _ in level if rows[0])
             yield level
 
-    def settle_stub(days, rows, budget):  # an envy-free first leaf
-        return True, (0,) * len(days)
+    def decide_stub(rows, columns, budget, day_lists):  # an envy-free first leaf
+        return True, (0,) * len(columns)
 
     monkeypatch.setattr(impossibility, "_orderly_levels", recording)
-    monkeypatch.setattr(impossibility, "_settle", settle_stub)
+    monkeypatch.setattr(impossibility, "_decide", decide_stub)
     assert search_witness_g2(SearchBounds(7, 6)).instances_examined == 22_148
     entries = {
         2: [1, 1, 1, 1, 1, 1],
@@ -719,9 +849,17 @@ def test_orderly_levels_are_pinned_up_to_the_default_search(monkeypatch):
         for n in entries
         for k in range(1, len(entries[n]) + 1)
     }
+    searched = dict(sizes)
     sizes.clear()
     search_witness_g2(SearchBounds(5, 6, per_size_cap=10**7))
     assert sizes[5, 6] == (8651, 8156)
+    # an independent count of every level made: E(n, k) entries, and
+    # E(n, k) - E(n - 1, k) candidates, the entries with no zero row
+    searched.update(sizes)
+    assert len(searched) == 33
+    for (n, k), (made, kept) in searched.items():
+        entries = _burnside_entries(n, k)
+        assert (made, kept) == (entries, entries - _burnside_entries(n - 1, k)), (n, k)
 
 
 def test_dedup_candidates_are_the_canonical_forms_of_raw_candidates():

@@ -77,15 +77,18 @@ def _callers(name: str) -> set[tuple[str, str]]:
 def test_scans_have_one_wrapper_each_and_the_g2_search_scans_directly():
     """Each exhaustive scan has one public wrapper in ``oracle``.  The g = 2
     search alone calls ``scan_verify`` itself, in its per-candidate
-    decision on the day lists it builds, and reaches the oracle only
-    through that wrapper: it imports nothing else from the scan kernel and
-    none of the oracle's leaf helpers."""
+    decision, on the day lists it builds for a candidate over its budget,
+    and reaches the oracle only through that wrapper: it imports nothing
+    else from the scan kernel and none of the oracle's leaf helpers.  The
+    decision's leaf walk and envy test have no other caller."""
     assert _callers("scan_fair") == {("oracle", "brute_force_fair")}
     assert _callers("scan_verify") == {
         ("oracle", "verify_no_fair_ef"),
-        ("impossibility", "_settle"),
+        ("impossibility", "_decide"),
     }
-    assert _callers("_settle") == {("impossibility", "search_witness_g2")}
+    assert _callers("_decide") == {("impossibility", "search_witness_g2")}
+    assert _callers("_first_ef_leaf") == {("impossibility", "_decide")}
+    assert _callers("_envy_free") == {("impossibility", "_decide"), ("impossibility", "visit")}
     private = {"_efficient_lists", "_assignment_from_choice", "_require_irreducible"}
     tree = ast.parse((SRC / "impossibility.py").read_text(encoding="utf-8"))
     for node in ast.walk(tree):
