@@ -25,6 +25,11 @@ T_GREEDY_SOUND = T_IMP + "test_greedy_leaf_is_an_efficient_strongly_envy_free_as
 T_GREEDY_COUNT = T_IMP + "test_greedy_leaf_settles_6652_of_the_7_4_candidates"
 T_GREEDY_BUDGET = T_IMP + "test_greedy_leaf_settles_no_candidate_over_the_budget"
 T_WALK = T_IMP + "test_mask_decision_settles_exactly_when_the_scan_finds_an_ef_leaf"
+T_GOLDEN = "tests/test_cli.py::test_cli_output_matches_the_golden_table"
+T_GOLDEN_BUDGET = tuple(
+    f"{T_GOLDEN}[verify --group-size 2 --bounds {bounds} --budget {budget}]"
+    for bounds, budget in (("5,5", 1), ("5,5", 3), ("5,5", 50), ("4,6", 7))
+)
 
 MUTANTS = (
     # the packed canonicity test of the g = 2 search's children
@@ -77,9 +82,9 @@ MUTANTS = (
     Mutant(
         "decision: budget gate dropped",
         IMPOSSIBILITY,
-        "    if leaves > budget:\n",
-        "    if False:\n",
-        (T_GREEDY_BUDGET,),
+        "    if leaves <= budget and _envy_free(levels, out):\n",
+        "    if _envy_free(levels, out):\n",
+        (T_GREEDY_BUDGET, *T_GOLDEN_BUDGET),
     ),
     Mutant(
         "greedy: sit-out index j, not c - 1 - j",
@@ -95,6 +100,13 @@ MUTANTS = (
         "        for s in range(rest.bit_count()):\n",
         "        for s in range(rest.bit_count() - 1):\n",
         (T_WALK,),
+    ),
+    Mutant(
+        "walk: stops one leaf past the budget",
+        IMPOSSIBILITY,
+        "    left = budget\n",
+        "    left = budget + 1\n",
+        (T_GREEDY_BUDGET, *T_GOLDEN_BUDGET),
     ),
     Mutant(
         "walk: lowest row first, the order reversed",

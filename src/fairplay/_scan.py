@@ -61,9 +61,11 @@ scan folds representatives only when the last day offers more subsets
 than there are players, and otherwise keeps the plain fold: with few
 subsets per node few leaves share a class, and the walk costs more than
 the counts it saves.  Folding representatives on every scan made the
-benchmark's g2-search workload, whose last days offer 1 or a subsets to a
-players, 25% slower (2 vCPUs, Python 3.11).  ``_optima._Optima`` caches
-the closed-form counts below every depth m-2 node by the same argument.
+envy scans of the benchmark's oracle-crosscheck workload, 200 mid-size
+instances of which 110 have a last day offering at most n subsets, about
+45% slower: 0.027 s against 0.037 s at best of 30 (2 vCPUs, Python
+3.11).  ``_optima._Optima`` caches the closed-form counts below every
+depth m-2 node by the same argument.
 
 A representative's envy count is built along the walk, not recounted.  A
 leaf differs from its node only in its q chosen day players, one game up
@@ -354,21 +356,15 @@ def scan_verify(combos, rows, budget):
     The scan ends at the first envy-free leaf, which it counts, so that
     leaf is number ``scanned`` in odometer order and ``min_envy`` is 0;
     ``conclusive`` is True when one was found or every leaf was covered.
-    The first leaf, every day's first subset, is counted before any walk
-    is set up, and when it is envy-free the scan returns the walk's answer
-    for it at once: most tiny instances of the g = 2 search end there.
+    A skipped subtree holds no envy-free leaf and counts against the budget
+    like scanned leaves, so the scan finds one exactly when the first in
+    odometer order lies within ``budget`` leaves.
     """
     if not combos or not all(combos):
         return 0, True, None, _NO_LEAVES
     n, last = len(rows), combos[-1]
     avail = list(map(sum, rows))
     order, starts = _prep_envy_order(n, avail)
-    games = [0] * n
-    for subsets in combos:
-        for i in subsets[0]:
-            games[i] += 1
-    if not _count_envy_pairs(games, order, starts, 1):
-        return 1, True, (0,) * len(combos), 0  # the walk's answer at this leaf
     ef_choice = None
     min_envy = n * n + 1
 

@@ -85,9 +85,17 @@ def parse_problem(text: str, group_size: int) -> Problem:
     return Problem(tuple(players), tuple(days), tuple(map(tuple, rows)), group_size)
 
 
-def parse_problem_file(path: str | os.PathLike[str], group_size: int) -> Problem:
+def _read_text(path: str | os.PathLike[str]) -> str:
+    """A file's text; bytes that are not UTF-8 are an input error."""
     with open(path, encoding="utf-8") as fh:
-        return parse_problem(fh.read(), group_size)
+        try:
+            return fh.read()
+        except UnicodeDecodeError:
+            raise ValidationError(f"{os.fspath(path)}: not UTF-8 text") from None
+
+
+def parse_problem_file(path: str | os.PathLike[str], group_size: int) -> Problem:
+    return parse_problem(_read_text(path), group_size)
 
 
 def parse_assignment(text: str, p: Problem) -> Assignment:
@@ -106,8 +114,7 @@ def parse_assignment(text: str, p: Problem) -> Assignment:
 
 
 def parse_assignment_file(path: str | os.PathLike[str], p: Problem) -> Assignment:
-    with open(path, encoding="utf-8") as fh:
-        return parse_assignment(fh.read(), p)
+    return parse_assignment(_read_text(path), p)
 
 
 def _serialize(players, days, matrix) -> str:

@@ -3,14 +3,12 @@ envy-free, and the bounded g = 2 search for one.  A witness is certified
 by :func:`fairplay.oracle.verify_no_fair_ef`, the exhaustive strong-envy
 scan.  At g = 2 an even day seats all its players and an odd day all but
 one, so a leaf is one sit-out per odd day, and the search decides each
-candidate within its leaf budget on bit masks: the rows grouped by
-availability, and the sit-outs as nested layers of rows.  It tries the
-greedy leaf, which sits out a least available player, and when that leaf
-is not strongly envy-free it walks every leaf in the scan's odometer
-order.  Within the budget the scan is conclusive and the search reads
-only whether an envy-free leaf exists, so its output is the scan's.  Only
-a candidate over the budget gets the scan, ``scan_verify``, on day lists
-built for it, and only a witness gets the full report.
+candidate on bit masks: the rows grouped by availability, and the
+sit-outs as nested layers of rows.  Within the leaf budget it tries the
+greedy leaf, which sits out a least available player; otherwise, or when
+that leaf is not strongly envy-free, it walks at most ``budget`` leaves
+in the scan's odometer order, which gives the scan's answer under the
+same budget.  It runs no scan; only a witness gets the full report.
 
 For group sizes g >= 3 a fixed family works: g players who force both of the
 first two days, and 2g-1 players sharing three more days.  The three shared
@@ -38,10 +36,8 @@ the cap; the pool is only this gate, not what the search generates.
 from __future__ import annotations
 
 import math
-from itertools import combinations
 from typing import NamedTuple, Optional
 
-from fairplay._scan import scan_verify
 from fairplay.model import Problem
 from fairplay.oracle import (
     DEFAULT_MAX_ASSIGNMENTS,
@@ -418,27 +414,30 @@ def search_witness_g2(bounds: SearchBounds) -> G2SearchResult:
     only when no size was skipped and no instance was inconclusive, so a
     negative result states its exact coverage.
 
-    Each candidate gets one decision, :func:`_decide`, on its level entry:
-    its row ints and column masks.  A candidate whose leaf count, the
-    product of its odd days' player counts, is within the budget is decided
-    on bit masks alone.  The greedy leaf sits out, on each odd day in
-    column order, one of the day's least available players, the one with
-    the most games so far, then the first; when it is strongly envy-free
-    the candidate is settled.  Otherwise :func:`_first_ef_leaf` walks every
-    sit-out vector in ``scan_verify``'s odometer order, each odd day's
-    highest row first, and returns the first envy-free one, or None.  Within
-    the budget the scan is conclusive and finds an envy-free leaf exactly
-    when one exists, and the search reads only whether the answer was
-    conclusive and whether it found one, so examined and inconclusive
-    counts and the first witness are those of a scan on every candidate.
+    Each candidate gets one decision on bit masks, :func:`_decide`, on its
+    row ints and column masks.  When its leaf count, the product of its
+    odd days' player counts, is within the budget, the greedy leaf sits
+    out, on each odd day in column order, one of the day's least available
+    players, the one with the most games so far, then the first; when it
+    is strongly envy-free the candidate is settled.  Otherwise
+    :func:`_first_ef_leaf` walks the sit-out vectors in ``scan_verify``'s
+    odometer order, each odd day's highest row first, and returns the
+    first envy-free one within ``budget`` leaves, or None.  The scan's
+    orbit memo skips only subtrees with no envy-free leaf and counts them
+    against the budget, so it finds one exactly when the first in odometer
+    order lies within the budget, as the walk does; both are conclusive
+    exactly when they find one or cover every leaf.  The search reads only
+    whether the answer was conclusive and whether it found one, so
+    examined and inconclusive counts and the first witness are those of a
+    scan on every candidate.
 
-    Only a candidate over the budget gets the tuple matrix and day lists
-    that ``scan_verify`` walks, and only a witness, a conclusive answer
-    with no envy-free assignment, is labelled p1.. and d1.. and gets the
-    full :func:`verify_no_fair_ef` report.  The worst case is a candidate
-    within the budget that has no envy-free leaf: its sit-out vectors are
-    walked one by one, with none of the scan's orbit pruning, and the
-    search then stops at it.  Every greedy miss up to (7,5) has an
+    Only a witness, a conclusive answer with no envy-free assignment, gets
+    a tuple matrix, labels p1.. and d1.. and the full
+    :func:`verify_no_fair_ef` report.  The walk has none of the scan's
+    orbit pruning, so the worst cases walk leaf by leaf: a candidate with
+    no envy-free leaf within the budget, where the search then stops, and
+    one over the budget whose first envy-free leaf lies past it, which
+    costs ``budget`` leaves.  Every greedy miss up to (7,5) has an
     envy-free leaf.
     """
     examined = 0
@@ -449,9 +448,6 @@ def search_witness_g2(bounds: SearchBounds) -> G2SearchResult:
     # the instances' labels, p1..pn and d1..dm, sliced per size
     names = tuple(f"p{i + 1}" for i in range(bounds.max_players))
     labels = tuple(f"d{k + 1}" for k in range(bounds.max_days))
-    # a day's column mask -> its subsets of the day's quota in lexicographic
-    # order, built for the candidates over the budget alone
-    day_lists: dict[int, list] = {}
 
     levels: list = [[]] * bounds.max_days  # one row fits no column of weight >= 2
     for n in range(2, bounds.max_players + 1):
@@ -469,7 +465,7 @@ def search_witness_g2(bounds: SearchBounds) -> G2SearchResult:
             # g = 2, so the decision needs no Problem
             for rows, columns in _candidates(level):
                 examined += 1
-                conclusive, choice = _decide(rows, columns, budget, day_lists)
+                conclusive, choice = _decide(rows, columns, budget)
                 if not conclusive:
                     inconclusive += 1
                 elif choice is None:
@@ -506,28 +502,28 @@ def _matrix(rows, m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple([r >> k & 1 for k in range(m - 1, -1, -1)]) for r in rows)
 
 
-def _decide(rows, columns, budget: int, day_lists: dict):
+def _decide(rows, columns, budget: int):
     """One candidate's answer, as ``(conclusive, choice)``: ``choice`` picks
     an efficient strongly envy-free assignment, one index into each day's
     lexicographic subset list, or is None when the candidate has none or
     the budget ran out first.  ``rows`` are the candidate's row ints and
     ``columns`` its column masks over the rows (row i is bit i).
 
-    Over the budget, ``scan_verify`` walks the day lists under ``budget``,
-    as :func:`verify_no_fair_ef` would; ``day_lists`` maps a column mask
-    to its subset list and keeps each one built.  Within the budget the
-    answer is read off bit masks, with the rows grouped by availability
-    into levels.  The greedy leaf seats all of an even day's players; on
-    each odd day, in column order, one player sits out: of the least
-    available level that meets the day, the rows with the fewest sit-outs
-    so far, that is the most games, and of those the lowest row.  The
-    sit-outs are nested layers: ``out[k]`` holds the rows that sat out
+    The answer is read off bit masks, with the rows grouped by
+    availability into levels.  The greedy leaf seats all of an even day's
+    players; on each odd day, in column order, one player sits out: of the
+    least available level that meets the day, the rows with the fewest
+    sit-outs so far, that is the most games, and of those the lowest row.
+    The sit-outs are nested layers: ``out[k]`` holds the rows that sat out
     more than k times, so the rows with the fewest sit-outs are those the
     first layer k not holding all of them leaves out, and each then has k
     sit-outs.  A row sits out at most once a day, so the last of the m
     layers stays empty until the last day.  Sitting out row j of a day's c
-    players is subset c - 1 - j of its list.  When that leaf is not
-    strongly envy-free, :func:`_first_ef_leaf` walks every leaf."""
+    players is subset c - 1 - j of its list.  When the candidate's leaves
+    are within the budget and that leaf is strongly envy-free, it is the
+    answer.  Otherwise :func:`_first_ef_leaf` walks at most ``budget``
+    leaves, and the answer is conclusive when it found one or walked them
+    all: ``scan_verify``'s answer under the same budget."""
     masks: dict[int, int] = {}
     bit = 1
     for r in rows:
@@ -556,41 +552,40 @@ def _decide(rows, columns, budget: int, day_lists: dict):
         row = fewest & -fewest
         out[k] |= row
         choice.append(c - 1 - (col & row - 1).bit_count())
-    if leaves > budget:
-        days = []
-        for col in columns:
-            subsets = day_lists.get(col)
-            if subsets is None:
-                players = [i for i in range(col.bit_length()) if col >> i & 1]
-                subsets = day_lists[col] = list(combinations(players, len(players) & ~1))
-            days.append(subsets)
-        _, conclusive, choice, _ = scan_verify(days, _matrix(rows, len(columns)), budget)
-        return conclusive, choice
-    if _envy_free(levels, out):
+    if leaves <= budget and _envy_free(levels, out):
         return True, tuple(choice)
-    return True, _first_ef_leaf(levels, columns)
+    first = _first_ef_leaf(levels, columns, budget)
+    return first is not None or leaves <= budget, first
 
 
-def _first_ef_leaf(levels, columns):
+def _first_ef_leaf(levels, columns, budget: int):
     """The first strongly envy-free leaf of a g = 2 candidate in
-    ``scan_verify``'s odometer order, as a choice, or None when it has
-    none; ``levels`` are its availability levels, ``(count, mask)`` pairs
-    in ascending order of count, and ``columns`` its column masks.
+    ``scan_verify``'s odometer order, as a choice, or None when none lies
+    within the first ``budget`` leaves; ``levels`` are its availability
+    levels, ``(count, mask)`` pairs in ascending order of count, and
+    ``columns`` its column masks.
 
     Day 0 varies slowest.  Subset s of an odd day's c players sits out its
     player c - 1 - s, so each odd day tries its highest row first; an even
     day has one subset.  Each leaf's sit-outs are the nested layers of
-    :func:`_decide`, grown and undone as the walk goes."""
+    :func:`_decide`, grown and undone as the walk goes.  The walk has none
+    of the scan's orbit pruning, so a candidate whose first envy-free leaf
+    lies past the budget costs ``budget`` leaves."""
     out = [0] * len(columns)
     choice = [0] * len(columns)
     odd = [d for d, col in enumerate(columns) if col.bit_count() & 1]
+    left = budget
 
     def visit(t):
+        nonlocal left
         if t == len(odd):
+            left -= 1
             return _envy_free(levels, out)
         d = odd[t]
         rest = columns[d]
         for s in range(rest.bit_count()):
+            if not left:
+                return False
             row = 1 << rest.bit_length() - 1
             rest ^= row
             k = 0

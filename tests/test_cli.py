@@ -109,6 +109,24 @@ def test_missing_file_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reduce", "--input", "BAD", "--group-size", "2"],
+        ["solve", "--input", "BAD", "--group-size", "2"],
+        ["check", "--input", "BAD", "--group-size", "2", "--assignment", CORRECTED],
+        ["check", "--input", T1, "--group-size", "4", "--assignment", "BAD"],
+        ["enumerate", "--input", "BAD", "--group-size", "2"],
+    ],
+    ids=["reduce", "solve", "check-input", "check-assignment", "enumerate"],
+)
+def test_non_utf8_file_exits_2(capsys, tmp_path, argv):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"player,Mon\na\xff,1\n")
+    code, out, err = run(capsys, *[str(bad) if arg == "BAD" else arg for arg in argv])
+    assert (code, out, err) == (2, "", f"error: {bad}: not UTF-8 text\n")
+
+
 def test_group_size_below_two_exits_2(capsys):
     code, _, err = run(capsys, "reduce", "--input", T1, "--group-size", "1")
     assert code == 2
@@ -448,9 +466,9 @@ def test_verify_g2_prints_the_first_witness(capsys, monkeypatch):
     verifier to report it."""
     decide = impossibility._decide
 
-    def fake_decide(rows, columns, budget, day_lists):
+    def fake_decide(rows, columns, budget):
         if len(columns) < 2:
-            return decide(rows, columns, budget, day_lists)
+            return decide(rows, columns, budget)
         return True, None
 
     def fake(p, budget):

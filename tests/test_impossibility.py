@@ -8,7 +8,7 @@ from itertools import combinations, combinations_with_replacement, permutations,
 import pytest
 
 from conftest import all_feasible_assignments, make_problem, random_problem
-from fairplay import fixtures, impossibility
+from fairplay import _scan, fixtures, impossibility, oracle
 from fairplay._scan import scan_verify
 from fairplay.impossibility import (
     SearchBounds,
@@ -340,7 +340,14 @@ def test_g2_search_at_4_4_completes_without_witness():
 
 
 def _no_scan(*args):
-    raise AssertionError("a candidate within its budget reached a scan")
+    raise AssertionError("the g = 2 search reached a scan")
+
+
+def _forbid_scans(monkeypatch):
+    """Make every route to ``scan_verify`` fail: the kernel's own name and
+    the oracle's, through which :func:`verify_no_fair_ef` reaches it."""
+    monkeypatch.setattr(_scan, "scan_verify", _no_scan)
+    monkeypatch.setattr(oracle, "scan_verify", _no_scan)
 
 
 def test_g2_search_reports_match_the_independent_enumerator(monkeypatch):
@@ -355,15 +362,15 @@ def test_g2_search_reports_match_the_independent_enumerator(monkeypatch):
     walks = _greedy_misses(monkeypatch)
     decide = impossibility._decide
 
-    def recording(rows, columns, budget, day_lists):
+    def recording(rows, columns, budget):
         before = len(walks)
-        answer = decide(rows, columns, budget, day_lists)
+        answer = decide(rows, columns, budget)
         walked = walks[before:]
         assert len(walked) <= 1
         decisions.append((rows, columns, answer, bool(walked)))
         return answer
 
-    monkeypatch.setattr(impossibility, "scan_verify", _no_scan)
+    _forbid_scans(monkeypatch)
     monkeypatch.setattr(impossibility, "_decide", recording)
     result = search_witness_g2(SearchBounds(5, 4))
     assert result.search_complete
@@ -445,11 +452,11 @@ def test_g2_search_returns_the_full_report_of_its_witness(monkeypatch, k):
     calls = []
     decide = impossibility._decide
 
-    def stub(rows, columns, budget, day_lists):
+    def stub(rows, columns, budget):
         calls.append(1)
         if len(calls) == k:
             return True, None
-        return decide(rows, columns, budget, day_lists)
+        return decide(rows, columns, budget)
 
     monkeypatch.setattr(impossibility, "_decide", stub)
     result = search_witness_g2(SearchBounds(5, 4))
@@ -472,13 +479,13 @@ def _day_lists(matrix):
 
 def _greedy_misses(monkeypatch):
     """Patch the leaf walk to record each call; the list it returns grows
-    by one entry, the walk's answer, per decision the greedy leaf left
-    open."""
+    by one entry, the walk's answer, per decision the greedy leaf did not
+    settle."""
     walks = []
     walk = impossibility._first_ef_leaf
 
-    def recording(levels, columns):
-        walks.append(walk(levels, columns))
+    def recording(levels, columns, budget):
+        walks.append(walk(levels, columns, budget))
         return walks[-1]
 
     monkeypatch.setattr(impossibility, "_first_ef_leaf", recording)
@@ -495,7 +502,7 @@ def test_greedy_leaf_is_an_efficient_strongly_envy_free_assignment(monkeypatch):
     for n, m, level in _levels(6, 5):
         for rows, columns in _candidates(level):
             before = len(walks)
-            conclusive, choice = _decide(rows, columns, DEFAULT_MAX_ASSIGNMENTS, {})
+            conclusive, choice = _decide(rows, columns, DEFAULT_MAX_ASSIGNMENTS)
             tried += 1
             if len(walks) > before:
                 continue
@@ -527,7 +534,7 @@ def test_mask_decision_settles_exactly_when_the_scan_finds_an_ef_leaf(monkeypatc
             combos = [subsets for _, subsets in _day_lists(matrix)]
             _, scanned, first, _ = scan_verify(combos, matrix, DEFAULT_MAX_ASSIGNMENTS)
             before = len(walks)
-            conclusive, choice = _decide(rows, columns, DEFAULT_MAX_ASSIGNMENTS, {})
+            conclusive, choice = _decide(rows, columns, DEFAULT_MAX_ASSIGNMENTS)
             assert conclusive and scanned, matrix
             assert (choice is None) == (first is None), matrix
             if len(walks) > before:
@@ -537,66 +544,69 @@ def test_mask_decision_settles_exactly_when_the_scan_finds_an_ef_leaf(monkeypatc
     assert len(walks) == 849 and None not in walks
 
 
+def _budget_candidates():
+    """``(matrix, rows, columns)`` for every candidate up to (6,4) and
+    (5,5), each once."""
+    for bounds in ((6, 4), (5, 5)):
+        for n, m, level in _levels(*bounds):
+            if bounds == (5, 5) and m < 5:
+                continue  # made up to (6,4) already
+            for rows, columns in _candidates(level):
+                yield _matrix(rows, m), rows, columns
+
+
 def test_greedy_leaf_settles_no_candidate_over_the_budget(monkeypatch):
-    """The mask decision answers only when the scan would be conclusive: a
-    candidate with more leaves than the budget always goes to one
-    ``scan_verify`` call under that budget, and at a budget of exactly its
-    leaves it is decided as with no budget, with no scan."""
-    scans = []
-
-    def recording_scan(combos, rows, cap):
-        scans.append(scan_verify(combos, rows, cap))
-        return scans[-1]
-
-    monkeypatch.setattr(impossibility, "scan_verify", recording_scan)
+    """The decision under a budget is ``scan_verify``'s under the same
+    budget, for every candidate up to (6,4) and (5,5), at budgets 1, 2, 3,
+    7, 50 and one leaf short of and exactly the candidate's leaves.  Over
+    the budget the greedy leaf settles nothing and the walk answers, tuple
+    for tuple with the scan.  Within it the answers agree tuple for tuple
+    whenever the walk ran; a greedy leaf is envy-free but need not be the
+    scan's first, so there both find one."""
+    _forbid_scans(monkeypatch)
     walks = _greedy_misses(monkeypatch)
-    gated = 0
-    for n, m, level in _levels(6, 4):
-        for rows, columns in _candidates(level):
-            matrix = _matrix(rows, m)
-            combos = [subsets for _, subsets in _day_lists(matrix)]
-            leaves = math.prod(map(len, combos))
+    tried = found_over = 0  # found_over: over the budget, an EF leaf within it
+    for matrix, rows, columns in _budget_candidates():
+        combos = [subsets for _, subsets in _day_lists(matrix)]
+        leaves = math.prod(map(len, combos))
+        for budget in sorted({1, 2, 3, 7, 50, leaves - 1, leaves} - {0}):
+            _, conclusive, first, _ = scan_verify(combos, matrix, budget)
             before = len(walks)
-            answer = _decide(rows, columns, DEFAULT_MAX_ASSIGNMENTS, {})
-            greedy = len(walks) == before
-            assert _decide(rows, columns, leaves, {}) == answer
-            assert not scans
-            if leaves > 1:
-                before = len(walks)
-                _, conclusive, choice, _ = scan_verify(combos, matrix, leaves - 1)
-                assert _decide(rows, columns, leaves - 1, {}) == (conclusive, choice)
-                assert len(scans) == 1 and len(walks) == before
-                scans.clear()
-                gated += greedy
-    assert gated > 1000
+            answer = _decide(rows, columns, budget)
+            walked = len(walks) > before
+            assert walked or budget >= leaves, (matrix, budget)
+            if walked:
+                assert answer == (conclusive, first), (matrix, budget)
+            else:
+                assert conclusive and answer[0] and None not in (answer[1], first)
+            tried += 1
+            found_over += budget < leaves and first is not None
+    assert (tried, found_over) == (25_873, 12_204)
 
 
 @pytest.mark.parametrize("budget", [1, 3, 50])
-def test_g2_search_scans_every_candidate_over_its_budget(monkeypatch, budget):
+def test_g2_search_walks_every_candidate_over_its_budget(monkeypatch, budget):
     """Through the search: every decision on a candidate with more leaves
-    than the budget goes to the scan, and no other does, and (5,5) at a
-    budget of 1 leaves 1,107 candidates inconclusive."""
-    decide, scans = impossibility._decide, []
+    than the budget goes to the leaf walk under that budget, no scan runs,
+    and (5,5) at a budget of 1 leaves 1,107 candidates inconclusive."""
+    decide = impossibility._decide
+    walks = _greedy_misses(monkeypatch)
     over = 0
 
-    def recording_scan(combos, rows, cap):
-        scans.append(1)
-        return scan_verify(combos, rows, cap)
-
-    def recording(rows, columns, cap, day_lists):
+    def recording(rows, columns, cap):
         nonlocal over
-        before = len(scans)
-        answer = decide(rows, columns, cap, day_lists)
+        before = len(walks)
+        answer = decide(rows, columns, cap)
         leaves = math.prod(len(subsets) for _, subsets in _day_lists(_matrix(rows, len(columns))))
-        over += leaves > cap
-        assert len(scans) == before + (leaves > cap)
+        if leaves > cap:
+            over += 1
+            assert len(walks) == before + 1 and answer[1] == walks[-1]
         return answer
 
-    monkeypatch.setattr(impossibility, "scan_verify", recording_scan)
+    _forbid_scans(monkeypatch)
     monkeypatch.setattr(impossibility, "_decide", recording)
     result = search_witness_g2(SearchBounds(5, 5, per_instance_budget=budget))
     assert over >= result.instances_inconclusive > 0
-    assert len(scans) == over
     if budget == 1:
         assert result.instances_inconclusive == 1_107
 
@@ -608,13 +618,13 @@ def test_greedy_leaf_settles_6652_of_the_7_4_candidates(monkeypatch):
     decisions = []
     decide = impossibility._decide
 
-    def recording(rows, columns, budget, day_lists):
+    def recording(rows, columns, budget):
         decisions.append(1)
-        return decide(rows, columns, budget, day_lists)
+        return decide(rows, columns, budget)
 
     monkeypatch.setattr(impossibility, "_decide", recording)
     walks = _greedy_misses(monkeypatch)
-    monkeypatch.setattr(impossibility, "scan_verify", _no_scan)
+    _forbid_scans(monkeypatch)
     monkeypatch.setattr(impossibility, "verify_no_fair_ef", _no_scan)
     assert search_witness_g2(SearchBounds(7, 4)).instances_examined == 6_834
     assert len(decisions) == 6_834
@@ -822,7 +832,7 @@ def test_orderly_levels_are_pinned_up_to_the_default_search(monkeypatch):
             sizes[n, k] = len(level), sum(1 for rows, _ in level if rows[0])
             yield level
 
-    def decide_stub(rows, columns, budget, day_lists):  # an envy-free first leaf
+    def decide_stub(rows, columns, budget):  # an envy-free first leaf
         return True, (0,) * len(columns)
 
     monkeypatch.setattr(impossibility, "_orderly_levels", recording)

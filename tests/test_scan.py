@@ -540,20 +540,16 @@ def _first_leaf_instances(rng):
     return buckets
 
 
-def test_first_leaf_exit_matches_brute_force(monkeypatch):
+def test_first_leaf_exit_matches_brute_force():
     """Plain and representative folds, with and without an envy-free first leaf,
     under a budget of one leaf and the full budget, on every day's full
-    list as the g = 2 search passes them: the scan answers as brute force
-    does, and only an envy-free first leaf spares the walk."""
-    folded = count_folded(monkeypatch)
-    for (_, ef), refs in _first_leaf_instances(random.Random(20261020)).items():
+    list: the scan answers as brute force does."""
+    for refs in _first_leaf_instances(random.Random(20261020)).values():
         for ref in refs:
             combos = _efficient_lists(ref.p, FULL)[0]
             for cap in (1, FULL):
-                folded.clear()
                 scanned, conclusive, choice, min_envy = scan_verify(
                     combos, ref.p.avail, cap)
                 leaf = None if choice is None else _assignment_from_choice(ref.p, combos, choice)
                 assert (scanned, conclusive, leaf, min_envy) == _expected_verify(ref, cap), (
                     ref.p, cap)
-                assert (folded == []) == ef, (ref.p, cap)
