@@ -21,11 +21,14 @@ IMPOSSIBILITY = "src/fairplay/impossibility.py"
 T_IMP = "tests/test_impossibility.py::"
 T_EXACT = T_IMP + "test_canonical_children_are_exactly_the_canonical_children"
 T_TIES = T_IMP + "test_canonical_children_send_1833_children_to_the_tie_test"
+T_BOUND = T_IMP + "test_bounded_sums_send_7644_columns_to_the_packed_test"
 T_GREEDY_SOUND = T_IMP + "test_greedy_leaf_is_an_efficient_strongly_envy_free_assignment"
 T_GREEDY_COUNT = T_IMP + "test_greedy_leaf_settles_6652_of_the_7_4_candidates"
 T_GREEDY_BUDGET = T_IMP + "test_greedy_leaf_settles_no_candidate_over_the_budget"
 T_WALK = T_IMP + "test_mask_decision_settles_exactly_when_the_scan_finds_an_ef_leaf"
 T_GOLDEN = "tests/test_cli.py::test_cli_output_matches_the_golden_table"
+T_SCAN = "tests/test_scan.py::"
+T_GOLDEN_G2 = tuple(f"{T_GOLDEN}[verify --group-size 2 --bounds {b}]" for b in ("7,4", "5,5"))
 T_GOLDEN_BUDGET = tuple(
     f"{T_GOLDEN}[verify --group-size 2 --bounds {bounds} --budget {budget}]"
     for bounds, budget in (("5,5", 1), ("5,5", 3), ("5,5", 50), ("4,6", 7))
@@ -60,6 +63,21 @@ MUTANTS = (
         "            guards |= 1 << shift\n",
         "            guards |= 1 << shift - 1\n",
         (T_TIES, T_EXACT),
+    ),
+    # the branch and bound that grows the packed sums
+    Mutant(
+        "bound: the new block's ones counted twice, pruning too little",
+        IMPOSSIBILITY,
+        "        bound = rest[b + 1] - below\n",
+        "        bound = rest[b] - below\n",
+        (T_BOUND,),
+    ),
+    Mutant(
+        "bound: the fullest completion without its keys, pruning too much",
+        IMPOSSIBILITY,
+        "rest[b] = rest[b + 1] + blocks[b] + blocks[b].bit_count() * units[b]",
+        "rest[b] = rest[b + 1] + blocks[b]",
+        (T_EXACT, *T_GOLDEN_G2),
     ),
     # the greedy sit-out leaf of the g = 2 search's mask decision
     Mutant(
@@ -137,6 +155,37 @@ MUTANTS = (
         "if False:",
         ("tests/test_solver.py::test_lex_tie_break_is_row_major_minimum_over_optima"
          "[reroute-meets-a-dearer-cycle]",),
+    ),
+    Mutant(
+        "scan: a skipped class's leaves ranked one past their jump",
+        "src/fairplay/_scan.py",
+        "return visit(v + 1, taken, rank + jump[v][taken], takeable, envy)",
+        "return visit(v + 1, taken, rank + jump[v][taken] + 1, takeable, envy)",
+        (T_SCAN + "test_representative_envy_fold_matches_brute_force",),
+    ),
+    Mutant(
+        "scan: rank > limit, so the fold reads a leaf past its limit",
+        "src/fairplay/_scan.py",
+        "            if rank >= limit:\n",
+        "            if rank > limit:\n",
+        (T_SCAN + "test_envy_fold_counts_one_representative_per_class",
+         T_SCAN + "test_first_leaf_exit_matches_brute_force"),
+    ),
+    Mutant(
+        "scan: the day's cross pairs dropped from a leaf's envy",
+        "src/fairplay/_scan.py",
+        "count = _leaf_envy(games, envy, cross)",
+        "count = envy",
+        (T_SCAN + "test_representative_leaf_envy_is_exact",
+         T_SCAN + "test_representative_envy_fold_matches_brute_force"),
+    ),
+    Mutant(
+        "scan: a taken player's delta with the wrong sign",
+        "src/fairplay/_scan.py",
+        "envy + delta[v])",
+        "envy - delta[v])",
+        (T_SCAN + "test_representative_leaf_envy_is_exact",
+         T_SCAN + "test_representative_envy_fold_matches_brute_force"),
     ),
     Mutant(
         "scan: skipped subtree not cut at the budget",

@@ -26,8 +26,11 @@ runs once per parent.  Each child is then decided against its parent's
 frontiers by one packed sum: one int per choice of new 1s in a block of
 the parent's equal rows holds the choice's column bits and every frontier
 key it adds to, so the child's column and all its keys come out of one
-sum, and two subtractions compare every key with its least at once.  Only
-a child with a key equal to its least gets the bit-level test.
+sum, and two subtractions compare every key with its least at once.  The
+sums are grown block by block under a bound (Land & Doig 1960): a partial
+sum is dropped once its fullest completion reads below a least key, so
+the children that would read below are never built.  Only a child with a
+key equal to its least gets the bit-level test, on the entries it ties.
 A size is searched only when its candidate pool, an estimate counted over
 row multisets (C(2^m - 1 + n - 1, n) for n players and m days), is within
 the cap; the pool is only this gate, not what the search generates.
@@ -212,24 +215,25 @@ def _column_masks(matrix) -> tuple[int, ...]:
     )
 
 
-def _tie_accepts(c: int, columns: tuple[int, ...], frontiers: list, keys: list, blocks) -> bool:
+def _tie_accepts(c: int, columns: tuple[int, ...], keys: list, ties: list, others: list,
+                 blocks) -> bool:
     """The bit-level canonicity test of a child M = P + c of a canonical
-    matrix P, given by its column masks over ascending rows, from the
-    greedy's frontiers and least keys on P and P's blocks of equal rows
-    ("Parent frontiers" in :func:`_orderly_levels`): whether no prefix
-    reads below M's own key at any depth."""
+    matrix P, given by its column masks over ascending rows, when no entry
+    of the greedy's frontiers on P below depth k reads below its least key
+    on c: from P's least keys, the entries of each depth whose key on c
+    equals the least (``ties``, none at depth k), the depth k entries
+    other than P's own order as permutations of P's blocks of equal rows
+    (``others``) and the blocks ("Parent frontiers" in
+    :func:`_orderly_levels`): whether no prefix reads below M's own key at
+    any depth."""
+    counts = [(cell & c).bit_count() for cell in blocks]
+    if any([counts[p] for p in perm] < counts for perm in others):
+        return False  # a depth k entry reads below c's own block counts
     last = len(columns)
     new = 1 << last  # c's bit in ``used``
     survivors = set()
-    for d, frontier in enumerate(frontiers):
-        own = keys[d] if d < last else tuple([(cell & c).bit_count() for cell in blocks])
-        kept = set()
-        for used, cells in frontier:
-            key = tuple([(cell & c).bit_count() for cell in cells])
-            if key < own:
-                return False
-            if key == own and d < last:
-                kept.add((used | new, _split(cells, c)))
+    for d, own in enumerate(keys + [tuple(counts)]):
+        kept = {(used | new, _split(cells, c)) for used, cells in ties[d]}
         for used, cells in survivors:
             for j, col in enumerate(columns):
                 if used >> j & 1:
@@ -254,7 +258,10 @@ def _canonical_children(rows: tuple[int, ...], columns: tuple[int, ...], n: int)
     child exactly once.  When the first block is zero rows, it takes only
     its all-ones choice: any other choice leaves the first row zero, and
     :func:`_orderly_levels` takes those children from the level with one
-    row fewer."""
+    row fewer.  The sums arrive bounded, none reading below a least key,
+    so each is strict or a tie; a tie hands :func:`_tie_accepts` the
+    entries it ties, read off the guards that ``(K | G) - (W + L)`` loses,
+    whose segments equal their least keys."""
     frontiers, keys = _least_order(columns, n)
     k = len(columns)
     # P's blocks of equal rows, as bit masks in row order: at depth k every
@@ -269,11 +276,12 @@ def _canonical_children(rows: tuple[int, ...], columns: tuple[int, ...], n: int)
     units = [0] * len(blocks)
     least = guards = lows = 0
     shift = n
+    entries = {}  # each guard's bit_length to its depth and entry
     for d in range(k):
         packed = 0
         for count in keys[d]:
             packed = packed << w | count
-        for _, cells in frontiers[d]:
+        for used, cells in frontiers[d]:
             lows |= 1 << shift
             least |= packed << shift
             for cell in reversed(cells):
@@ -283,24 +291,15 @@ def _canonical_children(rows: tuple[int, ...], columns: tuple[int, ...], n: int)
                 shift += w
             guards |= 1 << shift
             shift += 1
+            entries[shift] = d, (used, cells)
     # the depth k entries other than P's own order: P's blocks, permuted
     others = [
         [blocks.index(cell) for cell in cells] for _, cells in frontiers[k] if cells != blocks
     ]
 
-    sums = [0]
-    for b, block in enumerate(blocks):
-        size, end = block.bit_count(), block.bit_length()
-        first = size if end == size and rows[0] == 0 else 0
-        sums = [
-            s + (((1 << t) - 1) << (end - t)) + t * units[b]
-            for s in sums
-            for t in range(first, size + 1)
-        ]
     full = (1 << n) - 1
     strict = least + lows - guards  # (key | guards) - (least + lows)
-    below = least - guards
-    for key in sums:
+    for key in _bounded_sums(blocks, units, least - guards, guards, rows[0] == 0):
         col = key & full
         if col.bit_count() < 2:
             continue
@@ -311,9 +310,46 @@ def _canonical_children(rows: tuple[int, ...], columns: tuple[int, ...], n: int)
                 if any([counts[p] for p in perm] < counts for perm in others):
                     continue
             yield col
-        elif (key - below) & guards == guards:
-            if _tie_accepts(col, columns, frontiers, keys, blocks):
+        else:
+            # the tied entries: a segment's guard lost to W + L, so its
+            # key equals its least
+            ties = [[] for _ in range(k + 1)]
+            tied = guards & ~(key - strict)
+            while tied:
+                g = tied & -tied
+                d, entry = entries[g.bit_length()]
+                ties[d].append(entry)
+                tied ^= g
+            if _tie_accepts(col, columns, keys, ties, others, blocks):
                 yield col
+
+
+def _bounded_sums(blocks, units: list, below: int, guards: int, zero: bool) -> list:
+    """The packed sums of the child columns of a parent P that no frontier
+    entry can read below its least key ("Packed keys" in
+    :func:`_orderly_levels`), from P's blocks of equal rows, their
+    ``units``, ``below`` = W - G and the guards G.  Each block b chooses
+    t = 0, ..., |b| new 1s, at its top; when ``zero``, the first block is
+    zero rows and takes only its all-ones choice.
+
+    Branch and bound (Land & Doig 1960): a partial sum x over the blocks
+    before b + 1 is kept only while ``(x + rest[b + 1]) - below`` keeps
+    every guard, where ``rest[b + 1]`` holds every later block all ones.
+    Fields only grow, so every completion of x is fieldwise, hence
+    lexicographically, at most that fullest one; when it reads below some
+    least key, every completion does.  At the last block the bound is the
+    full test itself, so every sum returned reads no key below its least."""
+    rest = [0] * (len(blocks) + 1)
+    for b in range(len(blocks) - 1, -1, -1):
+        rest[b] = rest[b + 1] + blocks[b] + blocks[b].bit_count() * units[b]
+    sums = [0]
+    for b, block in enumerate(blocks):
+        size, end = block.bit_count(), block.bit_length()
+        first = size if zero and b == 0 else 0
+        bound = rest[b + 1] - below
+        steps = [(((1 << t) - 1) << (end - t)) + t * units[b] for t in range(first, size + 1)]
+        sums = [x for s in sums for step in steps if ((x := s + step) + bound) & guards == guards]
+    return sums
 
 
 def _orderly_levels(n: int, below: list):
@@ -387,7 +423,18 @@ def _orderly_levels(n: int, below: list):
     - tie, otherwise: some key equals its least, so survivors may form and
       may read below at a later depth through P's unused columns, which
       the packing does not hold.  Only then does the bit-level test
-      (:func:`_tie_accepts`) run, on the same frontiers.
+      (:func:`_tie_accepts`) run.  The tied entries are the segments whose
+      guard the first subtraction loses, so it extends only those, and
+      the survivors, and reads no other frontier key again.
+
+    Bound.  The below children are never built (:func:`_bounded_sums`).
+    A child's sum is grown block by block, and every count only grows as
+    later blocks add their 1s, so each completion of a partial sum is
+    fieldwise at most its fullest one, every later block all ones, and a
+    segment fieldwise at most another reads lexicographically at most it.
+    A partial sum whose fullest completion reads below some least key has
+    only below children, and is dropped.  Up to (7,4) this leaves 7,644 of
+    the 26,034 children of weight >= 2 for the packed test.
     """
     level = [((0,) * n, ())]
     for k in range(len(below)):
@@ -408,11 +455,24 @@ def search_witness_g2(bounds: SearchBounds) -> G2SearchResult:
 
     Sizes are visited in (players, days) order.  Within a size, the
     candidates are the canonical forms of the size's irreducible matrices,
-    one per class under row and column permutations, in ascending order of
-    canonical form.  The first witness (by this order) is returned as its
-    report, whose ``problem`` is the instance.  ``search_complete`` is True
-    only when no size was skipped and no instance was inconclusive, so a
-    negative result states its exact coverage.
+    one per class under row and column permutations, and the search
+    reports as if it took them in ascending order of canonical form: the
+    first witness by this order is returned as its report, whose
+    ``problem`` is the instance, and only the candidates up to it count.
+    ``search_complete`` is True only when no size was skipped and no
+    instance was inconclusive, so a negative result states its exact
+    coverage.
+
+    The decisions run in the order the level holds the candidates, which
+    is not ascending, and none is sorted.  A size with no witness adds all
+    its candidates to the examined count and all its inconclusive ones.
+    A size with witnesses is decided to its end, keeping the least
+    witness's rows and the inconclusive candidates' rows; one linear pass
+    over the level then counts the candidates at or below the least
+    witness as examined, and the inconclusive ones strictly below it.  No
+    two candidates share their rows, so these are the counts, and the
+    witness, of a search in ascending order that stops at its first
+    witness.
 
     Each candidate gets one decision on bit masks, :func:`_decide`, on its
     row ints and column masks.  When its leaf count, the product of its
@@ -438,7 +498,9 @@ def search_witness_g2(bounds: SearchBounds) -> G2SearchResult:
     no envy-free leaf within the budget, where the search then stops, and
     one over the budget whose first envy-free leaf lies past it, which
     costs ``budget`` leaves.  Every greedy miss up to (7,5) has an
-    envy-free leaf.
+    envy-free leaf.  A size that holds a witness also decides its
+    candidates above the least one, which a search in ascending order
+    would not reach.
     """
     examined = 0
     inconclusive = 0
@@ -462,21 +524,35 @@ def search_witness_g2(bounds: SearchBounds) -> G2SearchResult:
             levels.append(level)
             searched.append((n, m))
             # no zero row and every column of weight >= 2: irreducible at
-            # g = 2, so the decision needs no Problem
-            for rows, columns in _candidates(level):
-                examined += 1
+            # g = 2, so the decision needs no Problem; decided in the
+            # level's order, keeping the least witness
+            least = None
+            unsure = []  # the inconclusive candidates' rows
+            size = 0
+            for rows, columns in level:
+                if not rows[0]:
+                    continue
+                size += 1
                 conclusive, choice = _decide(rows, columns, budget)
                 if not conclusive:
-                    inconclusive += 1
-                elif choice is None:
-                    p = Problem(names[:n], labels[:m], _matrix(rows, m), 2)
-                    return G2SearchResult(
-                        witness=verify_no_fair_ef(p, budget),
-                        instances_examined=examined,
-                        instances_inconclusive=inconclusive,
-                        sizes_searched=tuple(searched),
-                        sizes_skipped=tuple(skipped),
-                    )
+                    unsure.append(rows)
+                elif choice is None and (least is None or rows < least):
+                    least = rows
+            if least is None:
+                examined += size
+                inconclusive += len(unsure)
+                continue
+            # in ascending order, the search stops at the least witness
+            examined += sum(1 for rows, _ in level if rows[0] and rows <= least)
+            inconclusive += sum(1 for rows in unsure if rows < least)
+            p = Problem(names[:n], labels[:m], _matrix(least, m), 2)
+            return G2SearchResult(
+                witness=verify_no_fair_ef(p, budget),
+                instances_examined=examined,
+                instances_inconclusive=inconclusive,
+                sizes_searched=tuple(searched),
+                sizes_skipped=tuple(skipped),
+            )
         skipped.extend((n, m) for m in range(days + 1, bounds.max_days + 1))
 
     return G2SearchResult(
@@ -486,14 +562,6 @@ def search_witness_g2(bounds: SearchBounds) -> G2SearchResult:
         sizes_searched=tuple(searched),
         sizes_skipped=tuple(skipped),
     )
-
-
-def _candidates(level):
-    """The entries of an orderly level with no zero row, ``(rows,
-    columns)``, in ascending order of their matrices: rows ascend, so the
-    first row is the least, and row ints read a matrix's rows in order.
-    No two entries share their rows, so the sort never reads columns."""
-    return sorted(entry for entry in level if entry[0][0])
 
 
 def _matrix(rows, m: int) -> tuple[tuple[int, ...], ...]:
@@ -524,13 +592,12 @@ def _decide(rows, columns, budget: int):
     answer.  Otherwise :func:`_first_ef_leaf` walks at most ``budget``
     leaves, and the answer is conclusive when it found one or walked them
     all: ``scan_verify``'s answer under the same budget."""
-    masks: dict[int, int] = {}
+    masks = [0] * (len(columns) + 1)  # the rows by availability count
     bit = 1
     for r in rows:
-        count = r.bit_count()
-        masks[count] = masks.get(count, 0) | bit
+        masks[r.bit_count()] |= bit
         bit <<= 1
-    levels = sorted(masks.items())
+    levels = [(count, mask) for count, mask in enumerate(masks) if mask]
     out = [0] * len(columns)
     choice = []
     leaves = 1  # counted on the greedy's pass over the days

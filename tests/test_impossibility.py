@@ -12,7 +12,6 @@ from fairplay import _scan, fixtures, impossibility, oracle
 from fairplay._scan import scan_verify
 from fairplay.impossibility import (
     SearchBounds,
-    _candidates,
     _canonical_children,
     _column_masks,
     _decide,
@@ -235,14 +234,17 @@ def _is_canonical(columns, n):
 
 
 def test_is_canonical_agrees_with_canonical_form(rng):
-    """The bit-level tie test against canonical_form, on the children of
-    canonical forms of matrices built with repeated rows and repeated
-    columns: a new column of random bits or a copy of a parent column,
-    sorted within blocks of equal rows so the rows ascend.  Where the child
-    has a nonzero first row and a new column of weight >= 2, the packed
-    test of _canonical_children must yield that column exactly when the
-    child is canonical."""
-    outcomes, packed = set(), set()
+    """The bit-level tie test against canonical_form, on every child of
+    300 canonical forms of matrices built with repeated rows and repeated
+    columns, and of every orderly level entry up to (5,3): each new
+    column, sorted within blocks of equal rows so the rows ascend.  A
+    child on which some frontier entry of its parent reads below its least
+    key is not canonical; on every other child the tie test, handed the
+    entries whose key equals the least, decides as canonical_form does.
+    Where the child has a nonzero first row and a new column of weight
+    >= 2, the packed test of _canonical_children must yield that column
+    exactly when the child is canonical."""
+    parents = []
     for _ in range(300):
         n = rng.randint(1, 6)
         m = rng.randint(1, 5)
@@ -251,26 +253,44 @@ def test_is_canonical_agrees_with_canonical_form(rng):
         ]
         picks = [rng.randrange(m) for _ in range(m)]
         rows = [rng.choice(distinct) for _ in range(n)]
-        parent = canonical_form(tuple(tuple(row[c] for c in picks) for row in rows))
+        parents.append(canonical_form(tuple(tuple(row[c] for c in picks) for row in rows)))
+    parents += [_matrix(rows, k) for n, k, level in _levels(5, 3) for rows, _ in level]
+    outcomes, packed, ties = set(), set(), set()
+    for parent in parents:
+        n = len(parent)
         columns = _column_masks(parent)
         frontiers, keys = _least_order(columns, n)
         blocks = tuple(sorted(next(iter(frontiers[-1]))[1]))
+        others = [[blocks.index(cell) for cell in cells]
+                  for _, cells in frontiers[-1] if cells != blocks]
         row_ints = tuple(int("".join(map(str, row)), 2) for row in parent)
         yielded = set(_canonical_children(row_ints, columns, n))
-        for bits in (
-            [rng.randint(0, 1) for _ in range(n)],
-            [row[rng.randrange(m)] for row in parent],
-        ):
-            child = tuple(sorted(row + (b,) for row, b in zip(parent, bits)))
+        children = {
+            tuple(sorted(row + (b,) for row, b in zip(parent, bits)))
+            for bits in product((0, 1), repeat=n)
+        }
+        for child in children:
             assert tuple(row[:-1] for row in child) == parent
             expected = canonical_form(child) == child
             col = _column_masks(child)[-1]
-            assert _tie_accepts(col, columns, frontiers, keys, blocks) == expected, child
+            tied = [[] for _ in frontiers]  # none at depth k
+            below = False
+            for d, least in enumerate(keys):
+                for used, cells in frontiers[d]:
+                    key = tuple((cell & col).bit_count() for cell in cells)
+                    below |= key < least
+                    if key == least:
+                        tied[d].append((used, cells))
+            if below:
+                assert not expected, child
+            else:
+                assert _tie_accepts(col, columns, keys, tied, others, blocks) == expected, child
+                ties.add(expected)
             outcomes.add(expected)
             if col.bit_count() >= 2 and any(child[0]):
                 assert (col in yielded) == expected, child
                 packed.add(expected)
-    assert outcomes == packed == {True, False}
+    assert outcomes == packed == ties == {True, False}
 
 
 def test_prefix_of_a_canonical_matrix_is_canonical():
@@ -398,10 +418,13 @@ def test_g2_search_reports_match_the_independent_enumerator(monkeypatch):
     assert greedy == 533  # and 17 walks
 
 
-def _reference_search(bounds):
-    """The search by the reference route: a labelled Problem and a
-    :func:`verify_no_fair_ef` report for every candidate, the first
-    conclusive report with no EF assignment its witness."""
+def _reference_search(bounds, planted=None):
+    """The search by the reference route: candidates in ascending order
+    within each size, a labelled Problem and a :func:`verify_no_fair_ef`
+    report for every one, the first conclusive report with no EF
+    assignment its witness.  ``planted`` maps a candidate's days and rows,
+    ``(m, rows)``, to the ``(conclusive, ef_found)`` that replaces its
+    report's."""
     examined = inconclusive = 0
     searched, skipped = [], []
     levels = [[]] * bounds.max_days
@@ -418,9 +441,11 @@ def _reference_search(bounds):
                 examined += 1
                 matrix = _matrix(rows, m)
                 report = verify_no_fair_ef(_problem_from_matrix(matrix), bounds.per_instance_budget)
-                if not report.conclusive:
+                answer = (report.conclusive, report.ef_found)
+                conclusive, ef_found = (planted or {}).get((m, rows), answer)
+                if not conclusive:
                     inconclusive += 1
-                elif not report.ef_found:
+                elif not ef_found:
                     return impossibility.G2SearchResult(
                         report, examined, inconclusive, tuple(searched), tuple(skipped))
         skipped.extend((n, m) for m in range(days + 1, bounds.max_days + 1))
@@ -446,25 +471,83 @@ def test_g2_search_matches_a_report_per_candidate(budget):
 
 @pytest.mark.parametrize("k", [1, 2, 91, 550])
 def test_g2_search_returns_the_full_report_of_its_witness(monkeypatch, k):
-    """A decision stubbed to read the k-th candidate up to (5,4) as
-    conclusive with no EF assignment: the search stops there and returns
-    that candidate's full report, labelled p1.. and d1.."""
+    """A decision stubbed to read the k-th candidate up to (5,4), in the
+    search's reporting order (sizes in turn, ascending within a size), as
+    conclusive with no EF assignment: the search finishes that size and
+    no other, examines exactly the k candidates up to it and returns that
+    candidate's full report, labelled p1.. and d1.."""
+    candidates = [
+        (n, m, rows) for n, m, level in _levels(5, 4) for rows, _ in _candidates(level)
+    ]
+    assert len(candidates) == 550
+    planted = candidates[k - 1]
     calls = []
     decide = impossibility._decide
 
     def stub(rows, columns, budget):
-        calls.append(1)
-        if len(calls) == k:
+        calls.append((len(rows), len(columns), rows))
+        if calls[-1] == planted:
             return True, None
         return decide(rows, columns, budget)
 
     monkeypatch.setattr(impossibility, "_decide", stub)
     result = search_witness_g2(SearchBounds(5, 4))
-    candidates = [matrix for _, _, size in _dedup_candidates(5, 4) for matrix in size]
-    assert len(candidates) == 550
-    assert result.witness == verify_no_fair_ef(_problem_from_matrix(candidates[k - 1]))
-    assert result.instances_examined == len(calls) == k
+    n, m, rows = planted
+    assert result.witness == verify_no_fair_ef(_problem_from_matrix(_matrix(rows, m)))
+    assert len(set(calls)) == len(calls)
+    assert result.instances_examined == sum(call <= planted for call in calls) == k
+    assert {call[:2] for call in calls if call > planted} <= {(n, m)}
     assert result.instances_inconclusive == 0
+
+
+def test_g2_search_reports_the_least_witness_of_a_size_decided_in_generation_order(
+    monkeypatch,
+):
+    """Witnesses and inconclusive answers planted by candidate rows in
+    (6,4), where the level's order and the ascending order differ: the
+    least witness is made after a greater one, and inconclusive
+    candidates lie below it made after it and above it made before it.
+    The search, deciding in the level's order, reports what the reference
+    route, in ascending order, reports: examined, inconclusive and the
+    witness's report."""
+    level = next(level for n, k, level in _levels(6, 4) if (n, k) == (6, 4))
+    made = [rows for rows, _ in level if rows[0]]
+    rank = {rows: i for i, rows in enumerate(made)}  # the generation order
+    ascending = sorted(made)
+    assert made != ascending
+    least = next(
+        rows for rows in ascending[len(made) // 3:]
+        if sum(other > rows for other in made[:rank[rows]]) >= 4
+        and sum(other < rows for other in made[rank[rows]:]) >= 3
+    )
+    before, after = made[:rank[least]], made[rank[least] + 1:]
+    witnesses = [least, *[r for r in before if r > least][:2], *[r for r in after if r > least][:1]]
+    unsure = [
+        *[r for r in after if r < least][:3],
+        *[r for r in before if r < least][:1],
+        *[r for r in before if r > least and r not in witnesses][:2],
+        *[r for r in after if r > least and r not in witnesses][:1],
+    ]
+    assert len(witnesses) == 4 and len(unsure) == 7
+    planted = {(4, rows): (True, False) for rows in witnesses}
+    planted.update({(4, rows): (False, False) for rows in unsure})
+    decide = impossibility._decide
+    decided = []
+
+    def stub(rows, columns, budget):
+        decided.append(rows)
+        if (len(columns), rows) in planted:
+            return planted[len(columns), rows][0], None
+        return decide(rows, columns, budget)
+
+    monkeypatch.setattr(impossibility, "_decide", stub)
+    bounds = SearchBounds(6, 4)
+    result = search_witness_g2(bounds)
+    assert decided[-len(made):] == made  # the whole size, in the level's order
+    reference = _reference_search(bounds, planted)
+    assert result == reference
+    assert result.witness.problem.avail == _matrix(least, 4)
+    assert result.instances_inconclusive == sum(rows < least for rows in unsure) == 4
 
 
 def _day_lists(matrix):
@@ -658,6 +741,14 @@ def _levels(max_players, max_days):
             yield n, k, level
 
 
+def _candidates(level):
+    """The entries of an orderly level with no zero row, ``(rows,
+    columns)``, in ascending order of their matrices, the order in which
+    the search reports: rows ascend, so the first row is the least, and
+    row ints read a matrix's rows in order."""
+    return sorted(entry for entry in level if entry[0][0])
+
+
 def _dedup_candidates(max_players, max_days):
     """``(n, m, candidates)`` per size, each candidate as its 0/1 matrix."""
     for n, m, level in _levels(max_players, max_days):
@@ -757,6 +848,32 @@ def test_canonical_children_send_1833_children_to_the_tie_test(monkeypatch):
     entries = sum(len(level) for n, k, level in _levels(7, 4) if n == 7 and k == 4)
     assert entries == 6_279
     assert (len(decided), sum(decided)) == (1_833, 1_673)
+
+
+def test_bounded_sums_send_7644_columns_to_the_packed_test(monkeypatch):
+    """Up to (7,4), the branch and bound hands the packed test 7,644 child
+    columns of weight >= 2, of the 26,034 that the parents' blocks allow;
+    its bound drops the rest before they are built.  A column it drops
+    reads below some least key, so a weaker bound changes no level; this
+    count catches it."""
+    allowed, reached = [], []
+    bounded = impossibility._bounded_sums
+
+    def recording(blocks, units, below, guards, zero):
+        sums = bounded(blocks, units, below, guards, zero)
+        full = (1 << blocks[-1].bit_length()) - 1  # the last block holds the last row
+        reached.append(sum((key & full).bit_count() >= 2 for key in sums))
+        sizes = [block.bit_count() for block in blocks]
+        choices = [range(size + 1) for size in sizes]
+        if zero:
+            choices[0] = [sizes[0]]  # a zero first block takes all ones
+        allowed.append(sum(sum(ts) >= 2 for ts in product(*choices)))
+        return sums
+
+    monkeypatch.setattr(impossibility, "_bounded_sums", recording)
+    for _ in _levels(7, 4):
+        pass
+    assert (sum(allowed), sum(reached)) == (26_034, 7_644)
 
 
 def _partitions(n, largest=None):
@@ -907,6 +1024,8 @@ def test_dedup_candidate_counts_up_to_7_4():
 
 
 def test_dedup_candidates_ascend_within_a_size():
+    """No two candidates of a size share their rows, so the search's count
+    of the candidates at or below its least witness is exact."""
     sizes = 0
     for n, m, candidates in _dedup_candidates(6, 4):
         assert all(a < b for a, b in zip(candidates, candidates[1:])), (n, m)

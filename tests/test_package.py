@@ -100,9 +100,11 @@ def test_scans_have_one_wrapper_each_and_the_g2_search_runs_none():
 
 def test_orderly_generation_has_one_child_generator():
     """The g = 2 search's children come from one generator, called per
-    parent by the orderly levels alone, and only that generator runs the
-    bit-level canonicity test, on the children its packed keys tie."""
+    parent by the orderly levels alone, and only that generator grows the
+    packed sums under their bound and runs the bit-level canonicity test,
+    on the children its packed keys tie."""
     assert _callers("_canonical_children") == {("impossibility", "_orderly_levels")}
+    assert _callers("_bounded_sums") == {("impossibility", "_canonical_children")}
     assert _callers("_tie_accepts") == {("impossibility", "_canonical_children")}
 
 
