@@ -26,9 +26,15 @@ T_GREEDY_SOUND = T_IMP + "test_greedy_leaf_is_an_efficient_strongly_envy_free_as
 T_GREEDY_COUNT = T_IMP + "test_greedy_leaf_settles_6652_of_the_7_4_candidates"
 T_GREEDY_BUDGET = T_IMP + "test_greedy_leaf_settles_no_candidate_over_the_budget"
 T_WALK = T_IMP + "test_mask_decision_settles_exactly_when_the_scan_finds_an_ef_leaf"
+T_ENTRIES = T_IMP + "test_level_entries_are_their_column_masks_alone"
+T_LEVELS = T_IMP + "test_orderly_levels_match_plain_orderly_generation"
 T_GOLDEN = "tests/test_cli.py::test_cli_output_matches_the_golden_table"
 T_SCAN = "tests/test_scan.py::"
 T_GOLDEN_G2 = tuple(f"{T_GOLDEN}[verify --group-size 2 --bounds {b}]" for b in ("7,4", "5,5"))
+T_GOLDEN_WIDE = tuple(
+    f"{T_GOLDEN}[verify --group-size 2 --bounds {b} --per-size-cap 1000000000000]"
+    for b in ("3,9", "4,8")
+)
 T_GOLDEN_BUDGET = tuple(
     f"{T_GOLDEN}[verify --group-size 2 --bounds {bounds} --budget {budget}]"
     for bounds, budget in (("5,5", 1), ("5,5", 3), ("5,5", 50), ("4,6", 7))
@@ -78,6 +84,36 @@ MUTANTS = (
         "rest[b] = rest[b + 1] + blocks[b] + blocks[b].bit_count() * units[b]",
         "rest[b] = rest[b + 1] + blocks[b]",
         (T_EXACT, *T_GOLDEN_G2),
+    ),
+    # the level entries, column masks alone
+    Mutant(
+        "levels: the lift without its shift",
+        IMPOSSIBILITY,
+        "grown = [tuple([c << 1 for c in cols]) for cols in lifted]",
+        "grown = [tuple([c for c in cols]) for cols in lifted]",
+        (T_ENTRIES, T_LEVELS, *T_GOLDEN_G2),
+    ),
+    Mutant(
+        "levels: the grown slice starts one entry early",
+        IMPOSSIBILITY,
+        "        first = len(grown)\n",
+        "        first = max(len(grown) - 1, 0)\n",
+        (T_ENTRIES, *T_GOLDEN_G2),
+    ),
+    # the bit-sliced counter of the mask decision
+    Mutant(
+        "counter: the carry out of the first plane dropped",
+        IMPOSSIBILITY,
+        "        carry = a & col\n",
+        "        carry = 0\n",
+        (T_ENTRIES, T_GREEDY_COUNT, T_GREEDY_SOUND),
+    ),
+    Mutant(
+        "counter: the carry into the fourth plane dropped",
+        IMPOSSIBILITY,
+        "        carry, c = c & carry, c ^ carry\n",
+        "        carry, c = 0, c ^ carry\n",
+        (T_ENTRIES, *T_GOLDEN_WIDE),
     ),
     # the greedy sit-out leaf of the g = 2 search's mask decision
     Mutant(

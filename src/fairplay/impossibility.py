@@ -31,14 +31,19 @@ sums are grown block by block under a bound (Land & Doig 1960): a partial
 sum is dropped once its fullest completion reads below a least key, so
 the children that would read below are never built.  Only a child with a
 key equal to its least gets the bit-level test, on the entries it ties.
-A size is searched only when its candidate pool, an estimate counted over
-row multisets (C(2^m - 1 + n - 1, n) for n players and m days), is within
+Each matrix is held as its tuple of column masks alone: a zero first row
+is a lift, each mask shifted up a bit, and the decision reads each row's
+availability off the masks with a bit-sliced counter.  Row ints are built
+only in a size that holds a witness, to find the least one.  A size is
+searched only when its candidate pool, an estimate counted over row
+multisets (C(2^m - 1 + n - 1, n) for n players and m days), is within
 the cap; the pool is only this gate, not what the search generates.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import islice
 from typing import NamedTuple, Optional
 
 from fairplay.model import Problem
@@ -164,25 +169,25 @@ def _least_order(columns: tuple[int, ...], n: int) -> tuple[list, list]:
     number of rows reading 1 in each cell, and fewer 1s in the first cell
     that differs reads lower.
 
-    Return the frontiers of depths 0, ..., k, dicts from each kept prefix's
-    ``(used, cells)`` (``used`` masks the columns) to its column order, and
-    the least key of each depth 0, ..., k-1, which the next frontier reads.
+    Return the frontiers of depths 0, ..., k, sets of each kept prefix's
+    ``(used, cells)`` (``used`` masks the columns), and the least key of
+    each depth 0, ..., k-1, which the next frontier reads.
     """
-    frontiers = [{(0, ((1 << n) - 1,)): ()}]
+    frontiers = [{(0, ((1 << n) - 1,))}]
     keys = []
     for _ in columns:
         best = None
-        entries: dict[tuple, tuple[int, ...]] = {}
-        for (used, cells), order in frontiers[-1].items():
+        entries: set[tuple] = set()
+        for used, cells in frontiers[-1]:
             for c, col in enumerate(columns):
                 if used >> c & 1:
                     continue
                 key = tuple([(cell & col).bit_count() for cell in cells])
                 if best is None or key < best:
                     best = key
-                    entries = {}
+                    entries = set()
                 if key == best:
-                    entries[(used | 1 << c, _split(cells, col))] = order + (c,)
+                    entries.add((used | 1 << c, _split(cells, col)))
         frontiers.append(entries)
         keys.append(best)
     return frontiers, keys
@@ -194,17 +199,25 @@ def canonical_form(matrix: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...]
 
     Any column order that :func:`_least_order` keeps to the last depth reads
     it.  Reading prefixes are stable as columns are appended, so keeping
-    only the least prefixes per depth is exact.
+    only the least prefixes per depth is exact.  The least keys spell it
+    out: at each depth the kept prefixes share their cell sizes, each cell
+    holds a run of the sorted rows, and a cell of size s with key t reads
+    s - t zeros, then t ones.
     """
     n = len(matrix)
     if n == 0:
         return ()
-    m = len(matrix[0])
-    if m == 0:
+    if not matrix[0]:
         return tuple(() for _ in range(n))
-    frontiers, _ = _least_order(_column_masks(matrix), n)
-    order = next(iter(frontiers[-1].values()))
-    return tuple(sorted(tuple(row[c] for c in order) for row in matrix))
+    frontiers, keys = _least_order(_column_masks(matrix), n)
+    columns = []
+    for entries, key in zip(frontiers, keys):
+        _, cells = next(iter(entries))
+        column = []
+        for cell, t in zip(cells, key):
+            column += [0] * (cell.bit_count() - t) + [1] * t
+        columns.append(column)
+    return tuple(zip(*columns))
 
 
 def _column_masks(matrix) -> tuple[int, ...]:
@@ -247,11 +260,11 @@ def _tie_accepts(c: int, columns: tuple[int, ...], keys: list, ties: list, other
     return True
 
 
-def _canonical_children(rows: tuple[int, ...], columns: tuple[int, ...], n: int):
+def _canonical_children(zero: bool, columns: tuple[int, ...], n: int):
     """Yield the new last columns, as bit masks over the rows, of the
-    canonical children of a canonical n x k matrix P, given by its
-    ascending rows and its column masks ("Parent frontiers" and "Packed
-    keys" in :func:`_orderly_levels`).
+    canonical children of a canonical n x k matrix P, given by its column
+    masks ("Parent frontiers" and "Packed keys" in :func:`_orderly_levels`);
+    ``zero`` says that P's first row is zero, that is no column has bit 0.
 
     A child's column has weight >= 2 and, within each block of P's equal
     rows, runs 0s then 1s, which keeps the rows ascending and makes each
@@ -299,7 +312,7 @@ def _canonical_children(rows: tuple[int, ...], columns: tuple[int, ...], n: int)
 
     full = (1 << n) - 1
     strict = least + lows - guards  # (key | guards) - (least + lows)
-    for key in _bounded_sums(blocks, units, least - guards, guards, rows[0] == 0):
+    for key in _bounded_sums(blocks, units, least - guards, guards, zero):
         col = key & full
         if col.bit_count() < 2:
             continue
@@ -354,10 +367,16 @@ def _bounded_sums(blocks, units: list, below: int, guards: int, zero: bool) -> l
 
 def _orderly_levels(n: int, below: list):
     """Yield, for k = 1, ..., len(below), every canonical n x k matrix whose
-    columns all have weight >= 2 (rows may be zero), as ``(rows, columns)``
-    pairs: ascending row ints (first column the most significant bit) and
-    column bit masks over those rows.  ``below[k-1]`` is the same level for
-    n - 1 rows; each is dropped from ``below`` as soon as it is taken.
+    columns all have weight >= 2 (rows may be zero), as ``(level, start)``.
+    Each entry of ``level`` is a matrix's tuple of column masks, bit i for
+    row i, its rows ascending when each is read with its first column the
+    most significant bit.  The entries before ``start`` are those with a
+    zero first row, lifted from ``below[k-1]``, the same level for n - 1
+    rows, which is dropped from ``below`` as soon as it is taken; the
+    entries from ``start`` on, grown from the level before, are the others,
+    the candidates of the search.  No entry holds its rows: the search
+    reads each row's bit count off the columns (:func:`_decide`), and
+    :func:`_rows` builds the row ints where they are still needed.
 
     Orderly generation (Read 1978; McKay 1998): grow each canonical prefix
     by one column and keep the canonical children.  It is exact because the
@@ -381,8 +400,10 @@ def _orderly_levels(n: int, below: list):
     keys of a depth or for none.  So ``[0; P]`` is canonical exactly when P
     is; its rows ascend and its columns keep their weights.  The entries
     with a zero first row are therefore the n - 1 row level with a zero row
-    on top: rows ``(0,) + r``, columns ``c << 1`` (row i moves to bit
-    i + 1).  :func:`_canonical_children` makes only the others.
+    on top: columns ``c << 1`` (row i moves to bit i + 1).  A level holds
+    them first; :func:`_canonical_children` makes only the others, and a
+    parent's first row is zero exactly when it lies before its level's
+    ``start``.
 
     Parent frontiers.  The greedy runs once per parent P with k columns,
     keeping each depth's frontier and least key, and each child M = P + c
@@ -436,17 +457,17 @@ def _orderly_levels(n: int, below: list):
     only below children, and is dropped.  Up to (7,4) this leaves 7,644 of
     the 26,034 children of weight >= 2 for the packed test.
     """
-    level = [((0,) * n, ())]
+    level, start = [()], 1  # no columns: the first row is zero
     for k in range(len(below)):
         lifted, below[k] = below[k], None
-        grown = [((0,) + rows, tuple([c << 1 for c in cols])) for rows, cols in lifted]
+        grown = [tuple([c << 1 for c in cols]) for cols in lifted]
         del lifted
-        for rows, columns in level:
-            for col in _canonical_children(rows, columns, n):
-                child_rows = tuple([2 * r + (col >> i & 1) for i, r in enumerate(rows)])
-                grown.append((child_rows, columns + (col,)))
-        level = grown
-        yield level
+        first = len(grown)
+        for i, columns in enumerate(level):
+            for col in _canonical_children(i < start, columns, n):
+                grown.append(columns + (col,))
+        level, start = grown, first
+        yield level, start
 
 
 def search_witness_g2(bounds: SearchBounds) -> G2SearchResult:
@@ -463,19 +484,22 @@ def search_witness_g2(bounds: SearchBounds) -> G2SearchResult:
     instance was inconclusive, so a negative result states its exact
     coverage.
 
-    The decisions run in the order the level holds the candidates, which
-    is not ascending, and none is sorted.  A size with no witness adds all
-    its candidates to the examined count and all its inconclusive ones.
-    A size with witnesses is decided to its end, keeping the least
-    witness's rows and the inconclusive candidates' rows; one linear pass
-    over the level then counts the candidates at or below the least
-    witness as examined, and the inconclusive ones strictly below it.  No
-    two candidates share their rows, so these are the counts, and the
+    The candidates are the level's entries from its ``start`` on
+    (:func:`_orderly_levels`), each its tuple of column masks, and the
+    decisions run in the order the level holds them, which is not
+    ascending; none is sorted.  A size with no witness adds all its
+    candidates to the examined count and all its inconclusive ones.  A
+    size with witnesses is decided to its end, keeping the least witness's
+    rows and the inconclusive candidates' columns; one linear pass over
+    the candidates then counts those at or below the least witness as
+    examined, and the inconclusive ones strictly below it.  No two
+    candidates share their rows, so these are the counts, and the
     witness, of a search in ascending order that stops at its first
-    witness.
+    witness.  Row ints (:func:`_rows`) are built only on this path: for
+    the witnesses, and for every candidate of the size in that pass.
 
     Each candidate gets one decision on bit masks, :func:`_decide`, on its
-    row ints and column masks.  When its leaf count, the product of its
+    column masks.  When its leaf count, the product of its
     odd days' player counts, is within the budget, the greedy leaf sits
     out, on each odd day in column order, one of the day's least available
     players, the one with the most games so far, then the first; when it
@@ -520,31 +544,30 @@ def search_witness_g2(bounds: SearchBounds) -> G2SearchResult:
             for m in range(1, bounds.max_days + 1)
         )
         below, levels = levels[:days], []
-        for m, level in enumerate(_orderly_levels(n, below), 1):
+        for m, (level, start) in enumerate(_orderly_levels(n, below), 1):
             levels.append(level)
             searched.append((n, m))
             # no zero row and every column of weight >= 2: irreducible at
             # g = 2, so the decision needs no Problem; decided in the
             # level's order, keeping the least witness
-            least = None
-            unsure = []  # the inconclusive candidates' rows
-            size = 0
-            for rows, columns in level:
-                if not rows[0]:
-                    continue
-                size += 1
-                conclusive, choice = _decide(rows, columns, budget)
+            least = None  # the least witness's rows
+            unsure = []  # the inconclusive candidates' columns
+            for columns in islice(level, start, None):
+                conclusive, choice = _decide(columns, budget)
                 if not conclusive:
-                    unsure.append(rows)
-                elif choice is None and (least is None or rows < least):
-                    least = rows
+                    unsure.append(columns)
+                elif choice is None:
+                    rows = _rows(columns, n)
+                    if least is None or rows < least:
+                        least = rows
             if least is None:
-                examined += size
+                examined += len(level) - start
                 inconclusive += len(unsure)
                 continue
             # in ascending order, the search stops at the least witness
-            examined += sum(1 for rows, _ in level if rows[0] and rows <= least)
-            inconclusive += sum(1 for rows in unsure if rows < least)
+            examined += sum(1 for columns in islice(level, start, None)
+                            if _rows(columns, n) <= least)
+            inconclusive += sum(1 for columns in unsure if _rows(columns, n) < least)
             p = Problem(names[:n], labels[:m], _matrix(least, m), 2)
             return G2SearchResult(
                 witness=verify_no_fair_ef(p, budget),
@@ -564,21 +587,38 @@ def search_witness_g2(bounds: SearchBounds) -> G2SearchResult:
     )
 
 
+def _rows(columns, n: int) -> tuple[int, ...]:
+    """The row ints of the n-row matrix whose columns are the bit masks
+    ``columns`` (row i is bit i), first column the most significant bit."""
+    rows = [0] * n
+    for col in columns:
+        rows = [2 * r + (col >> i & 1) for i, r in enumerate(rows)]
+    return tuple(rows)
+
+
 def _matrix(rows, m: int) -> tuple[tuple[int, ...], ...]:
     """The 0/1 matrix of m columns whose rows are the ints ``rows``, first
     column the most significant bit."""
     return tuple(tuple([r >> k & 1 for k in range(m - 1, -1, -1)]) for r in rows)
 
 
-def _decide(rows, columns, budget: int):
+def _decide(columns, budget: int):
     """One candidate's answer, as ``(conclusive, choice)``: ``choice`` picks
     an efficient strongly envy-free assignment, one index into each day's
     lexicographic subset list, or is None when the candidate has none or
-    the budget ran out first.  ``rows`` are the candidate's row ints and
-    ``columns`` its column masks over the rows (row i is bit i).
+    the budget ran out first.  ``columns`` are the candidate's column
+    masks over its rows (row i is bit i).
 
     The answer is read off bit masks, with the rows grouped by
-    availability into levels.  The greedy leaf seats all of an even day's
+    availability into levels, ascending by count.  A bit-sliced counter
+    adds the columns up: bit i of plane j is bit j of row i's count, and
+    a column adds 1 to each of its rows by a ripple of carries through
+    the planes.  Three planes count to 7; a fourth, from 8 days on, and
+    one more at each doubling, keep the count exact for any number of
+    days.  A level is then the rows whose planes spell its count, read
+    as the low two bits against the higher ones.  A row in no column
+    plays no day and envies no one, so the levels start at count 1.  The
+    greedy leaf seats all of an even day's
     players; on each odd day, in column order, one player sits out: of the
     least available level that meets the day, the rows with the fewest
     sit-outs so far, that is the most games, and of those the lowest row.
@@ -592,12 +632,27 @@ def _decide(rows, columns, budget: int):
     answer.  Otherwise :func:`_first_ef_leaf` walks at most ``budget``
     leaves, and the answer is conclusive when it found one or walked them
     all: ``scan_verify``'s answer under the same budget."""
-    masks = [0] * (len(columns) + 1)  # the rows by availability count
-    bit = 1
-    for r in rows:
-        masks[r.bit_count()] |= bit
-        bit <<= 1
-    levels = [(count, mask) for count, mask in enumerate(masks) if mask]
+    a = b = c = 0  # the counts' planes 0, 1 and 2
+    high = [0] * (len(columns).bit_length() - 3)  # planes 3, ...
+    for col in columns:
+        carry = a & col
+        a ^= col
+        carry, b = b & carry, b ^ carry
+        carry, c = c & carry, c ^ carry
+        j = 0
+        while carry:
+            plane = high[j]
+            high[j] = plane ^ carry
+            carry &= plane
+            j += 1
+    low = (~a & ~b, a & ~b, ~a & b, a & b)  # the rows by count mod 4
+    top = [~c, c]  # the rows by count // 4
+    for plane in high:
+        top = [mask & ~plane for mask in top] + [mask & plane for mask in top]
+    levels = [
+        (count, mask) for count in range(1, len(columns) + 1)
+        if (mask := low[count & 3] & top[count >> 2])
+    ]
     out = [0] * len(columns)
     choice = []
     leaves = 1  # counted on the greedy's pass over the days

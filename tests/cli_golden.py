@@ -73,6 +73,11 @@ COMMANDS = [
     # candidates with more leaves
     *(["verify", "--group-size", "2", "--bounds", "5,5", "--budget", b] for b in ("1", "3", "50")),
     ["verify", "--group-size", "2", "--bounds", "4,6", "--budget", "7"],
+    # the g = 2 search over 8 and 9 days, whose availability counts reach 8
+    *(
+        ["verify", "--group-size", "2", "--bounds", b, "--per-size-cap", "1000000000000"]
+        for b in ("3,9", "4,8")
+    ),
     # the error exits: the lines above exit 4, 5 and 6 from check and verify,
     # these exit 2 (a missing file), 3 and 6 from enumerate
     ["solve", "--input", "no/such/sheet.csv", "--group-size", "4"],
@@ -85,6 +90,7 @@ LONG_COMMANDS = [
     ["verify", "--group-size", "8", "--budget", "266468362875"],
     ["verify", "--group-size", "9", "--budget", "14366628991000"],
     ["verify", "--group-size", "2", "--bounds", "7,6", "--per-size-cap", "200000000"],
+    ["verify", "--group-size", "2", "--bounds", "7,6", "--per-size-cap", "2000000000"],
     ["verify", "--group-size", "2", "--bounds", "8,5", "--per-size-cap", "60000000"],
     *(
         ["verify", "--group-size", "2", "--bounds", "7,5", "--per-size-cap", "100000000",

@@ -466,9 +466,9 @@ def test_verify_g2_prints_the_first_witness(capsys, monkeypatch):
     verifier to report it."""
     decide = impossibility._decide
 
-    def fake_decide(rows, columns, budget):
+    def fake_decide(columns, budget):
         if len(columns) < 2:
-            return decide(rows, columns, budget)
+            return decide(columns, budget)
         return True, None
 
     def fake(p, budget):

@@ -18,6 +18,7 @@ from fairplay.impossibility import (
     _least_order,
     _matrix,
     _orderly_levels,
+    _rows,
     _tie_accepts,
     build_table2,
     build_witness,
@@ -254,7 +255,9 @@ def test_is_canonical_agrees_with_canonical_form(rng):
         picks = [rng.randrange(m) for _ in range(m)]
         rows = [rng.choice(distinct) for _ in range(n)]
         parents.append(canonical_form(tuple(tuple(row[c] for c in picks) for row in rows)))
-    parents += [_matrix(rows, k) for n, k, level in _levels(5, 3) for rows, _ in level]
+    parents += [
+        _matrix(_rows(columns, n), k) for n, k, level, _ in _levels(5, 3) for columns in level
+    ]
     outcomes, packed, ties = set(), set(), set()
     for parent in parents:
         n = len(parent)
@@ -263,8 +266,7 @@ def test_is_canonical_agrees_with_canonical_form(rng):
         blocks = tuple(sorted(next(iter(frontiers[-1]))[1]))
         others = [[blocks.index(cell) for cell in cells]
                   for _, cells in frontiers[-1] if cells != blocks]
-        row_ints = tuple(int("".join(map(str, row)), 2) for row in parent)
-        yielded = set(_canonical_children(row_ints, columns, n))
+        yielded = set(_canonical_children(not any(parent[0]), columns, n))
         children = {
             tuple(sorted(row + (b,) for row, b in zip(parent, bits)))
             for bits in product((0, 1), repeat=n)
@@ -382,12 +384,12 @@ def test_g2_search_reports_match_the_independent_enumerator(monkeypatch):
     walks = _greedy_misses(monkeypatch)
     decide = impossibility._decide
 
-    def recording(rows, columns, budget):
+    def recording(columns, budget):
         before = len(walks)
-        answer = decide(rows, columns, budget)
+        answer = decide(columns, budget)
         walked = walks[before:]
         assert len(walked) <= 1
-        decisions.append((rows, columns, answer, bool(walked)))
+        decisions.append((columns, answer, bool(walked)))
         return answer
 
     _forbid_scans(monkeypatch)
@@ -396,8 +398,8 @@ def test_g2_search_reports_match_the_independent_enumerator(monkeypatch):
     assert result.search_complete
     assert len(decisions) == result.instances_examined == 550
     greedy = 0
-    for rows, columns, (conclusive, choice), walked in decisions:
-        matrix = _matrix(rows, len(columns))
+    for columns, (conclusive, choice), walked in decisions:
+        matrix = _candidate_matrix(columns)
         # the masks are the candidate's columns over its rows (row i, bit i)
         assert columns == _column_masks(matrix)
         combos = [subsets for _, subsets in _day_lists(matrix)]
@@ -434,10 +436,10 @@ def _reference_search(bounds, planted=None):
             for m in range(1, bounds.max_days + 1)
         )
         below, levels = levels[:days], []
-        for m, level in enumerate(_orderly_levels(n, below), 1):
+        for m, (level, start) in enumerate(_orderly_levels(n, below), 1):
             levels.append(level)
             searched.append((n, m))
-            for rows, _ in _candidates(level):
+            for rows, _ in _candidates(n, level, start):
                 examined += 1
                 matrix = _matrix(rows, m)
                 report = verify_no_fair_ef(_problem_from_matrix(matrix), bounds.per_instance_budget)
@@ -477,18 +479,21 @@ def test_g2_search_returns_the_full_report_of_its_witness(monkeypatch, k):
     no other, examines exactly the k candidates up to it and returns that
     candidate's full report, labelled p1.. and d1.."""
     candidates = [
-        (n, m, rows) for n, m, level in _levels(5, 4) for rows, _ in _candidates(level)
+        (n, m, rows)
+        for n, m, level, start in _levels(5, 4)
+        for rows, _ in _candidates(n, level, start)
     ]
     assert len(candidates) == 550
     planted = candidates[k - 1]
     calls = []
     decide = impossibility._decide
 
-    def stub(rows, columns, budget):
+    def stub(columns, budget):
+        rows = _candidate_rows(columns)
         calls.append((len(rows), len(columns), rows))
         if calls[-1] == planted:
             return True, None
-        return decide(rows, columns, budget)
+        return decide(columns, budget)
 
     monkeypatch.setattr(impossibility, "_decide", stub)
     result = search_witness_g2(SearchBounds(5, 4))
@@ -510,8 +515,8 @@ def test_g2_search_reports_the_least_witness_of_a_size_decided_in_generation_ord
     The search, deciding in the level's order, reports what the reference
     route, in ascending order, reports: examined, inconclusive and the
     witness's report."""
-    level = next(level for n, k, level in _levels(6, 4) if (n, k) == (6, 4))
-    made = [rows for rows, _ in level if rows[0]]
+    level = next(level for n, k, level, _ in _levels(6, 4) if (n, k) == (6, 4))
+    made = [rows for rows in (_rows(columns, 6) for columns in level) if rows[0]]
     rank = {rows: i for i, rows in enumerate(made)}  # the generation order
     ascending = sorted(made)
     assert made != ascending
@@ -534,11 +539,12 @@ def test_g2_search_reports_the_least_witness_of_a_size_decided_in_generation_ord
     decide = impossibility._decide
     decided = []
 
-    def stub(rows, columns, budget):
+    def stub(columns, budget):
+        rows = _candidate_rows(columns)
         decided.append(rows)
         if (len(columns), rows) in planted:
             return planted[len(columns), rows][0], None
-        return decide(rows, columns, budget)
+        return decide(columns, budget)
 
     monkeypatch.setattr(impossibility, "_decide", stub)
     bounds = SearchBounds(6, 4)
@@ -582,10 +588,10 @@ def test_greedy_leaf_is_an_efficient_strongly_envy_free_assignment(monkeypatch):
     day one of the day's least available players."""
     walks = _greedy_misses(monkeypatch)
     settled = tried = 0
-    for n, m, level in _levels(6, 5):
-        for rows, columns in _candidates(level):
+    for n, m, level, start in _levels(6, 5):
+        for rows, columns in _candidates(n, level, start):
             before = len(walks)
-            conclusive, choice = _decide(rows, columns, DEFAULT_MAX_ASSIGNMENTS)
+            conclusive, choice = _decide(columns, DEFAULT_MAX_ASSIGNMENTS)
             tried += 1
             if len(walks) > before:
                 continue
@@ -611,13 +617,13 @@ def test_mask_decision_settles_exactly_when_the_scan_finds_an_ef_leaf(monkeypatc
     choice is the scan's first envy-free choice, tuple for tuple."""
     walks = _greedy_misses(monkeypatch)
     tried = 0
-    for n, m, level in _levels(6, 5):
-        for rows, columns in _candidates(level):
+    for n, m, level, start in _levels(6, 5):
+        for rows, columns in _candidates(n, level, start):
             matrix = _matrix(rows, m)
             combos = [subsets for _, subsets in _day_lists(matrix)]
             _, scanned, first, _ = scan_verify(combos, matrix, DEFAULT_MAX_ASSIGNMENTS)
             before = len(walks)
-            conclusive, choice = _decide(rows, columns, DEFAULT_MAX_ASSIGNMENTS)
+            conclusive, choice = _decide(columns, DEFAULT_MAX_ASSIGNMENTS)
             assert conclusive and scanned, matrix
             assert (choice is None) == (first is None), matrix
             if len(walks) > before:
@@ -628,14 +634,14 @@ def test_mask_decision_settles_exactly_when_the_scan_finds_an_ef_leaf(monkeypatc
 
 
 def _budget_candidates():
-    """``(matrix, rows, columns)`` for every candidate up to (6,4) and
-    (5,5), each once."""
+    """``(matrix, columns)`` for every candidate up to (6,4) and (5,5),
+    each once."""
     for bounds in ((6, 4), (5, 5)):
-        for n, m, level in _levels(*bounds):
+        for n, m, level, start in _levels(*bounds):
             if bounds == (5, 5) and m < 5:
                 continue  # made up to (6,4) already
-            for rows, columns in _candidates(level):
-                yield _matrix(rows, m), rows, columns
+            for rows, columns in _candidates(n, level, start):
+                yield _matrix(rows, m), columns
 
 
 def test_greedy_leaf_settles_no_candidate_over_the_budget(monkeypatch):
@@ -649,13 +655,13 @@ def test_greedy_leaf_settles_no_candidate_over_the_budget(monkeypatch):
     _forbid_scans(monkeypatch)
     walks = _greedy_misses(monkeypatch)
     tried = found_over = 0  # found_over: over the budget, an EF leaf within it
-    for matrix, rows, columns in _budget_candidates():
+    for matrix, columns in _budget_candidates():
         combos = [subsets for _, subsets in _day_lists(matrix)]
         leaves = math.prod(map(len, combos))
         for budget in sorted({1, 2, 3, 7, 50, leaves - 1, leaves} - {0}):
             _, conclusive, first, _ = scan_verify(combos, matrix, budget)
             before = len(walks)
-            answer = _decide(rows, columns, budget)
+            answer = _decide(columns, budget)
             walked = len(walks) > before
             assert walked or budget >= leaves, (matrix, budget)
             if walked:
@@ -676,11 +682,11 @@ def test_g2_search_walks_every_candidate_over_its_budget(monkeypatch, budget):
     walks = _greedy_misses(monkeypatch)
     over = 0
 
-    def recording(rows, columns, cap):
+    def recording(columns, cap):
         nonlocal over
         before = len(walks)
-        answer = decide(rows, columns, cap)
-        leaves = math.prod(len(subsets) for _, subsets in _day_lists(_matrix(rows, len(columns))))
+        answer = decide(columns, cap)
+        leaves = math.prod(len(subsets) for _, subsets in _day_lists(_candidate_matrix(columns)))
         if leaves > cap:
             over += 1
             assert len(walks) == before + 1 and answer[1] == walks[-1]
@@ -701,9 +707,9 @@ def test_greedy_leaf_settles_6652_of_the_7_4_candidates(monkeypatch):
     decisions = []
     decide = impossibility._decide
 
-    def recording(rows, columns, budget):
+    def recording(columns, budget):
         decisions.append(1)
-        return decide(rows, columns, budget)
+        return decide(columns, budget)
 
     monkeypatch.setattr(impossibility, "_decide", recording)
     walks = _greedy_misses(monkeypatch)
@@ -730,29 +736,40 @@ def test_g2_search_dedup_skips_oversized_pools():
 
 
 def _levels(max_players, max_days):
-    """``(n, k, level)`` for n = 2..max_players and k = 1..max_days, each n
-    taking its zero-row entries from the n - 1 row levels, as the search
-    does."""
+    """``(n, k, level, start)`` for n = 2..max_players and k = 1..max_days,
+    each n taking its zero-row entries from the n - 1 row levels, as the
+    search does."""
     levels = [[]] * max_days
     for n in range(2, max_players + 1):
         below, levels = levels, []
-        for k, level in enumerate(_orderly_levels(n, below), 1):
+        for k, (level, start) in enumerate(_orderly_levels(n, below), 1):
             levels.append(level)
-            yield n, k, level
+            yield n, k, level, start
 
 
-def _candidates(level):
-    """The entries of an orderly level with no zero row, ``(rows,
-    columns)``, in ascending order of their matrices, the order in which
-    the search reports: rows ascend, so the first row is the least, and
-    row ints read a matrix's rows in order."""
-    return sorted(entry for entry in level if entry[0][0])
+def _candidates(n, level, start):
+    """The candidates of an orderly level of n rows, its entries from
+    ``start`` on, as ``(rows, columns)`` in ascending order of their
+    matrices, the order in which the search reports: rows ascend, so the
+    first row is the least, and row ints read a matrix's rows in order."""
+    return sorted((_rows(columns, n), columns) for columns in level[start:])
+
+
+def _candidate_rows(columns):
+    """The row ints of a candidate, given by its column masks: it has no
+    zero row, so its rows are the bits up to the masks' highest."""
+    return _rows(columns, max(columns).bit_length())
+
+
+def _candidate_matrix(columns):
+    """The 0/1 matrix of a candidate, given by its column masks."""
+    return _matrix(_candidate_rows(columns), len(columns))
 
 
 def _dedup_candidates(max_players, max_days):
     """``(n, m, candidates)`` per size, each candidate as its 0/1 matrix."""
-    for n, m, level in _levels(max_players, max_days):
-        yield n, m, [_matrix(rows, m) for rows, _ in _candidates(level)]
+    for n, m, level, start in _levels(max_players, max_days):
+        yield n, m, [_matrix(rows, m) for rows, _ in _candidates(n, level, start)]
 
 
 def _int_to_matrix(value: int, n: int, m: int) -> tuple[tuple[int, ...], ...]:
@@ -800,11 +817,45 @@ def test_orderly_levels_match_plain_orderly_generation():
     """The zero-row lift and the parent-frontier test change no level, up
     to (7,4); no entry is made twice."""
     reference = None
-    for n, k, level in _levels(7, 4):
+    for n, k, level, _ in _levels(7, 4):
         if k == 1:
             reference = _reference_levels(n, 4)
         assert len(set(level)) == len(level), (n, k)
-        assert set(level) == next(reference), (n, k)
+        assert set(level) == {columns for _, columns in next(reference)}, (n, k)
+
+
+def test_level_entries_are_their_column_masks_alone(monkeypatch):
+    """Every level entry up to (6,5) and (3,9) is its tuple of column
+    masks and nothing else: the row ints ``_rows`` builds ascend and give
+    the columns back through ``_column_masks(_matrix(...))``; the entries
+    from the level's ``start`` on are exactly those with a nonzero first
+    row; and the availability levels the decision's bit-sliced counter
+    reads off the columns group the rows by their bit counts, counts of 8
+    and 9 included, where it needs its fourth plane."""
+    seen = []
+
+    def recording(levels, out):  # the greedy leaf's envy test reads the levels
+        seen.append(levels)
+        return True
+
+    monkeypatch.setattr(impossibility, "_envy_free", recording)
+    entries = most = 0
+    for bounds in ((6, 5), (3, 9)):
+        for n, k, level, start in _levels(*bounds):
+            for i, columns in enumerate(level):
+                rows = _rows(columns, n)
+                assert list(rows) == sorted(rows), columns
+                assert _column_masks(_matrix(rows, k)) == columns
+                assert (i >= start) == (rows[0] != 0), (n, k, i)
+                by_count = {}
+                for j, r in enumerate(rows):
+                    if r:
+                        by_count[r.bit_count()] = by_count.get(r.bit_count(), 0) | 1 << j
+                _decide(columns, DEFAULT_MAX_ASSIGNMENTS)
+                assert seen.pop() == sorted(by_count.items()), columns
+                most = max(most, *by_count)
+                entries += 1
+    assert (entries, most) == (20_010, 9)
 
 
 def test_canonical_children_are_exactly_the_canonical_children():
@@ -814,11 +865,12 @@ def test_canonical_children_are_exactly_the_canonical_children():
     every column that keeps the rows ascending, has weight >= 2, leaves the
     first row nonzero (the zero-block rule) and makes a canonical child."""
     accepted = rejected = 0
-    for n, k, level in _levels(7, 4):
+    for n, k, level, _ in _levels(7, 4):
         if (n, k) == (6, 4) or n == 7 and k != 3:
             continue
-        for rows, columns in level:
-            yielded = list(_canonical_children(rows, columns, n))
+        for columns in level:
+            rows = _rows(columns, n)
+            yielded = list(_canonical_children(not rows[0], columns, n))
             assert len(set(yielded)) == len(yielded), rows
             canonical = set()
             for col in range(1 << n):
@@ -845,7 +897,7 @@ def test_canonical_children_send_1833_children_to_the_tie_test(monkeypatch):
         return decided[-1]
 
     monkeypatch.setattr(impossibility, "_tie_accepts", recording)
-    entries = sum(len(level) for n, k, level in _levels(7, 4) if n == 7 and k == 4)
+    entries = sum(len(level) for n, k, level, _ in _levels(7, 4) if n == 7 and k == 4)
     assert entries == 6_279
     assert (len(decided), sum(decided)) == (1_833, 1_673)
 
@@ -945,11 +997,12 @@ def test_orderly_levels_are_pinned_up_to_the_default_search(monkeypatch):
     sizes = {}
 
     def recording(n, below):
-        for k, level in enumerate(_orderly_levels(n, below), 1):
-            sizes[n, k] = len(level), sum(1 for rows, _ in level if rows[0])
-            yield level
+        for k, (level, start) in enumerate(_orderly_levels(n, below), 1):
+            # a candidate's first row, bit 0 of its columns, is nonzero
+            sizes[n, k] = len(level), sum(1 for columns in level if any(c & 1 for c in columns))
+            yield level, start
 
-    def decide_stub(rows, columns, budget):  # an envy-free first leaf
+    def decide_stub(columns, budget):  # an envy-free first leaf
         return True, (0,) * len(columns)
 
     monkeypatch.setattr(impossibility, "_orderly_levels", recording)
