@@ -20,6 +20,7 @@ class Mutant(NamedTuple):
 IMPOSSIBILITY = "src/fairplay/impossibility.py"
 T_IMP = "tests/test_impossibility.py::"
 T_EXACT = T_IMP + "test_canonical_children_are_exactly_the_canonical_children"
+T_TIE_EXACT = T_IMP + "test_is_canonical_agrees_with_canonical_form"
 T_TIES = T_IMP + "test_canonical_children_send_1833_children_to_the_tie_test"
 T_BOUND = T_IMP + "test_bounded_sums_send_7644_columns_to_the_packed_test"
 T_GREEDY_SOUND = T_IMP + "test_greedy_leaf_is_an_efficient_strongly_envy_free_assignment"
@@ -30,6 +31,10 @@ T_ENTRIES = T_IMP + "test_level_entries_are_their_column_masks_alone"
 T_LEVELS = T_IMP + "test_orderly_levels_match_plain_orderly_generation"
 T_GOLDEN = "tests/test_cli.py::test_cli_output_matches_the_golden_table"
 T_SCAN = "tests/test_scan.py::"
+T_SOLVER = "tests/test_solver.py::"
+T_FLOW_BRUTE = T_SOLVER + "test_profile_flow_matches_brute_force_on_random_instances"
+T_FAIR_ORACLE = T_SOLVER + "test_solve_fair_matches_oracle_on_random_instances"
+T_FLOW_POTENTIALS = T_SOLVER + "test_profile_flow_leaves_valid_potentials"
 T_GOLDEN_G2 = tuple(f"{T_GOLDEN}[verify --group-size 2 --bounds {b}]" for b in ("7,4", "5,5"))
 T_GOLDEN_WIDE = tuple(
     f"{T_GOLDEN}[verify --group-size 2 --bounds {b} --per-size-cap 1000000000000]"
@@ -69,6 +74,14 @@ MUTANTS = (
         "            guards |= 1 << shift\n",
         "            guards |= 1 << shift - 1\n",
         (T_TIES, T_EXACT),
+    ),
+    Mutant(
+        "tie test: a frontier entry that reads below its least key is accepted",
+        IMPOSSIBILITY,
+        "            key = tuple([(cell & c).bit_count() for cell in cells])\n"
+        "            if key < own:\n                return False\n",
+        "            key = tuple([(cell & c).bit_count() for cell in cells])\n",
+        (T_EXACT, T_TIE_EXACT, *T_GOLDEN_G2),
     ),
     # the branch and bound that grows the packed sums
     Mutant(
@@ -191,6 +204,20 @@ MUTANTS = (
         "if False:",
         ("tests/test_solver.py::test_lex_tie_break_is_row_major_minimum_over_optima"
          "[reroute-meets-a-dearer-cycle]",),
+    ),
+    Mutant(
+        "flow: sink costs that do not move",
+        "src/fairplay/_flow.py",
+        "cost[e] = c // self.base if c < 0 else c * self.base",
+        "cost[e] = c",
+        (T_FLOW_BRUTE, T_FAIR_ORACLE, T_FLOW_POTENTIALS),
+    ),
+    Mutant(
+        "flow: a flat first sit-out cost",
+        "src/fairplay/_flow.py",
+        "base ** (m - days[i])",
+        "base ** (m - 1)",
+        (T_FLOW_BRUTE, T_FAIR_ORACLE, T_FLOW_POTENTIALS),
     ),
     Mutant(
         "scan: a skipped class's leaves ranked one past their jump",

@@ -35,10 +35,8 @@ from fairplay.model import (
     Problem,
     ValidationError,
     _envy_pairs,
-    envy_report,
     g_vector,
     games_per_player,
-    is_efficient,
     is_feasible,
     max_total_games,
     reduce_problem,
@@ -189,9 +187,8 @@ def cmd_check(args) -> int:
 
     slots = x.total_slots()
     bound = p.group_size * max_total_games(p)
-    efficient = is_efficient(x, p)
     print(
-        f"efficient: {'yes' if efficient else 'no'} "
+        f"efficient: {'yes' if slots == bound else 'no'} "
         f"({slots} of {bound} possible player-slots filled)"
     )
 
@@ -200,7 +197,7 @@ def cmd_check(args) -> int:
     profile = g_vector(core).counts
     print("fairness profile (reduced core): " + " ".join(str(c) for c in profile))
 
-    envy = envy_report(core, reduced)
+    envy = _envy_pairs(core, reduced)  # x is feasible, and so is its core
     if envy.is_strongly_envy_free:
         print("strong envy: none")
     else:

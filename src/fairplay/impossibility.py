@@ -1,14 +1,7 @@
 """Witness instances where no assignment is both full-game and strongly
 envy-free, and the bounded g = 2 search for one.  A witness is certified
 by :func:`fairplay.oracle.verify_no_fair_ef`, the exhaustive strong-envy
-scan.  At g = 2 an even day seats all its players and an odd day all but
-one, so a leaf is one sit-out per odd day, and the search decides each
-candidate on bit masks: the rows grouped by availability, and the
-sit-outs as nested layers of rows.  Within the leaf budget it tries the
-greedy leaf, which sits out a least available player; otherwise, or when
-that leaf is not strongly envy-free, it walks at most ``budget`` leaves
-in the scan's odometer order, which gives the scan's answer under the
-same budget.  It runs no scan; only a witness gets the full report.
+scan.
 
 For group sizes g >= 3 a fixed family works: g players who force both of the
 first two days, and 2g-1 players sharing three more days.  The three shared
@@ -16,28 +9,12 @@ days hand out 3g slots, fewer than 2(2g-1), so some flexible player ends up
 with at most one game while every forced player has two; that player envies
 all g of them.  For g = 2 that arithmetic fails (3g = 6 = 2(2g-1)), so this
 module ships a bounded exhaustive search instead of a construction and
-reports exactly what it covered.
+reports exactly what it covered (:func:`search_witness_g2`).
 
-The search visits one matrix per class under row and column permutations:
-the canonical ones, grown a column at a time by orderly generation, so no
-class is made twice and no dedup set is kept.  The matrices with a zero row
-are taken from the level with one player fewer, and the canonicity greedy
-runs once per parent.  Each child is then decided against its parent's
-frontiers by one packed sum: one int per choice of new 1s in a block of
-the parent's equal rows holds the choice's column bits and every frontier
-key it adds to, so the child's column and all its keys come out of one
-sum, and two subtractions compare every key with its least at once.  The
-sums are grown block by block under a bound (Land & Doig 1960): a partial
-sum is dropped once its fullest completion reads below a least key, so
-the children that would read below are never built.  Only a child with a
-key equal to its least gets the bit-level test, on the entries it ties.
-Each matrix is held as its tuple of column masks alone: a zero first row
-is a lift, each mask shifted up a bit, and the decision reads each row's
-availability off the masks with a bit-sliced counter.  Row ints are built
-only in a size that holds a witness, to find the least one.  A size is
-searched only when its candidate pool, an estimate counted over row
-multisets (C(2^m - 1 + n - 1, n) for n players and m days), is within
-the cap; the pool is only this gate, not what the search generates.
+The search has two parts.  Generation (:func:`_orderly_levels`) makes the
+canonical matrices, one per class under row and column permutations, a
+column at a time, each held as its tuple of column masks.  The decision
+(:func:`_decide`) answers each on bit masks as the scan would, with no scan.
 """
 
 from __future__ import annotations
@@ -70,8 +47,9 @@ class SearchBounds(_SearchBoundsFields):
 
     Sizes whose candidate pool exceeds ``per_size_cap`` are skipped and
     reported, so a finished search states exactly what it covered.  The pool
-    is an estimate that only gates the size: the count of row multisets (the
-    canonical matrices searched are far fewer).
+    is an estimate that only gates the size: the count of row multisets,
+    C(2^m - 1 + n - 1, n) for n players and m days (the canonical matrices
+    searched are far fewer).
     """
 
     __slots__ = ()
@@ -228,25 +206,26 @@ def _column_masks(matrix) -> tuple[int, ...]:
     )
 
 
-def _tie_accepts(c: int, columns: tuple[int, ...], keys: list, ties: list, others: list,
-                 blocks) -> bool:
-    """The bit-level canonicity test of a child M = P + c of a canonical
-    matrix P, given by its column masks over ascending rows, when no entry
-    of the greedy's frontiers on P below depth k reads below its least key
-    on c: from P's least keys, the entries of each depth whose key on c
-    equals the least (``ties``, none at depth k), the depth k entries
-    other than P's own order as permutations of P's blocks of equal rows
-    (``others``) and the blocks ("Parent frontiers" in
-    :func:`_orderly_levels`): whether no prefix reads below M's own key at
-    any depth."""
-    counts = [(cell & c).bit_count() for cell in blocks]
-    if any([counts[p] for p in perm] < counts for perm in others):
-        return False  # a depth k entry reads below c's own block counts
+def _tie_accepts(c: int, columns: tuple[int, ...], frontiers: list, keys: list) -> bool:
+    """Whether the child M = P + c of a canonical k-column matrix P is
+    canonical, from P's column masks, its frontiers of depths 0, ..., k and
+    ``keys``: P's least keys, then c's own depth-k key, its counts in P's
+    blocks of equal rows.  Exact whenever M's rows ascend ("Parent
+    frontiers" in :func:`_orderly_levels`): at each depth d it extends
+    every entry of P's depth d frontier by c and every survivor by each of
+    P's unused columns; a key below ``keys[d]`` rejects M, and an equal one
+    survives to depth d + 1."""
     last = len(columns)
     new = 1 << last  # c's bit in ``used``
     survivors = set()
-    for d, own in enumerate(keys + [tuple(counts)]):
-        kept = {(used | new, _split(cells, c)) for used, cells in ties[d]}
+    for d, own in enumerate(keys):
+        kept = set()
+        for used, cells in frontiers[d]:
+            key = tuple([(cell & c).bit_count() for cell in cells])
+            if key < own:
+                return False
+            if key == own and d < last:
+                kept.add((used | new, _split(cells, c)))
         for used, cells in survivors:
             for j, col in enumerate(columns):
                 if used >> j & 1:
@@ -263,38 +242,30 @@ def _tie_accepts(c: int, columns: tuple[int, ...], keys: list, ties: list, other
 def _canonical_children(zero: bool, columns: tuple[int, ...], n: int):
     """Yield the new last columns, as bit masks over the rows, of the
     canonical children of a canonical n x k matrix P, given by its column
-    masks ("Parent frontiers" and "Packed keys" in :func:`_orderly_levels`);
-    ``zero`` says that P's first row is zero, that is no column has bit 0.
-
-    A child's column has weight >= 2 and, within each block of P's equal
-    rows, runs 0s then 1s, which keeps the rows ascending and makes each
-    child exactly once.  When the first block is zero rows, it takes only
-    its all-ones choice: any other choice leaves the first row zero, and
-    :func:`_orderly_levels` takes those children from the level with one
-    row fewer.  The sums arrive bounded, none reading below a least key,
-    so each is strict or a tie; a tie hands :func:`_tie_accepts` the
-    entries it ties, read off the guards that ``(K | G) - (W + L)`` loses,
-    whose segments equal their least keys."""
+    masks; ``zero`` says that P's first row is zero, that is no column has
+    bit 0.  A child's column has weight >= 2 and, within each block of P's
+    equal rows, runs 0s then 1s, so the rows ascend and each child is made
+    once.  The greedy runs once, on P; the children are grown under the
+    bound and decided by their packed keys ("Zero rows", "Parent
+    frontiers", "Packed keys" and "Bound" in :func:`_orderly_levels`)."""
     frontiers, keys = _least_order(columns, n)
     k = len(columns)
     # P's blocks of equal rows, as bit masks in row order: at depth k every
     # column is used, so each cell of a depth-k entry is one block, and the
     # blocks are runs of rows, so their masks sort in row order
     blocks = tuple(sorted(next(iter(frontiers[k]))[1]))
-    # one segment per frontier entry below depth k, above the column's n
-    # bits: a w-bit field per cell, first cell most significant, and a
-    # guard bit on top; ``units[b]`` has a 1 in the field of the cell that
-    # holds block b, in every segment
+    # one segment per frontier entry below depth k ("Packed keys");
+    # ``units[b]`` has a 1 in the field of the cell that holds block b, in
+    # every segment
     w = (n + 1).bit_length()
     units = [0] * len(blocks)
     least = guards = lows = 0
     shift = n
-    entries = {}  # each guard's bit_length to its depth and entry
     for d in range(k):
         packed = 0
         for count in keys[d]:
             packed = packed << w | count
-        for used, cells in frontiers[d]:
+        for _, cells in frontiers[d]:
             lows |= 1 << shift
             least |= packed << shift
             for cell in reversed(cells):
@@ -304,7 +275,6 @@ def _canonical_children(zero: bool, columns: tuple[int, ...], n: int):
                 shift += w
             guards |= 1 << shift
             shift += 1
-            entries[shift] = d, (used, cells)
     # the depth k entries other than P's own order: P's blocks, permuted
     others = [
         [blocks.index(cell) for cell in cells] for _, cells in frontiers[k] if cells != blocks
@@ -323,35 +293,20 @@ def _canonical_children(zero: bool, columns: tuple[int, ...], n: int):
                 if any([counts[p] for p in perm] < counts for perm in others):
                     continue
             yield col
-        else:
-            # the tied entries: a segment's guard lost to W + L, so its
-            # key equals its least
-            ties = [[] for _ in range(k + 1)]
-            tied = guards & ~(key - strict)
-            while tied:
-                g = tied & -tied
-                d, entry = entries[g.bit_length()]
-                ties[d].append(entry)
-                tied ^= g
-            if _tie_accepts(col, columns, keys, ties, others, blocks):
-                yield col
+        elif _tie_accepts(col, columns, frontiers,
+                          keys + [tuple([(col & block).bit_count() for block in blocks])]):
+            yield col
 
 
 def _bounded_sums(blocks, units: list, below: int, guards: int, zero: bool) -> list:
-    """The packed sums of the child columns of a parent P that no frontier
-    entry can read below its least key ("Packed keys" in
+    """The packed sums of the child columns of a parent P on which no
+    frontier entry reads below its least key ("Packed keys" and "Bound" in
     :func:`_orderly_levels`), from P's blocks of equal rows, their
     ``units``, ``below`` = W - G and the guards G.  Each block b chooses
     t = 0, ..., |b| new 1s, at its top; when ``zero``, the first block is
-    zero rows and takes only its all-ones choice.
-
-    Branch and bound (Land & Doig 1960): a partial sum x over the blocks
-    before b + 1 is kept only while ``(x + rest[b + 1]) - below`` keeps
-    every guard, where ``rest[b + 1]`` holds every later block all ones.
-    Fields only grow, so every completion of x is fieldwise, hence
-    lexicographically, at most that fullest one; when it reads below some
-    least key, every completion does.  At the last block the bound is the
-    full test itself, so every sum returned reads no key below its least."""
+    zero rows and takes only its all-ones choice.  A partial sum x over
+    the blocks up to b is kept while ``(x + rest[b + 1]) - below`` keeps
+    every guard, ``rest[b + 1]`` holding every later block all ones."""
     rest = [0] * (len(blocks) + 1)
     for b in range(len(blocks) - 1, -1, -1):
         rest[b] = rest[b + 1] + blocks[b] + blocks[b].bit_count() * units[b]
@@ -374,9 +329,7 @@ def _orderly_levels(n: int, below: list):
     zero first row, lifted from ``below[k-1]``, the same level for n - 1
     rows, which is dropped from ``below`` as soon as it is taken; the
     entries from ``start`` on, grown from the level before, are the others,
-    the candidates of the search.  No entry holds its rows: the search
-    reads each row's bit count off the columns (:func:`_decide`), and
-    :func:`_rows` builds the row ints where they are still needed.
+    the candidates of the search.
 
     Orderly generation (Read 1978; McKay 1998): grow each canonical prefix
     by one column and keep the canonical children.  It is exact because the
@@ -389,8 +342,6 @@ def _orderly_levels(n: int, below: list):
     every depth is its own prefix, that is ``canonical_form(P) == P``.
     Every canonical M thus arises as a child of a canonical P, and only
     once; weight >= 2 is final once a column is added.
-
-    Two shortcuts keep exactly the same matrices.
 
     Zero rows.  A zero row reads 0 in every column, so it stays in the first
     cell of every partition and adds no 1 to any count.  The greedy on
@@ -407,15 +358,16 @@ def _orderly_levels(n: int, below: list):
 
     Parent frontiers.  The greedy runs once per parent P with k columns,
     keeping each depth's frontier and least key, and each child M = P + c
-    is decided against them (:func:`_canonical_children`).  Since M's rows
-    ascend, M is canonical exactly when no prefix reads below M's own key
-    at any depth d = 0, ..., k: P's least key for d < k, as P is canonical,
-    and at d = k c's key on P's last own partition, the blocks of equal
-    rows.  While none does, M's least keys are P's, so the prefixes kept on
-    M at depth d are P's frontier and the survivors holding c, the prefixes
+    is decided against them.  Since M's rows ascend, M is canonical
+    exactly when no prefix reads below M's own key at any depth
+    d = 0, ..., k: P's least key for d < k, as P is canonical, and at
+    d = k c's key on P's last own partition, the blocks of equal rows.
+    While none does, M's least keys are P's, so the prefixes kept on M at
+    depth d are P's frontier and the survivors holding c, the prefixes
     whose extension by c read a least key.  Only P's depth d frontier
     extended by c, and those survivors extended by P's unused columns, can
-    then read below; P's own extensions cannot.
+    then read below; P's own extensions cannot.  :func:`_tie_accepts` is
+    this argument as code, so it is exact on any child whose rows ascend.
 
     Packed keys.  Every cell of a prefix the greedy keeps on P is a union
     of P's blocks of equal rows, since the blocks are P's finest partition,
@@ -444,18 +396,18 @@ def _orderly_levels(n: int, below: list):
     - tie, otherwise: some key equals its least, so survivors may form and
       may read below at a later depth through P's unused columns, which
       the packing does not hold.  Only then does the bit-level test
-      (:func:`_tie_accepts`) run.  The tied entries are the segments whose
-      guard the first subtraction loses, so it extends only those, and
-      the survivors, and reads no other frontier key again.
+      (:func:`_tie_accepts`) run, on P's frontiers themselves.
 
-    Bound.  The below children are never built (:func:`_bounded_sums`).
-    A child's sum is grown block by block, and every count only grows as
-    later blocks add their 1s, so each completion of a partial sum is
-    fieldwise at most its fullest one, every later block all ones, and a
-    segment fieldwise at most another reads lexicographically at most it.
-    A partial sum whose fullest completion reads below some least key has
-    only below children, and is dropped.  Up to (7,4) this leaves 7,644 of
-    the 26,034 children of weight >= 2 for the packed test.
+    Bound (Land & Doig 1960).  The below children are never built
+    (:func:`_bounded_sums`).  A child's sum is grown block by block, and
+    every count only grows as later blocks add their 1s, so each
+    completion of a partial sum is fieldwise at most its fullest one,
+    every later block all ones, and a segment fieldwise at most another
+    reads lexicographically at most it.  A partial sum whose fullest
+    completion reads below some least key has only below children, and is
+    dropped; at the last block that completion is the sum itself, so no
+    sum kept reads below.  Up to (7,4) this leaves 7,644 of the 26,034
+    children of weight >= 2 for the packed test.
     """
     level, start = [()], 1  # no columns: the first row is zero
     for k in range(len(below)):
@@ -482,49 +434,22 @@ def search_witness_g2(bounds: SearchBounds) -> G2SearchResult:
     ``problem`` is the instance, and only the candidates up to it count.
     ``search_complete`` is True only when no size was skipped and no
     instance was inconclusive, so a negative result states its exact
-    coverage.
+    coverage.  The examined and inconclusive counts and the first witness
+    are those of ``scan_verify`` under the same budget on every candidate
+    (:func:`_decide`).  Only a witness gets a tuple matrix, labels p1..
+    and d1.. and the full :func:`verify_no_fair_ef` report.
 
     The candidates are the level's entries from its ``start`` on
-    (:func:`_orderly_levels`), each its tuple of column masks, and the
-    decisions run in the order the level holds them, which is not
-    ascending; none is sorted.  A size with no witness adds all its
-    candidates to the examined count and all its inconclusive ones.  A
-    size with witnesses is decided to its end, keeping the least witness's
+    (:func:`_orderly_levels`), each decided once on its column masks, in
+    the order the level holds them, which is not ascending; none is
+    sorted.  A size with witnesses is decided to its end, past where a
+    search in ascending order would stop, keeping the least witness's
     rows and the inconclusive candidates' columns; one linear pass over
     the candidates then counts those at or below the least witness as
     examined, and the inconclusive ones strictly below it.  No two
     candidates share their rows, so these are the counts, and the
     witness, of a search in ascending order that stops at its first
-    witness.  Row ints (:func:`_rows`) are built only on this path: for
-    the witnesses, and for every candidate of the size in that pass.
-
-    Each candidate gets one decision on bit masks, :func:`_decide`, on its
-    column masks.  When its leaf count, the product of its
-    odd days' player counts, is within the budget, the greedy leaf sits
-    out, on each odd day in column order, one of the day's least available
-    players, the one with the most games so far, then the first; when it
-    is strongly envy-free the candidate is settled.  Otherwise
-    :func:`_first_ef_leaf` walks the sit-out vectors in ``scan_verify``'s
-    odometer order, each odd day's highest row first, and returns the
-    first envy-free one within ``budget`` leaves, or None.  The scan's
-    orbit memo skips only subtrees with no envy-free leaf and counts them
-    against the budget, so it finds one exactly when the first in odometer
-    order lies within the budget, as the walk does; both are conclusive
-    exactly when they find one or cover every leaf.  The search reads only
-    whether the answer was conclusive and whether it found one, so
-    examined and inconclusive counts and the first witness are those of a
-    scan on every candidate.
-
-    Only a witness, a conclusive answer with no envy-free assignment, gets
-    a tuple matrix, labels p1.. and d1.. and the full
-    :func:`verify_no_fair_ef` report.  The walk has none of the scan's
-    orbit pruning, so the worst cases walk leaf by leaf: a candidate with
-    no envy-free leaf within the budget, where the search then stops, and
-    one over the budget whose first envy-free leaf lies past it, which
-    costs ``budget`` leaves.  Every greedy miss up to (7,5) has an
-    envy-free leaf.  A size that holds a witness also decides its
-    candidates above the least one, which a search in ascending order
-    would not reach.
+    witness.  Row ints (:func:`_rows`) are built only on this path.
     """
     examined = 0
     inconclusive = 0
@@ -548,8 +473,7 @@ def search_witness_g2(bounds: SearchBounds) -> G2SearchResult:
             levels.append(level)
             searched.append((n, m))
             # no zero row and every column of weight >= 2: irreducible at
-            # g = 2, so the decision needs no Problem; decided in the
-            # level's order, keeping the least witness
+            # g = 2, so the decision needs no Problem
             least = None  # the least witness's rows
             unsure = []  # the inconclusive candidates' columns
             for columns in islice(level, start, None):
@@ -564,7 +488,6 @@ def search_witness_g2(bounds: SearchBounds) -> G2SearchResult:
                 examined += len(level) - start
                 inconclusive += len(unsure)
                 continue
-            # in ascending order, the search stops at the least witness
             examined += sum(1 for columns in islice(level, start, None)
                             if _rows(columns, n) <= least)
             inconclusive += sum(1 for columns in unsure if _rows(columns, n) < least)
@@ -607,7 +530,9 @@ def _decide(columns, budget: int):
     an efficient strongly envy-free assignment, one index into each day's
     lexicographic subset list, or is None when the candidate has none or
     the budget ran out first.  ``columns`` are the candidate's column
-    masks over its rows (row i is bit i).
+    masks over its rows (row i is bit i).  At g = 2 an efficient
+    assignment seats all of an even day's players and all but one of an
+    odd day's, so a leaf is one sit-out per odd day.
 
     The answer is read off bit masks, with the rows grouped by
     availability into levels, ascending by count.  A bit-sliced counter
@@ -617,21 +542,27 @@ def _decide(columns, budget: int):
     one more at each doubling, keep the count exact for any number of
     days.  A level is then the rows whose planes spell its count, read
     as the low two bits against the higher ones.  A row in no column
-    plays no day and envies no one, so the levels start at count 1.  The
-    greedy leaf seats all of an even day's
-    players; on each odd day, in column order, one player sits out: of the
-    least available level that meets the day, the rows with the fewest
-    sit-outs so far, that is the most games, and of those the lowest row.
-    The sit-outs are nested layers: ``out[k]`` holds the rows that sat out
-    more than k times, so the rows with the fewest sit-outs are those the
-    first layer k not holding all of them leaves out, and each then has k
-    sit-outs.  A row sits out at most once a day, so the last of the m
-    layers stays empty until the last day.  Sitting out row j of a day's c
-    players is subset c - 1 - j of its list.  When the candidate's leaves
-    are within the budget and that leaf is strongly envy-free, it is the
-    answer.  Otherwise :func:`_first_ef_leaf` walks at most ``budget``
-    leaves, and the answer is conclusive when it found one or walked them
-    all: ``scan_verify``'s answer under the same budget."""
+    plays no day and envies no one, so the levels start at count 1.
+
+    The greedy leaf sits out, on each odd day in column order, the lowest
+    row of those with the fewest sit-outs so far, that is the most games,
+    in the least available level that meets the day.  The sit-outs are
+    nested layers: ``out[k]`` holds the rows that sat out more than k
+    times, so the rows with the fewest sit-outs are those the first layer
+    k not holding all of them leaves out, and each then has k sit-outs.
+    A row sits out at most once a day, so the last of the m layers stays
+    empty until the last day.  Sitting out row j of a day's c players is
+    subset c - 1 - j of its list.  When the candidate's leaves are within
+    the budget and that leaf is strongly envy-free, it is the answer.
+    Otherwise :func:`_first_ef_leaf` walks at most ``budget`` leaves, and
+    the answer is conclusive when it found one or walked them all; every
+    greedy miss up to (7,5) has an envy-free leaf.  That is
+    ``scan_verify``'s answer under the same budget: the scan's orbit memo
+    skips only subtrees with no envy-free leaf and counts them against
+    the budget, so it finds one exactly when the first in odometer order
+    lies within the budget, as the walk does, and both are conclusive
+    exactly when they find one or cover every leaf.  The search reads only
+    whether the answer was conclusive and whether it found one."""
     a = b = c = 0  # the counts' planes 0, 1 and 2
     high = [0] * (len(columns).bit_length() - 3)  # planes 3, ...
     for col in columns:
@@ -683,16 +614,15 @@ def _decide(columns, budget: int):
 def _first_ef_leaf(levels, columns, budget: int):
     """The first strongly envy-free leaf of a g = 2 candidate in
     ``scan_verify``'s odometer order, as a choice, or None when none lies
-    within the first ``budget`` leaves; ``levels`` are its availability
-    levels, ``(count, mask)`` pairs in ascending order of count, and
-    ``columns`` its column masks.
+    within the first ``budget`` leaves, from its availability ``levels``
+    and ``columns`` as in :func:`_decide`.
 
-    Day 0 varies slowest.  Subset s of an odd day's c players sits out its
-    player c - 1 - s, so each odd day tries its highest row first; an even
-    day has one subset.  Each leaf's sit-outs are the nested layers of
+    Day 0 varies slowest, each odd day tries its highest row first, its
+    subset 0, and each leaf's sit-outs are the nested layers of
     :func:`_decide`, grown and undone as the walk goes.  The walk has none
-    of the scan's orbit pruning, so a candidate whose first envy-free leaf
-    lies past the budget costs ``budget`` leaves."""
+    of the scan's orbit pruning, so it goes leaf by leaf: a witness costs
+    all its leaves, and a candidate whose first envy-free leaf lies past
+    the budget costs ``budget`` leaves."""
     out = [0] * len(columns)
     choice = [0] * len(columns)
     odd = [d for d, col in enumerate(columns) if col.bit_count() & 1]

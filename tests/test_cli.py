@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import cli_golden
-from fairplay import cli, impossibility, solver
+from fairplay import cli, impossibility, model, solver
 from fairplay.cli import main
 from fairplay.fileio import parse_problem
 from fairplay.fixtures import fixture_path
@@ -435,6 +435,26 @@ def test_check_shape_mismatch_exits_2(capsys, tmp_path):
         capsys, "check", "--input", T1, "--assignment", str(bad), "--group-size", "4"
     )
     assert code == 2
+
+
+def test_check_decides_feasibility_once(capsys, monkeypatch):
+    """``check`` reads efficiency and the envy pairs off its one
+    feasibility verdict: ``is_feasible`` runs once, whether it is reached
+    through ``cli`` or through ``model``'s own checked helpers."""
+    calls = []
+    feasible = model.is_feasible
+
+    def counting(*args):
+        calls.append(args)
+        return feasible(*args)
+
+    monkeypatch.setattr(cli, "is_feasible", counting)
+    monkeypatch.setattr(model, "is_feasible", counting)
+    code, out, _ = run(
+        capsys, "check", "--input", T1, "--assignment", CORRECTED, "--group-size", "4"
+    )
+    assert code == 0 and "strong envy: " in out
+    assert len(calls) == 1
 
 
 # --------------------------------------------------------------------------- #

@@ -238,13 +238,14 @@ def test_is_canonical_agrees_with_canonical_form(rng):
     """The bit-level tie test against canonical_form, on every child of
     300 canonical forms of matrices built with repeated rows and repeated
     columns, and of every orderly level entry up to (5,3): each new
-    column, sorted within blocks of equal rows so the rows ascend.  A
-    child on which some frontier entry of its parent reads below its least
-    key is not canonical; on every other child the tie test, handed the
-    entries whose key equals the least, decides as canonical_form does.
-    Where the child has a nonzero first row and a new column of weight
-    >= 2, the packed test of _canonical_children must yield that column
-    exactly when the child is canonical."""
+    column, sorted within blocks of equal rows so the rows ascend.  On
+    every child, including those on which some frontier entry of its
+    parent reads below its least key, the tie test, handed the parent's
+    frontiers, its least keys and the new column's counts in the parent's
+    blocks of equal rows, decides as canonical_form does.  Where the child
+    has a nonzero first row and a new column of weight >= 2, the packed
+    test of _canonical_children must yield that column exactly when the
+    child is canonical."""
     parents = []
     for _ in range(300):
         n = rng.randint(1, 6)
@@ -258,14 +259,11 @@ def test_is_canonical_agrees_with_canonical_form(rng):
     parents += [
         _matrix(_rows(columns, n), k) for n, k, level, _ in _levels(5, 3) for columns in level
     ]
-    outcomes, packed, ties = set(), set(), set()
+    ties, packed = set(), set()
     for parent in parents:
         n = len(parent)
         columns = _column_masks(parent)
         frontiers, keys = _least_order(columns, n)
-        blocks = tuple(sorted(next(iter(frontiers[-1]))[1]))
-        others = [[blocks.index(cell) for cell in cells]
-                  for _, cells in frontiers[-1] if cells != blocks]
         yielded = set(_canonical_children(not any(parent[0]), columns, n))
         children = {
             tuple(sorted(row + (b,) for row, b in zip(parent, bits)))
@@ -275,24 +273,15 @@ def test_is_canonical_agrees_with_canonical_form(rng):
             assert tuple(row[:-1] for row in child) == parent
             expected = canonical_form(child) == child
             col = _column_masks(child)[-1]
-            tied = [[] for _ in frontiers]  # none at depth k
-            below = False
-            for d, least in enumerate(keys):
-                for used, cells in frontiers[d]:
-                    key = tuple((cell & col).bit_count() for cell in cells)
-                    below |= key < least
-                    if key == least:
-                        tied[d].append((used, cells))
-            if below:
-                assert not expected, child
-            else:
-                assert _tie_accepts(col, columns, keys, tied, others, blocks) == expected, child
-                ties.add(expected)
-            outcomes.add(expected)
+            # the new column's 1s in each block of the parent's equal rows
+            own = tuple(sum(row[-1] for row in child if row[:-1] == block)
+                        for block in sorted(set(parent)))
+            assert _tie_accepts(col, columns, frontiers, keys + [own]) == expected, child
+            ties.add(expected)
             if col.bit_count() >= 2 and any(child[0]):
                 assert (col in yielded) == expected, child
                 packed.add(expected)
-    assert outcomes == packed == ties == {True, False}
+    assert ties == packed == {True, False}
 
 
 def test_prefix_of_a_canonical_matrix_is_canonical():
