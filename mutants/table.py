@@ -32,8 +32,9 @@ T_LEVELS = T_IMP + "test_orderly_levels_match_plain_orderly_generation"
 T_GOLDEN = "tests/test_cli.py::test_cli_output_matches_the_golden_table"
 T_SCAN = "tests/test_scan.py::"
 T_SOLVER = "tests/test_solver.py::"
-T_FLOW_BRUTE = T_SOLVER + "test_profile_flow_matches_brute_force_on_random_instances"
-T_FAIR_ORACLE = T_SOLVER + "test_solve_fair_matches_oracle_on_random_instances"
+T_ROUTES = tuple(
+    f"tests/test_solver.py::test_fairness_routes_agree[randoms-{size}]" for size in ("9x5", "7x4")
+)
 T_FLOW_POTENTIALS = T_SOLVER + "test_profile_flow_leaves_valid_potentials"
 T_GOLDEN_G2 = tuple(f"{T_GOLDEN}[verify --group-size 2 --bounds {b}]" for b in ("7,4", "5,5"))
 T_GOLDEN_WIDE = tuple(
@@ -210,14 +211,14 @@ MUTANTS = (
         "src/fairplay/_flow.py",
         "cost[e] = c // self.base if c < 0 else c * self.base",
         "cost[e] = c",
-        (T_FLOW_BRUTE, T_FAIR_ORACLE, T_FLOW_POTENTIALS),
+        (*T_ROUTES, T_FLOW_POTENTIALS),
     ),
     Mutant(
         "flow: a flat first sit-out cost",
         "src/fairplay/_flow.py",
         "base ** (m - days[i])",
         "base ** (m - 1)",
-        (T_FLOW_BRUTE, T_FAIR_ORACLE, T_FLOW_POTENTIALS),
+        (*T_ROUTES, T_FLOW_POTENTIALS),
     ),
     Mutant(
         "scan: a skipped class's leaves ranked one past their jump",
@@ -256,6 +257,50 @@ MUTANTS = (
         "covered = min(below[day], budget - scanned)",
         "covered = below[day]",
         ("tests/test_scan.py::test_budget_truncation[1000]",),
+    ),
+    Mutant(
+        "bound: one unit too many for the days left",
+        "src/fairplay/_scan.py",
+        "        units = left[day]\n",
+        "        units = left[day] + 1\n",
+        (T_SCAN + "test_profile_bound_is_sound_and_tight_on_the_last_day",),
+    ),
+    # harvested from hand-run mutants on the model and the CSV reader
+    Mutant(
+        "reduce: a copy, not the input itself, when nothing is removed",
+        "src/fairplay/model.py",
+        "        return p, ReductionLog((), (), 0)",
+        "        return Problem(*p), ReductionLog((), (), 0)",
+        ("tests/test_model.py::test_reduce_returns_its_input_exactly_when_nothing_is_removed",),
+    ),
+    Mutant(
+        "validate: rows not checked for cells other than 0 and 1",
+        "src/fairplay/model.py",
+        "        if row.count(0) + row.count(1) != len(row):",
+        "        if False:",
+        ("tests/test_model.py::test_validate_problem_names_the_first_non_binary_cell",),
+    ),
+    Mutant(
+        "fileio: a leading BOM kept",
+        "src/fairplay/fileio.py",
+        'text.removeprefix("\\ufeff")',
+        "text",
+        ("tests/test_fileio.py::test_utf8_bom_input_parses_like_plain_input",),
+    ),
+    Mutant(
+        "fileio: a line of spaces not skipped",
+        "src/fairplay/fileio.py",
+        "if len(record) > 1 or (record and record[0].strip())",
+        "if len(record) > 1 or record",
+        ("tests/test_fileio.py::test_header_and_blank_lines_tolerate_whitespace",
+         "tests/test_fileio.py::test_blank_lines_before_the_header_are_skipped"),
+    ),
+    Mutant(
+        "fileio: player names not stripped",
+        "src/fairplay/fileio.py",
+        "players.append(record[0].strip())",
+        "players.append(record[0])",
+        ("tests/test_fileio.py::test_layout_mutants_parse_like_the_original",),
     ),
 )
 

@@ -427,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.group_size is not None and args.group_size < 2:
+    if args.group_size < 2:
         print("error: --group-size must be >= 2", file=sys.stderr)
         return EXIT_INPUT
     try:

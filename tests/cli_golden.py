@@ -83,6 +83,8 @@ COMMANDS = [
     ["solve", "--input", "no/such/sheet.csv", "--group-size", "4"],
     ["solve", *_T1, "--tie-break", "random"],
     ["enumerate", *_T1, "--budget", "1"],
+    # a sheet that reduces to nothing
+    ["reduce", "--input", _FIXTURES + "table2.csv", "--group-size", "9"],
 ]
 
 LONG_COMMANDS = [

@@ -1,7 +1,11 @@
-"""Shared test helpers: seeded random instances, a tiny independent
-enumerator over ALL feasible assignments (not just full-game ones), used to
-cross-check the package's efficient-only scans, and a tally of the leaves
-those scans fold."""
+"""Shared test helpers: a tiny independent enumerator over ALL feasible
+assignments (not just full-game ones), used to cross-check the package's
+efficient-only scans, and a tally of the leaves those scans fold.
+
+The tests' random matrix instances come from ``tests/corpus.py``, as named
+families or from its drawers.  To add a family, append it there and pin
+its digest in ``test_corpus``; never re-seed or reorder an existing
+family."""
 
 import random
 from itertools import combinations, product
@@ -9,25 +13,7 @@ from itertools import combinations, product
 import pytest
 
 from fairplay import _scan
-from fairplay.model import Assignment, Problem, validate_problem
-
-
-def make_problem(rows, g=4, players=None, days=None):
-    """Problem from a literal matrix with synthetic names."""
-    n, m = len(rows), len(rows[0]) if rows else 0
-    players = players or [f"p{i + 1}" for i in range(n)]
-    days = days or [f"d{k + 1}" for k in range(m)]
-    return validate_problem(players, days, rows, g)
-
-
-def random_problem(rng: random.Random, max_n=8, max_m=4, g_choices=(2, 3, 4)):
-    """Seeded random instance; may be reducible or even hopeless."""
-    n = rng.randint(2, max_n)
-    m = rng.randint(1, max_m)
-    g = rng.choice(g_choices)
-    density = rng.choice((0.4, 0.6, 0.8))
-    rows = [[1 if rng.random() < density else 0 for _ in range(m)] for _ in range(n)]
-    return make_problem(rows, g)
+from fairplay.model import Assignment, Problem
 
 
 def all_feasible_assignments(p: Problem, full_games_only=False):

@@ -11,6 +11,7 @@ import time
 from contextlib import contextmanager
 
 import conftest
+import corpus
 from fairplay.cli import main as cli_main
 from fairplay.fileio import parse_problem, serialize_problem
 from fairplay.fixtures import fixture_path, table1, table2
@@ -117,38 +118,13 @@ def test_criterion_5_generalized_witnesses():
 _SOLVER_RUNS: list = []
 
 
-def _random_instances(count=200):
-    """Seeded random instances within the criterion-6 envelope; instances
-    whose enumeration would exceed 5M assignments are resampled (the oracle
-    side must stay exhaustive)."""
-    rng = random.Random(6_2026)
-    out = []
-    while len(out) < count:
-        n = rng.randint(2, 8)
-        m = rng.randint(1, 4)
-        g = rng.choice((2, 3, 4))
-        density = rng.choice((0.4, 0.6, 0.8))
-        rows = [
-            [1 if rng.random() < density else 0 for _ in range(m)]
-            for _ in range(n)
-        ]
-        p = validate_problem(
-            [f"p{i}" for i in range(n)], [f"d{k}" for k in range(m)], rows, g
-        )
-        red, _ = reduce_problem(p)
-        if red.is_empty or count_efficient(red) > 5_000_000:
-            continue
-        out.append(red)
-    return out
-
-
 def test_criterion_6_solver_exactness():
     with criterion(6, 300.0, "solve_fair == brute force on fixtures + 200 randoms"):
         assert solve_fair(reduced_table1()).g_vector.counts == (16, 8, 0, 0)
         assert brute_force_fair(reduced_table1())[0].counts == (16, 8, 0, 0)
         assert solve_fair(table2()).g_vector.counts == (11, 9, 0, 0, 0)
         assert brute_force_fair(table2())[0].counts == (11, 9, 0, 0, 0)
-        for red in _random_instances(200):
+        for red in corpus.criterion_6():
             oracle_g, _ = brute_force_fair(red, 6_000_000)
             report = solve_fair(red)
             assert report.g_vector.counts == oracle_g.counts, red

@@ -581,6 +581,8 @@ def test_verify_bad_bounds_exit_2(capsys):
         ["verify", "--group-size", "4", "--budget", "0"],
         ["verify", "--group-size", "4", "--budget", "many"],
         ["verify", "--group-size", "2", "--per-size-cap", "0"],
+        ["verify", "--group-size", "2", "--bounds", "3,x"],
+        ["verify", "--group-size", "2", "--bounds", "0,3"],
         ["enumerate", "--input", T2, "--group-size", "4", "--budget", "-3"],
         ["enumerate", "--input", T2, "--group-size", "4",
          "--format", "stream", "--limit", "-1"],
@@ -590,6 +592,8 @@ def test_verify_bad_bounds_exit_2(capsys):
         "verify-budget-zero",
         "verify-budget-not-int",
         "verify-per-size-cap-zero",
+        "verify-bounds-not-int",
+        "verify-bounds-zero",
         "enumerate-budget-negative",
         "enumerate-limit-negative",
     ],

@@ -5,7 +5,7 @@ import io
 
 import pytest
 
-from conftest import random_problem
+from corpus import random_problem
 from fairplay import fixtures
 from fairplay.fileio import (
     parse_assignment,

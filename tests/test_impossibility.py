@@ -7,7 +7,8 @@ from itertools import combinations, combinations_with_replacement, permutations,
 
 import pytest
 
-from conftest import all_feasible_assignments, make_problem, random_problem
+from conftest import all_feasible_assignments
+from corpus import make_problem, randoms
 from fairplay import _scan, fixtures, impossibility, oracle
 from fairplay._scan import scan_verify
 from fairplay.impossibility import (
@@ -125,17 +126,13 @@ def test_min_envy_floor_holds_per_assignment_for_g3():
         assert len(envy_report(x, p).pairs) >= 3
 
 
-def test_verify_and_existence_match_the_independent_enumerator(rng):
+def test_verify_and_existence_match_the_independent_enumerator():
     """Both strong-envy answers against conftest's enumerator and the model's
     envy audit: the first envy-free assignment in odometer order (None when
     there is none) and the minimum envy count over all assignments."""
-    randoms = []
-    while len(randoms) < 20:  # the empty reductions are EMPTY_PROBLEMS' kind
-        r, _ = reduce_problem(random_problem(rng, max_n=6, max_m=3))
-        if not r.is_empty:
-            randoms.append(r)
     red, _ = reduce_problem(fixtures.table1())
-    for p in [build_table2(), build_witness(3), red, *EMPTY_PROBLEMS, *randoms]:
+    # the empty reductions are EMPTY_PROBLEMS' kind
+    for p in [build_table2(), build_witness(3), red, *EMPTY_PROBLEMS, *randoms(6, 3)[:20]]:
         leaves = list(all_feasible_assignments(p, full_games_only=True))
         envy = [len(envy_report(x, p).pairs) for x in leaves]
         first = leaves[envy.index(0)] if 0 in envy else None

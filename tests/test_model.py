@@ -4,7 +4,8 @@ from itertools import islice
 
 import pytest
 
-from conftest import all_feasible_assignments, make_problem, random_problem
+from conftest import all_feasible_assignments
+from corpus import make_problem, random_problem
 from fairplay import fixtures
 from fairplay.model import (
     Assignment,
@@ -63,6 +64,8 @@ def test_minimal_problem_is_valid():
         (["a"], ["d"], [[1, 0]], 2, "dimension mismatch"),
         (["a", "b"], ["d"], [[1]], 2, "dimension mismatch"),
         (["a"], ["d"], [[1]], 1, "group size"),
+        ([], ["d"], [], 2, "need at least one player"),
+        (["a"], [], [[]], 2, "need at least one day"),
         ([""], ["d"], [[1]], 2, "empty player"),
         (["a"], [""], [[1]], 2, "empty day"),
         # every empty or padded label is named before any duplicate

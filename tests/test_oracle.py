@@ -6,7 +6,8 @@ from itertools import islice
 
 import pytest
 
-from conftest import all_feasible_assignments, make_problem, random_problem
+from conftest import all_feasible_assignments
+from corpus import make_problem, randoms
 from fairplay import fixtures
 from fairplay.impossibility import SearchBounds, verify_no_fair_ef
 from fairplay.model import (
@@ -131,17 +132,11 @@ def test_enumeration_order_is_the_day_subset_odometer():
     assert all(x.matrix[0][1] and x.matrix[1][1] for x in stream)
 
 
-def test_enumeration_counts_agree_on_random_instances(rng):
-    checked = 0
-    while checked < 30:
-        p = random_problem(rng, max_n=6, max_m=3)
-        red, _ = reduce_problem(p)
-        if red.is_empty:
-            continue
+def test_enumeration_counts_agree_on_random_instances():
+    for red in randoms(6, 3):
         stream = list(enumerate_efficient(red))
         assert count_efficient(red) == len(stream)
         assert stream == list(all_feasible_assignments(red, full_games_only=True))
-        checked += 1
 
 
 # --------------------------------------------------------------------------- #

@@ -6,91 +6,18 @@ Instances whose players share a few rows, or only the rows' late days, make
 the orbit memo skip subtrees, so every check below also holds the memo to
 the plain walk."""
 
-import random
 from itertools import combinations
 
 import pytest
 
-from conftest import all_feasible_assignments, count_folded, make_problem, random_problem
+import corpus
+from conftest import all_feasible_assignments, count_folded
+from corpus import FULL
 from fairplay import _scan, fixtures
 from fairplay._scan import scan_fair, scan_verify
 from fairplay.impossibility import build_witness
-from fairplay.model import day_quotas, envy_report, g_vector, reduce_problem
+from fairplay.model import day_quotas, envy_report, g_vector
 from fairplay.oracle import _assignment_from_choice, _efficient_lists, verify_no_fair_ef
-
-FULL = 10**7
-
-
-def _instances(rng):
-    red, _ = reduce_problem(fixtures.table1())
-    # one day: the walk starts at the last day; two days: no memo depth
-    one_day = make_problem([(1,)] * 7, 3)
-    two_days = make_problem([(1, 1), (1, 1), (1, 0), (0, 1), (0, 1), (1, 1), (1, 0)], 2)
-    # witness 3 with a forced player split across the two days, or with a
-    # fourth half-forced player: no envy-free leaf, so the envy scan covers
-    # every leaf
-    left, right = [(1, 1, 0, 0, 0)] * 2, [(0, 0, 1, 1, 1)] * 5
-    split = make_problem(left + [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0)] + right, 3)
-    extra = make_problem(left + [(1, 1, 0, 0, 0), (0, 1, 0, 0, 0)] + right, 3)
-    fixed = [red, fixtures.table2(), build_witness(3), one_day, two_days, split, extra]
-    randoms = []
-    while len(randoms) < 12:
-        p = random_problem(rng, max_n=6, max_m=3)
-        r, _ = reduce_problem(p)
-        if not r.is_empty:
-            randoms.append(r)
-    return fixed + randoms + _symmetric_instances(rng) + _tail_instances(rng)
-
-
-def _symmetric_instances(rng):
-    """Instances of 4-5 days whose players repeat two or three rows.  Every
-    other one stays unreduced: a day with too few players for a game then
-    seats nobody, so players with equal rows as the scan sees them can
-    differ in availability count.  The first is made by hand that way:
-    p1-p3 share days 2 and 4, but p3 is also free on day 3, alone."""
-
-    def draw(m):
-        rows = [tuple(rng.randint(0, 1) for _ in range(m)) for _ in range(rng.randint(2, 3))]
-        return [rng.choice(rows) for _ in range(rng.randint(5, 9))]
-
-    return _drawn(rng, [(0, 1, 0, 1), (0, 1, 0, 1), (0, 1, 1, 1), (0, 0, 0, 1)], draw)
-
-
-def _tail_instances(rng):
-    """Instances of 4-5 days whose players share one or two rows on the
-    days from a split point on but differ before it, so the classes of
-    interchangeable players change with the depth, and class-mates differ
-    in availability count.  The first is made by hand that way: p1 and p5,
-    and also p3 and p4, share days 2-5 but differ on day 1, while p2 and p4
-    share days 1-2 and 4-5 only."""
-
-    def draw(m):
-        split = rng.randint(1, m - 2)
-        tails = [tuple(rng.randint(0, 1) for _ in range(m - split)) for _ in range(rng.randint(1, 2))]
-        return [
-            tuple(rng.randint(0, 1) for _ in range(split)) + rng.choice(tails)
-            for _ in range(rng.randint(5, 9))
-        ]
-
-    first = [(1, 0, 1, 1, 1), (1, 1, 1, 0, 0), (0, 1, 0, 0, 0), (1, 1, 0, 0, 0), (0, 0, 1, 1, 1)]
-    return _drawn(rng, first, draw)
-
-
-def _drawn(rng, first, draw):
-    """``first`` with g = 2, then seven instances from ``draw(m)``'s rows for
-    m of 4-5 days, with g of 2-3, every other one reduced, kept when 4-5 days
-    and 2-20,000 leaves remain."""
-    out = [make_problem(first, 2)]
-    while len(out) < 8:
-        p = make_problem(draw(rng.randint(4, 5)), rng.choice((2, 3)))
-        if len(out) % 2 == 0:
-            p, _ = reduce_problem(p)
-        if p.m < 4:
-            continue
-        leaves = _efficient_lists(p, FULL)[1]
-        if 1 < leaves <= 20_000:
-            out.append(p)
-    return out
 
 
 class Reference:
@@ -108,7 +35,7 @@ class Reference:
 
 @pytest.fixture(scope="module")
 def references():
-    return [Reference(p) for p in _instances(random.Random(20260808))]
+    return [Reference(p) for p in corpus.scan_references()]
 
 
 def test_scan_fair_finds_first_best_leaf(references):
@@ -164,31 +91,32 @@ def test_profile_bound_is_sound_and_tight_on_the_last_day(references):
     assert checked > 50_000 and tight > 20_000
 
 
-def test_scan_first_ef_finds_first_envy_free_leaf(references):
-    """The scan stops at the first envy-free leaf, counts it and returns its
-    choice with a minimum envy of 0."""
-    for ref in references:
-        if ref.first_ef is None:
-            continue
-        combos = _efficient_lists(ref.p, FULL)[0]
-        scanned, conclusive, choice, min_envy = scan_verify(
-            combos, ref.p.avail, FULL
-        )
-        assert (scanned, conclusive, min_envy) == (ref.first_ef + 1, True, 0)
-        leaf = _assignment_from_choice(ref.p, combos, choice)
-        assert leaf == ref.leaves[ref.first_ef]
+def _expected_verify(ref, cap):
+    """``scan_verify``'s answer under a budget of ``cap`` leaves, read off
+    the brute-force envy counts: scanned, conclusive, first EF leaf and the
+    minimum envy."""
+    seen = ref.envy[:cap]
+    if 0 in seen:
+        first = seen.index(0)
+        return first + 1, True, ref.leaves[first], 0
+    return len(seen), cap >= len(ref.leaves), None, min(seen)
 
 
-def test_scan_verify_minimum_envy(references):
-    """With no envy-free leaf the scan covers every leaf and reports the
-    minimum envy over them."""
+def _verify_leaf(ref, cap, listed=None):
+    """``scan_verify``'s answer under a budget of ``cap`` leaves, its choice
+    read as a leaf, over day lists cut for ``listed`` leaves (``cap``)."""
+    combos = _efficient_lists(ref.p, (listed or cap) + 1)[0]
+    scanned, conclusive, choice, min_envy = scan_verify(combos, ref.p.avail, cap)
+    leaf = None if choice is None else _assignment_from_choice(ref.p, combos, choice)
+    return scanned, conclusive, leaf, min_envy
+
+
+def test_scan_verify_finds_the_first_envy_free_leaf_or_the_minimum_envy(references):
+    """With an envy-free leaf the scan stops at the first, counts it and
+    returns its choice with a minimum envy of 0; with none it covers every
+    leaf and reports the minimum envy over them."""
     for ref in references:
-        if ref.first_ef is not None:
-            continue
-        combos = _efficient_lists(ref.p, FULL)[0]
-        assert scan_verify(combos, ref.p.avail, FULL) == (
-            len(ref.leaves), True, None, min(ref.envy)
-        )
+        assert _verify_leaf(ref, FULL) == _expected_verify(ref, FULL), ref.p
 
 
 @pytest.mark.parametrize("budget", [1, 7, 35, 36, 1000, "1/3", "2/3"])
@@ -265,70 +193,12 @@ def test_empty_inputs():
 # than players
 # --------------------------------------------------------------------------- #
 
-def _representative_instances(rng):
-    """Instances on which ``scan_verify`` folds each last-day node over its
-    class representatives, each with its rows shuffled.  First five
-    perturbed witnesses of g = 3: the witness itself, grown by a player on
-    one of its two forced days (three availability blocks) or on both, and
-    with a forced player split in two halves.  None has an envy-free leaf,
-    so the scan covers every leaf while ``min_envy`` falls.  Then six random
-    instances of three or more availability blocks, drawn with a dense last
-    day."""
-    left, right = [(1, 1, 0, 0, 0)] * 2, [(0, 0, 1, 1, 1)] * 5
-    grown = [
-        left + extra + right
-        for extra in (
-            [(1, 1, 0, 0, 0)],
-            [(1, 1, 0, 0, 0), (0, 1, 0, 0, 0)],
-            [(1, 1, 0, 0, 0), (1, 0, 0, 0, 0)],
-            [(1, 1, 0, 0, 0), (1, 1, 0, 0, 0)],
-            [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0)],
-        )
-    ]
-    out = []
-    for rows in grown:
-        rows = list(rows)
-        rng.shuffle(rows)
-        out.append(make_problem(rows, 3))
-    while len(out) < len(grown) + 6:
-        n, m = rng.randint(5, 8), rng.randint(3, 5)
-        rows = [
-            tuple(int(rng.random() < 0.6) for _ in range(m - 1)) + (int(rng.random() < 0.9),)
-            for _ in range(n)
-        ]
-        p, _ = reduce_problem(make_problem(rows, rng.choice((2, 3))))
-        if p.is_empty or len(set(p.availability_counts())) < 3:
-            continue
-        combos, leaves = _efficient_lists(p, FULL)
-        if len(combos[-1]) > p.n and len(combos[-1]) < leaves <= 20_000:
-            out.append(p)
-    return out
-
-
 @pytest.fixture(scope="module")
 def representative_references():
-    refs = [Reference(p) for p in _representative_instances(random.Random(20261019))]
+    refs = [Reference(p) for p in corpus.representatives()]
     for ref in refs:
         assert len(_efficient_lists(ref.p, FULL)[0][-1]) > ref.p.n
     return refs
-
-
-def _expected_verify(ref, cap):
-    """``scan_verify``'s answer under a budget of ``cap`` leaves, read off
-    the brute-force envy counts: scanned, conclusive, first EF leaf and the
-    minimum envy."""
-    seen = ref.envy[:cap]
-    if 0 in seen:
-        first = seen.index(0)
-        return first + 1, True, ref.leaves[first], 0
-    return len(seen), cap >= len(ref.leaves), None, min(seen)
-
-
-def _verify_leaf(ref, cap):
-    combos = _efficient_lists(ref.p, cap + 1)[0]
-    scanned, conclusive, choice, min_envy = scan_verify(combos, ref.p.avail, cap)
-    leaf = None if choice is None else _assignment_from_choice(ref.p, combos, choice)
-    return scanned, conclusive, leaf, min_envy
 
 
 def test_representative_envy_fold_matches_brute_force(representative_references):
@@ -383,48 +253,6 @@ def test_representative_envy_fold_reuses_exact_counts(representative_references,
         _assert_exact(ref.p, leaves)
 
 
-def _dense_last_days(rng):
-    """Random reduced instances of 2-4 days whose last day offers more
-    subsets than there are players, three for each of 1-4 availability
-    blocks."""
-    by_blocks = {b: [] for b in range(1, 5)}
-    while any(len(ps) < 3 for ps in by_blocks.values()):
-        n, m = rng.randint(4, 9), rng.randint(2, 4)
-        rows = [
-            tuple(int(rng.random() < 0.5) for _ in range(m - 1)) + (int(rng.random() < 0.9),)
-            for _ in range(n)
-        ]
-        p, _ = reduce_problem(make_problem(rows, rng.choice((2, 3))))
-        if p.is_empty or len(set(p.availability_counts())) > 4:
-            continue
-        combos, leaves = _efficient_lists(p, FULL)
-        if len(combos[-1]) > p.n and leaves <= 20_000:
-            by_blocks[len(set(p.availability_counts()))].append(p)
-    return [p for ps in by_blocks.values() for p in ps]
-
-
-def _cross_block_days(rng):
-    """Endless random reduced instances of 3-5 days whose last day offers
-    more subsets than there are players and seats players of two or more
-    availability counts, so that pairs between the day's players can add
-    to a leaf's envy count."""
-    while True:
-        n, m = rng.randint(6, 10), rng.randint(3, 5)
-        density = rng.choice((0.3, 0.5, 0.7))
-        rows = [
-            tuple(int(rng.random() < density) for _ in range(m - 1)) + (int(rng.random() < 0.9),)
-            for _ in range(n)
-        ]
-        p, _ = reduce_problem(make_problem(rows, rng.choice((2, 3))))
-        if p.is_empty:
-            continue
-        avail = p.availability_counts()
-        combos, leaves = _efficient_lists(p, FULL)
-        day = {avail[i] for i in range(p.n) if p.avail[i][-1]}
-        if len(day) >= 2 and len(combos[-1]) > p.n and leaves <= 20_000:
-            yield p
-
-
 def test_representative_leaf_envy_is_exact(representative_references, monkeypatch):
     """At every representative leaf, the node part plus the leaf's cross
     pairs equals the full, uncapped envy count: on the representative
@@ -440,10 +268,10 @@ def test_representative_leaf_envy_is_exact(representative_references, monkeypatc
         return len(leaves), sum(count > base for _, base, _, count in leaves)
 
     for family in ([ref.p for ref in representative_references],
-                   _dense_last_days(random.Random(20261021))):
+                   corpus.dense_last_days()):
         assert sum(check(p)[0] for p in family) > 100
     long_scans = counted = crossed = 0
-    for p in _cross_block_days(random.Random(20261022)):
+    for p in corpus.cross_block_days():
         found, added = check(p)
         assert all(pairs for _, _, pairs, _ in leaves), p
         counted, crossed = counted + found, crossed + added
@@ -485,7 +313,7 @@ def test_envy_fold_counts_one_representative_per_class(representative_references
     first node and half way through the scan."""
     nodes = _record_folds(monkeypatch)
     problems = [ref.p for ref in representative_references]
-    problems += _dense_last_days(random.Random(20261021))
+    problems += corpus.dense_last_days()
     assert {len(set(p.availability_counts())) for p in problems} >= {1, 2, 3, 4}
     folds = cuts = stops = 0
     for p in problems:
@@ -522,34 +350,10 @@ def test_envy_fold_counts_one_representative_per_class(representative_references
 # the first-leaf exit: an envy-free first leaf ends the scan before the walk
 # --------------------------------------------------------------------------- #
 
-def _first_leaf_instances(rng):
-    """Three random reduced instances of g = 2 or 3 per bucket: whether the
-    scan takes the representative fold (the last day offers more subsets
-    than there are players) and whether the first leaf is envy-free."""
-    buckets = {(rep, ef): [] for rep in (False, True) for ef in (False, True)}
-    while any(len(refs) < 3 for refs in buckets.values()):
-        n, m = rng.randint(4, 8), rng.randint(1, 4)
-        rows = [tuple(int(rng.random() < 0.6) for _ in range(m)) for _ in range(n)]
-        p, _ = reduce_problem(make_problem(rows, rng.choice((2, 3))))
-        if p.is_empty:
-            continue
-        combos, leaves = _efficient_lists(p, FULL)
-        if leaves <= 5000:
-            ref = Reference(p)
-            buckets[len(combos[-1]) > p.n, ref.envy[0] == 0].append(ref)
-    return buckets
-
-
 def test_first_leaf_exit_matches_brute_force():
     """Plain and representative folds, with and without an envy-free first leaf,
     under a budget of one leaf and the full budget, on every day's full
     list: the scan answers as brute force does."""
-    for refs in _first_leaf_instances(random.Random(20261020)).values():
-        for ref in refs:
-            combos = _efficient_lists(ref.p, FULL)[0]
-            for cap in (1, FULL):
-                scanned, conclusive, choice, min_envy = scan_verify(
-                    combos, ref.p.avail, cap)
-                leaf = None if choice is None else _assignment_from_choice(ref.p, combos, choice)
-                assert (scanned, conclusive, leaf, min_envy) == _expected_verify(ref, cap), (
-                    ref.p, cap)
+    for ref in map(Reference, corpus.first_leaf_instances()):
+        for cap in (1, FULL):
+            assert _verify_leaf(ref, cap, FULL) == _expected_verify(ref, cap), (ref.p, cap)

@@ -6,7 +6,9 @@ import random
 
 import pytest
 
-from conftest import all_feasible_assignments, count_folded, make_problem, random_problem
+import corpus
+from conftest import all_feasible_assignments, count_folded
+from corpus import CLUBS, club, make_problem, player_on_days_without_sit_outs, random_problem
 from fairplay import _flow, fixtures
 from fairplay.model import (
     Assignment,
@@ -40,44 +42,53 @@ def test_tie_break_policy_validation():
 # solve_fair: exactness
 # --------------------------------------------------------------------------- #
 
-def test_solve_fair_matches_oracle_on_fixtures():
-    red, _ = reduce_problem(fixtures.table1())
-    assert solve_fair(red).g_vector.counts == (16, 8, 0, 0)
-    assert brute_force_fair(red)[0].counts == (16, 8, 0, 0)
-    t2 = fixtures.table2()
-    assert solve_fair(t2).g_vector.counts == (11, 9, 0, 0, 0)
-    assert brute_force_fair(t2)[0].counts == (11, 9, 0, 0, 0)
+# the club sheets and the flow's instances run to 120 players: the oracle
+# reaches the clubs in test_brute_force_reaches_club_sized_instances
+_CROSSCHECKED = [name for name in corpus.FAMILIES if name not in ("clubs", "flow-instances")]
 
 
-def test_solve_fair_matches_oracle_on_random_instances(rng):
-    checked = 0
-    while checked < 60:
-        p = random_problem(rng, max_n=7, max_m=4)
-        red, _ = reduce_problem(p)
+@pytest.mark.parametrize("name", _CROSSCHECKED)
+def test_fairness_routes_agree(name):
+    """On every member of a corpus family: the exhaustive oracle and the
+    profile flow on the reduced core, and ``solve_fair`` under the lex
+    tie-break and seeded random ones give one profile, and every
+    assignment is feasible and efficient.  In a family whose cores each
+    have at most 5,000 full-game assignments, the oracle's enumeration of
+    them fixes the rest: ``_Optima`` counts its optima, the lex assignment
+    is their row-major least, and each of seeds 0-2 draws the optimum that
+    a reservoir sampler over them keeps, each zero-extended from the core.
+    In the other families one seed is drawn, the member's index mod 3."""
+    family = [(p, reduce_problem(p)[0]) for p in corpus.FAMILIES[name]()]
+    small = all(count_efficient(red) <= 5_000 for _, red in family)
+    for index, (p, red) in enumerate(family):
         if red.is_empty:
             continue
-        oracle_g, _ = brute_force_fair(red, 2_000_000)
-        report = solve_fair(red)
-        assert report.g_vector.counts == oracle_g.counts, red
-        checked += 1
+        opt = brute_force_fair(red)[0].counts
+        assert _flow.solve_stage(red.avail, day_quotas(red)).gvector == opt, p
+        seeds = (0, 1, 2) if small else (index % 3,)
+        reports = [solve_fair(p), *(solve_fair(p, TieBreakPolicy.seeded(s)) for s in seeds)]
+        for report in reports:
+            assert report.g_vector.counts == opt + (0,) * (p.m - red.m), p
+            assert is_feasible(report.assignment, p).ok, p
+            assert is_efficient(report.assignment, p), p
+        if small:
+            lex, *drawn = [report.assignment for report in reports]
+            optima = [a for a in enumerate_efficient(red) if g_vector(a).counts == opt]
+            assert _Optima(red, day_quotas(red), opt).count(0) == len(optima), p
+            assert lex == zero_extend(min(optima, key=_row_major), p, red), p
+            assert drawn == [zero_extend(_reservoir_pick(optima, s), p, red) for s in seeds], p
 
 
-def test_fair_optimum_over_all_feasible_equals_over_efficient(rng):
+def test_fair_optimum_over_all_feasible_equals_over_efficient():
     """Scanning only slot-maximal assignments is enough: the optimum over
     every feasible assignment is no fairer."""
-    checked = 0
-    while checked < 25:
-        p = random_problem(rng, max_n=6, max_m=3)
-        red, _ = reduce_problem(p)
-        if red.is_empty:
-            continue
+    for red in corpus.randoms(6, 3)[:25]:
         oracle_g, _ = brute_force_fair(red)
         best_any = max(
             (g_vector(x) for x in all_feasible_assignments(red)),
             key=lambda v: v.counts,
         )
         assert best_any.counts == oracle_g.counts
-        checked += 1
 
 
 def test_fair_implies_efficient_on_fixtures_and_randoms(rng):
@@ -136,13 +147,6 @@ def _lex_min_over_optima(red):
     )
 
 
-def _player_on_days_without_sit_outs():
-    """Players 1 and 2 are available only on days 1 and 2, which seat
-    everyone; day 3 drops one of three players.  They have the most days,
-    so the cheapest first sit-out is theirs, and no sit-out can reach it."""
-    return make_problem([[1, 1, 0], [1, 1, 0], [0, 0, 1], [0, 0, 1], [0, 0, 1]], g=2)
-
-
 def _reroute_meets_a_dearer_cycle():
     """The lex walk asks ``Residual.reroute`` to move a sit-out onto a
     played cell whose arc has a positive reduced cost, while a
@@ -156,7 +160,7 @@ def _reroute_meets_a_dearer_cycle():
 @pytest.mark.parametrize(
     "make",
     [fixtures.table2, lambda: reduce_problem(fixtures.table1())[0],
-     _player_on_days_without_sit_outs, _reroute_meets_a_dearer_cycle],
+     player_on_days_without_sit_outs, _reroute_meets_a_dearer_cycle],
     ids=["table2", "table1-reduced", "player-on-days-without-sit-outs",
          "reroute-meets-a-dearer-cycle"],
 )
@@ -198,59 +202,31 @@ def test_reroute_declines_a_cell_arc_of_positive_reduced_cost(monkeypatch):
     assert dearer
 
 
-def test_lex_tie_break_is_row_major_minimum_on_randoms(rng):
-    checked = 0
-    while checked < 20:
-        p = random_problem(rng, max_n=6, max_m=3)
-        red, _ = reduce_problem(p)
-        if red.is_empty:
-            continue
-        assert solve_fair(red, TieBreakPolicy.lex()).assignment == _lex_min_over_optima(red)
-        checked += 1
-
-
-def test_lex_tie_break_is_row_major_minimum_on_repeated_rows():
-    """Instances with many optima: the lex result must not depend on which
-    optimal flow the profile solve hands to the tie-break."""
-    for p in _repeated_row_instances(random.Random(20261018), 30):
-        red, _ = reduce_problem(p)
-        got = solve_fair(p, TieBreakPolicy.lex()).assignment
-        assert got == zero_extend(_lex_min_over_optima(red), p, red), p
-
-
-def _club(seed, n, m):
-    """Seeded g = 4 club sheet; the density rotates over 0.4, 0.55, 0.7."""
-    rng = random.Random(seed)
-    density = (0.4, 0.55, 0.7)[seed % 3]
-    rows = [[1 if rng.random() < density else 0 for _ in range(m)] for _ in range(n)]
-    return make_problem(rows, g=4)
-
-
 def _digest(x):
     """SHA-256 of a matrix written as one row of 0/1 digits per line."""
     text = "\n".join("".join(map(str, row)) for row in x.matrix)
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-# SHA-256 of each lex matrix, one row of 0/1 digits per line, as computed by
-# the per-threshold, re-solve-per-cell solver this one replaced.
-_PINNED_LEX = [
-    (1, 30, 5, "a90d6946de2d3b66686ebb48af713601502b3364c2e17b95516223059d226592"),
-    (2, 45, 6, "dcce5e8fd7c5e419936c6d2ac8ac8232f195b7838c75f2c5a76df895a58b0734"),
-    (3, 60, 7, "8eb8426f9f0b52fd3780fb3bc6159d9d59b3d9929897c22bea1364f35a40022e"),
-    (4, 75, 5, "e7e144f331ff93ba2f0b795e9b005a14c3d1724be7cf9097d2b9110c6a580174"),
-    (5, 90, 6, "5e9ab6683fb663c64d3ab57ae8cd83164e8742b09a7e780387deb5ba5a7083e6"),
-    (6, 105, 7, "f2fc258f66ef6506ed7d529cee5cb3633d5179c72ac0e5d218264d23951302a4"),
-    (7, 120, 6, "4e3bcd6a7cc17b588a37e4a1bf50d85483a9debcb1d0cf58b92653cce2dd9949"),
-    (8, 120, 7, "303257d3a269cc0d9a83e207cbe81a522da266f19481ab3f3c7a8d8cd3eec8d4"),
-]
+# SHA-256 of each club's lex matrix, one row of 0/1 digits per line, as
+# computed by the per-threshold, re-solve-per-cell solver this one replaced.
+_PINNED_LEX = [(*c, digest) for c, digest in zip(CLUBS, (
+    "a90d6946de2d3b66686ebb48af713601502b3364c2e17b95516223059d226592",
+    "dcce5e8fd7c5e419936c6d2ac8ac8232f195b7838c75f2c5a76df895a58b0734",
+    "8eb8426f9f0b52fd3780fb3bc6159d9d59b3d9929897c22bea1364f35a40022e",
+    "e7e144f331ff93ba2f0b795e9b005a14c3d1724be7cf9097d2b9110c6a580174",
+    "5e9ab6683fb663c64d3ab57ae8cd83164e8742b09a7e780387deb5ba5a7083e6",
+    "f2fc258f66ef6506ed7d529cee5cb3633d5179c72ac0e5d218264d23951302a4",
+    "4e3bcd6a7cc17b588a37e4a1bf50d85483a9debcb1d0cf58b92653cce2dd9949",
+    "303257d3a269cc0d9a83e207cbe81a522da266f19481ab3f3c7a8d8cd3eec8d4",
+))]
 
 
 @pytest.mark.parametrize(
     "seed,n,m,digest", _PINNED_LEX, ids=[f"{n}x{m}-seed{s}" for s, n, m, _ in _PINNED_LEX]
 )
 def test_lex_tie_break_is_pinned_on_club_sized_instances(seed, n, m, digest):
-    x = solve_fair(_club(seed, n, m), TieBreakPolicy.lex()).assignment
+    x = solve_fair(club(seed, n, m), TieBreakPolicy.lex()).assignment
     assert _digest(x) == digest
 
 
@@ -263,7 +239,7 @@ def test_brute_force_reaches_club_sized_instances(monkeypatch, seed, n, m):
     """A second route to the pinned sheets' profile: with a budget of every
     leaf (up to 1.8e19 on 60x7), the oracle's bounded scan folds fewer than
     10^6 of them and returns the flow solver's profile."""
-    red, _ = reduce_problem(_club(seed, n, m))
+    red, _ = reduce_problem(club(seed, n, m))
     folded = count_folded(monkeypatch)
     oracle_g, x = brute_force_fair(red, count_efficient(red))
     assert oracle_g.counts == solve_fair(red).g_vector.counts
@@ -279,16 +255,6 @@ def test_random_tie_break_is_deterministic_per_seed():
     assert a.g_vector.counts == (11, 9, 0, 0, 0)
 
 
-def test_random_tie_break_output_is_profile_optimal(rng):
-    for seed in (0, 1, 2):
-        p = random_problem(rng, max_n=6, max_m=3)
-        red, _ = reduce_problem(p)
-        if red.is_empty:
-            continue
-        report = solve_fair(red, TieBreakPolicy.seeded(seed))
-        assert report.g_vector.counts == brute_force_fair(red)[0].counts
-
-
 def test_random_tie_break_covers_distinct_optima():
     red, _ = reduce_problem(fixtures.table1())
     seen = {
@@ -300,8 +266,8 @@ def test_random_tie_break_covers_distinct_optima():
 _RANDOM_INSTANCES = {
     "table1-reduced": lambda: reduce_problem(fixtures.table1())[0],
     "table2": fixtures.table2,
-    "club-1-30x5": lambda: _club(1, 30, 5),
-    "club-4-30x5": lambda: _club(4, 30, 5),
+    "club-1-30x5": lambda: club(1, 30, 5),
+    "club-4-30x5": lambda: club(4, 30, 5),
 }
 
 # SHA-256 of each seeded random matrix (see _digest), as drawn by the
@@ -350,22 +316,6 @@ def test_reservoir_rank_replays_randrange():
     assert _reservoir_rank(random.Random(0), 0) == 0
 
 
-def _repeated_row_instances(rng, count):
-    """Small instances whose players repeat two or three rows, with at most
-    a few thousand full-game assignments.  Every other one is left
-    unreduced, so a player or day the reduction drops shows in the draw."""
-    out = []
-    while len(out) < count:
-        m = rng.randint(3, 5)
-        rows = [tuple(rng.randint(0, 1) for _ in range(m)) for _ in range(rng.randint(2, 3))]
-        p = make_problem([rng.choice(rows) for _ in range(rng.randint(4, 9))], rng.choice((2, 3)))
-        red, _ = reduce_problem(p)
-        if red.is_empty or not 1 < count_efficient(red) <= 5_000:
-            continue
-        out.append(red if len(out) % 2 else p)
-    return out
-
-
 def _reservoir_pick(optima, seed):
     """The assignment a reservoir sampler keeps over ``optima`` in order,
     calling ``randrange(j)`` on ``random.Random(seed)`` for the j-th."""
@@ -374,22 +324,6 @@ def _reservoir_pick(optima, seed):
         if rng.randrange(seen) == 0:
             kept = a
     return kept
-
-
-def test_random_draw_is_a_reservoir_over_the_oracle_enumeration():
-    """Independent route for the random tie-break: the count of optima is the
-    number of the oracle's enumerated assignments with the optimal profile,
-    and the draw is the one a reservoir sampler over that enumeration keeps
-    with the same seeded generator."""
-    for p in _repeated_row_instances(random.Random(20261018), 30):
-        red, _ = reduce_problem(p)
-        leaves = [(g_vector(a).counts, a) for a in enumerate_efficient(red)]
-        opt = max(counts for counts, _ in leaves)
-        optima = [a for counts, a in leaves if counts == opt]
-        assert _Optima(red, day_quotas(red), opt).count(0) == len(optima), p
-        for seed in (0, 1, 2):
-            drawn = solve_fair(p, TieBreakPolicy.seeded(seed)).assignment
-            assert drawn == zero_extend(_reservoir_pick(optima, seed), p, red), (p, seed)
 
 
 def _optima(p, cached=True):
@@ -415,39 +349,6 @@ def _optima(p, cached=True):
     return optima
 
 
-def _dense_second_last_day_instances(rng, count):
-    """Reduced instances of 3-5 days whose day m - 2 offers more subsets
-    than there are players, so many of ``_Optima``'s depth m - 2 children
-    share a leaf class, with at most a few thousand full-game assignments."""
-    out = []
-    while len(out) < count:
-        n, m = rng.randint(4, 9), rng.randint(3, 5)
-        rows = [
-            [int(rng.random() < (0.9 if k == m - 2 else 0.55)) for k in range(m)]
-            for _ in range(n)
-        ]
-        red, _ = reduce_problem(make_problem(rows, rng.choice((2, 3))))
-        if red.is_empty or red.m < 2 or not 1 < count_efficient(red) <= 5_000:
-            continue
-        if len(_optima(red).day_combos[red.m - 2]) > red.n:
-            out.append(red)
-    return out
-
-
-def test_cached_optima_count_matches_brute_force():
-    """The count of optima with the leaf cache equals the number of the
-    oracle's enumerated assignments with the optimal profile, and the draw
-    is the reservoir's over that enumeration."""
-    for red in _dense_second_last_day_instances(random.Random(20261020), 25):
-        leaves = [(g_vector(a).counts, a) for a in enumerate_efficient(red)]
-        opt = max(counts for counts, _ in leaves)
-        optima = [a for counts, a in leaves if counts == opt]
-        assert _optima(red).count(0) == len(optima), red
-        for seed in (0, 1):
-            drawn = solve_fair(red, TieBreakPolicy.seeded(seed)).assignment
-            assert drawn == _reservoir_pick(optima, seed), (red, seed)
-
-
 @pytest.mark.parametrize("name, states", [("club-1-30x5", 56), ("club-4-30x5", 48)])
 def test_leaf_cache_keeps_the_optima_memo(name, states):
     """The leaf cache at depth m - 2 leaves the memo as the uncached DP
@@ -463,28 +364,6 @@ def test_leaf_cache_keeps_the_optima_memo(name, states):
 # the profile flow
 # --------------------------------------------------------------------------- #
 
-def _flow_instances():
-    """The fixtures, 50 seeded random instances, the pinned club sheets from
-    60x7 to 120x7, a sheet where one player plays every day and one where
-    the players with the most days have no day with a sit-out.  Every other
-    random instance is left unreduced, so that the solve meets nodes no
-    residual path reaches: a player with no available day, a day too short
-    for a game."""
-    out = [reduce_problem(fixtures.table1())[0], fixtures.table2()]
-    rng = random.Random(20261019)
-    while len(out) < 52:
-        p = random_problem(rng, max_n=12, max_m=5)
-        red, _ = reduce_problem(p)
-        if not red.is_empty:
-            out.append(p if len(out) % 2 else red)
-    for seed, n, m, _ in _PINNED_LEX:
-        if n >= 60:
-            out.append(reduce_problem(_club(seed, n, m))[0])
-    out.append(make_problem([[1, 1, 1], [1, 1, 1], [1, 0, 0]], g=2))
-    out.append(_player_on_days_without_sit_outs())
-    return out
-
-
 def test_profile_flow_leaves_valid_potentials():
     """After the solve, every residual arc has reduced cost >= 0, which is
     what makes ``Residual.reroute`` exact; the flow routes every day's
@@ -494,7 +373,7 @@ def test_profile_flow_leaves_valid_potentials():
     costing (n+1)^(m-g), whose reverse has capacity a - g and costs
     -(n+1)^(m-g-1); a direction of capacity 0 has no game to price."""
     plays_every_day = 0
-    for p in _flow_instances():
+    for p in corpus.flow_instances():
         quotas = day_quotas(p)
         result = _flow.solve_stage(p.avail, quotas)
         net = result.residual
@@ -530,25 +409,10 @@ def test_profile_flow_leaves_valid_potentials():
 def test_cell_arcs_run_over_the_available_cells_in_row_major_order():
     """The lex walk visits ``cell_arc`` in its own order, so that order must
     be the available cells' row-major one."""
-    for p in _flow_instances():
+    for p in corpus.flow_instances():
         net = _flow.solve_stage(p.avail, day_quotas(p)).residual
         cells = [(i, k) for i, row in enumerate(p.avail) for k, a in enumerate(row) if a]
         assert list(net.cell_arc) == cells
-
-
-def test_profile_flow_matches_brute_force_on_random_instances():
-    """The flow's profile is the exhaustive oracle's on seeded random reduced
-    instances with g in {2, 3, 4}."""
-    rng = random.Random(20261020)
-    checked = 0
-    while checked < 400:
-        red, _ = reduce_problem(random_problem(rng, max_n=9, max_m=5))
-        if red.is_empty:
-            continue
-        oracle_g, _ = brute_force_fair(red)
-        result = _flow.solve_stage(red.avail, day_quotas(red))
-        assert result.gvector == oracle_g.counts, red
-        checked += 1
 
 
 @pytest.mark.parametrize(
@@ -560,59 +424,28 @@ def test_profile_flow_runs_a_dijkstra_per_distance_level(seed, n, m):
     flow routes only the sit-outs, so its units are the sit-outs; the bound
     stays on one Dijkstra per game, which is what a flow that routed every
     game would run."""
-    red, _ = reduce_problem(_club(seed, n, m))
+    red, _ = reduce_problem(club(seed, n, m))
     quotas = day_quotas(red)
     result = _flow.solve_stage(red.avail, quotas)
     assert result.augmentations == sum(red.day_counts()) - sum(quotas)
     assert result.relaxations < sum(quotas) * len(result.residual.to) / 8
 
 
-def _sheet(rng, n, g, sizes):
-    """Reduced sheet of n players and group size g whose k-th day has
-    ``sizes[k]`` available players, drawn at random."""
-    columns = [rng.sample(range(n), size) for size in sizes]
-    rows = [[int(i in column) for column in columns] for i in range(n)]
-    return reduce_problem(make_problem(rows, g))[0]
-
-
 def test_profile_flow_without_sit_outs():
     """When every day's count is a multiple of g, every available cell is
-    played: the flow routes nothing and relaxes no arc, and the lex result
-    is the oracle's."""
-    rng = random.Random(20261021)
-    for _ in range(20):
-        g, m = rng.choice((2, 3, 4)), rng.randint(1, 4)
-        n = rng.randint(g, 3 * g)
-        red = _sheet(rng, n, g, [g * rng.randint(1, n // g) for _ in range(m)])
+    played: the flow routes nothing and relaxes no arc."""
+    for red in corpus.sheets_without_sit_outs():
         result = _flow.solve_stage(red.avail, day_quotas(red))
         assert result.augmentations == result.relaxations == 0
-        assert solve_fair(red).assignment == _lex_min_over_optima(red), red
 
 
 @pytest.mark.parametrize("g", [5, 6])
 def test_sit_outs_up_to_one_short_of_a_game(g):
     """Sheets whose first day drops each number of players from 0 to g - 1
-    in turn: the flow routes exactly the sit-outs, and the lex and random
-    results are the row-major minimum of the oracle's optima and a
-    reservoir's draw over them."""
-    rng = random.Random(20261022 + g)
-    checked = 0
-    while checked < 2 * g:
-        n = rng.randint(2 * g - 1, 2 * g + 1)
-        sizes = [g + checked % g] + [rng.randint(g, n) for _ in range(rng.randint(1, 3))]
-        red = _sheet(rng, n, g, sizes)
-        if not 1 < count_efficient(red) <= 5_000:
-            continue
+    in turn: the flow routes exactly the sit-outs."""
+    for red in corpus.sheets_short_of_a_game(g):
         result = _flow.solve_stage(red.avail, day_quotas(red))
         assert result.augmentations == sum(c % g for c in red.day_counts())
-        leaves = [(g_vector(a).counts, a) for a in enumerate_efficient(red)]
-        opt = max(counts for counts, _ in leaves)
-        optima = [a for counts, a in leaves if counts == opt]
-        assert solve_fair(red).assignment == min(optima, key=_row_major), red
-        for seed in (0, 1):
-            drawn = solve_fair(red, TieBreakPolicy.seeded(seed)).assignment
-            assert drawn == _reservoir_pick(optima, seed), (red, seed)
-        checked += 1
 
 
 @pytest.mark.parametrize(
